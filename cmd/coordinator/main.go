@@ -13,11 +13,13 @@
 //	coordinator -progressive -scenario-budget 14 -earlystop 2 grid_sweep.json
 //
 // -progressive feeds the lease queue from the progressive scheduler
-// (internal/sched) instead of naive suite order: workers receive one
-// round at a time — coverage first, then boundary-guided refinement —
-// and scenarios the scheduler retires are journaled as synthesized
-// "skipped (...)" rows. The queue is reordered, never re-keyed, so
-// journals, resume, quarantine, and stitching work unchanged; a resumed
+// (internal/sched) over the grid's cells: workers receive one round at
+// a time — coverage first, then boundary-guided refinement — and
+// scenarios the scheduler retires are journaled as synthesized
+// "skipped (...)" rows. It accepts any spec: a plain suite's scenarios
+// are all extras, so it runs whole in one round, exactly as without
+// the flag. The queue is reordered, never re-keyed, so journals,
+// resume, quarantine, and stitching work unchanged; a resumed
 // progressive sweep must be restarted with the same -progressive,
 // -scenario-budget, and -earlystop it began with.
 //
@@ -77,7 +79,7 @@ func run(args []string, stdout io.Writer) error {
 		jsonOut  = fs.String("json", "", "write the final stitched report as JSON to `file` (\"-\" = stdout)")
 		linger   = fs.Duration("linger", 2*time.Second, "keep serving this long after the sweep completes, so polling workers see \"done\" and exit")
 		progress = fs.Bool("progress", false, "print a line per accepted completion")
-		prog     = fs.Bool("progressive", false, "feed the lease queue from the progressive scheduler (grid specs only)")
+		prog     = fs.Bool("progressive", false, "feed the lease queue from the progressive scheduler (a plain suite runs whole)")
 		budget   = fs.Int("scenario-budget", 0, "progressive: target number of executed scenarios, coverage included (0 = unlimited)")
 		early    = fs.Int("earlystop", 0, "progressive: retire a cell once its first `k` seeds agree on a verdict (0 = never)")
 	)
@@ -173,8 +175,8 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(stdout, "sweep complete: %d scenarios, %d comparisons\n", len(rep.Results), len(rep.Comparisons))
-	if st, ok := co.SweepStats(); ok {
-		fmt.Fprintln(stdout, st.Summary())
+	if *prog {
+		fmt.Fprintln(stdout, co.SweepStats().Summary())
 	}
 	for _, q := range co.Quarantined() {
 		fmt.Fprintf(stdout, "quarantined: %s (%d strikes; last: %s)\n", q.Scenario, q.Strikes, q.Reason)

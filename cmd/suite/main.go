@@ -19,13 +19,15 @@
 //	suite -progressive -scenario-budget 14 -earlystop 2 grid_sweep.json
 //	suite -golden-store .goldens -golden-store-gc spec.json  # drop stale goldens
 //
-// -progressive runs a grid as a progressive sweep (internal/sched):
+// -progressive runs a spec as a progressive sweep (internal/sched):
 // round one executes one seed per grid cell (plus every extra), later
 // rounds refine cells that sit on a detection boundary first, and
 // -scenario-budget / -earlystop bound the total work. Scenarios the
 // scheduler retires become synthesized "skipped (...)" rows, so the
 // report and any -jsonl stream stay complete; every executed row is
-// byte-identical to the full run's.
+// byte-identical to the full run's. A plain suite is accepted too: its
+// scenarios are all extras, so it runs whole, exactly as without the
+// flag.
 //
 // A grid file (-grid) is a compact sweep description — axes of programs,
 // trojans, detectors, taps, budgets, and seeds, cross-multiplied minus
@@ -82,7 +84,7 @@ func run(args []string, stdout io.Writer) error {
 		progress = fs.Bool("progress", false, "print a progress line as each scenario completes")
 		storeDir = fs.String("golden-store", "", "persist golden runs in `dir` across invocations (misses fill it; corrupt entries re-simulate)")
 		storeGC  = fs.Bool("golden-store-gc", false, "after the run, rebuild the golden store keeping only entries this run touched (requires -golden-store)")
-		prog     = fs.Bool("progressive", false, "run grids progressively: coverage round first, boundary-guided refinement after (grid specs only)")
+		prog     = fs.Bool("progressive", false, "run progressively: coverage round first, boundary-guided refinement after (a plain suite runs whole)")
 		budget   = fs.Int("scenario-budget", 0, "progressive: target number of executed scenarios, coverage included (0 = unlimited; coverage always runs)")
 		early    = fs.Int("earlystop", 0, "progressive: retire a cell once its first `k` seeds agree on a verdict (0 = never)")
 	)

@@ -116,6 +116,38 @@ func TestLiveMonitorExampleSpec(t *testing.T) {
 	}
 }
 
+// TestProgressivePlainSuite: -progressive accepts a plain suite. Its
+// scenarios are all extras, so no budget or early stop can skip one, and
+// the two-wave spec (the suspect's live monitor needs the golden's
+// capture) writes the same report bytes as a plain run.
+func TestProgressivePlainSuite(t *testing.T) {
+	spec := filepath.Join(repoRoot(t), "examples", "specs", "live_monitor.json")
+	dir := t.TempDir()
+	plain, prog := filepath.Join(dir, "plain.json"), filepath.Join(dir, "prog.json")
+	var out strings.Builder
+	if err := run([]string{"-json", plain, spec}, &out); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	if err := run([]string{"-progressive", "-scenario-budget", "1", "-earlystop", "1", "-json", prog, spec}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "0/0 cells covered, 0 boundary cells, 2 scenarios executed, 0 skipped of 2 (1 rounds)") {
+		t.Errorf("progressive summary of a plain suite:\n%s", out.String())
+	}
+	a, err := os.ReadFile(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Error("-progressive report of a plain suite differs from the plain run")
+	}
+}
+
 // TestAttestationExampleSpec executes the committed self-attestation
 // spec end to end — the acceptance scenario for tap-addressable
 // detection: a dual-tap attestation detector flags a board-run T2 in a

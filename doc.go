@@ -52,7 +52,9 @@
 // RunSuiteProgressive and `suite -progressive`): coverage first, then
 // refinement around detection-boundary cells, with retired scenarios
 // reported as synthesized "skipped (...)" rows and every executed row
-// still byte-identical to the full run's.
+// still byte-identical to the full run's. RunSuiteProgressive is the
+// only suite executor: RunSuite runs it under PlainLayout, where every
+// scenario is an extra and nothing is skipped.
 //
 // See README.md for a tour of the commands and DESIGN.md for the
 // architecture, section by section.

@@ -615,13 +615,16 @@ func (g *GridSpec) expand(withLayout bool) (*SuiteSpec, *sched.Grid, error) {
 }
 
 // LoadSuiteOrGridLayout is LoadSuiteOrGrid's progressive twin: it loads
-// the file as a grid (by the grid_*.json convention, or forced) and
-// expands it together with its sched layout. Plain suites are rejected —
-// a progressive sweep needs the grid's axes to derive cell
-// neighbourhoods from.
+// the file as LoadSuiteOrGrid does and also returns its sched layout —
+// the grid's cells and extras, or PlainLayout for a plain suite, whose
+// scenarios are all extras and so can never be skipped.
 func LoadSuiteOrGridLayout(path string, forceGrid bool) (*SuiteSpec, *sched.Grid, error) {
 	if !forceGrid && !strings.HasPrefix(filepath.Base(path), "grid_") {
-		return nil, nil, fmt.Errorf("offramps: %s: progressive execution needs a grid spec (name it grid_*.json or force grid interpretation)", path)
+		s, err := LoadSuiteSpec(path)
+		if err != nil {
+			return nil, nil, err
+		}
+		return s, PlainLayout(s), nil
 	}
 	g, err := LoadGridSpec(path)
 	if err != nil {

@@ -32,14 +32,16 @@ type Config struct {
 	// Clock is the time source for lease expiry (nil = faults.Wall{});
 	// injectable so chaos runs control when leases die.
 	Clock faults.Clock
-	// Progressive, when non-nil, feeds the lease queue from the
-	// progressive scheduler instead of naive suite order: scenarios are
-	// dealt in rounds (coverage, then boundary-first refinement) and
-	// retired scenarios become journaled skip rows. The queue is
-	// reordered, never re-keyed, so journals, resume, quarantine, and
-	// stitching work unchanged — but a resumed sweep must be given the
-	// same Progressive settings it started with, or the re-derived
-	// schedule will not match the journal.
+	// Progressive, when non-nil, sets the layout and knobs of the
+	// scheduler that feeds the lease queue: scenarios are dealt in rounds
+	// (coverage, then boundary-first refinement) and retired scenarios
+	// become journaled skip rows. When nil, the coordinator schedules
+	// offramps.PlainLayout: one round of every scenario in suite order,
+	// nothing skipped. The queue is reordered, never re-keyed, so
+	// journals, resume, quarantine, and stitching work unchanged — but a
+	// resumed sweep must be given the same Progressive settings it
+	// started with, or the re-derived schedule will not match the
+	// journal.
 	Progressive *Progressive
 }
 
@@ -103,9 +105,9 @@ type Coordinator struct {
 	accepted  int
 	compacted int
 
-	// Progressive state (all under mu; nil sched = naive order). The
-	// scheduler itself is single-threaded — accept, quarantine, and
-	// construction-time resume all advance it under mu.
+	// Schedule state (all under mu). The scheduler itself is
+	// single-threaded — accept, quarantine, and construction-time resume
+	// all advance it under mu.
 	sched       *sched.Scheduler
 	outstanding map[string]bool
 	schedErr    error
@@ -135,20 +137,20 @@ func NewCoordinator(suite *offramps.SuiteSpec, cfg Config) (*Coordinator, error)
 	c.queue.Now = clock.Now
 	c.queue.MaxStrikes = cfg.MaxStrikes
 	c.queue.OnQuarantine = c.onQuarantine
-	if cfg.Progressive != nil {
-		if err := offramps.ValidateProgressive(suite, cfg.Progressive.Layout); err != nil {
-			return nil, err
-		}
-		s, err := sched.New(cfg.Progressive.Layout, cfg.Progressive.Sched)
-		if err != nil {
-			return nil, err
-		}
-		c.sched = s
-		c.outstanding = make(map[string]bool)
-		// The naive-seeded queue is held; rounds are Released as the
-		// scheduler deals them.
-		c.queue.Hold()
+	layout, schedCfg := offramps.PlainLayout(suite), sched.Config{}
+	if p := cfg.Progressive; p != nil {
+		layout, schedCfg = p.Layout, p.Sched
 	}
+	if err := offramps.ValidateProgressive(suite, layout); err != nil {
+		return nil, err
+	}
+	if c.sched, err = sched.New(layout, schedCfg); err != nil {
+		return nil, err
+	}
+	c.outstanding = make(map[string]bool)
+	// The suite-order queue is held; rounds are Released as the
+	// scheduler deals them.
+	c.queue.Hold()
 
 	if cfg.Journal != "" {
 		if f, err := os.Open(cfg.Journal); err == nil {
@@ -193,41 +195,52 @@ func NewCoordinator(suite *offramps.SuiteSpec, cfg Config) (*Coordinator, error)
 	// work lands in the queue.
 	c.mu.Lock()
 	c.advanceLocked()
+	c.settleLocked()
 	err = c.schedErr
 	c.mu.Unlock()
 	if err != nil {
 		c.Close()
 		return nil, fmt.Errorf("farm: progressive schedule: %w", err)
 	}
-	if c.queue.Done() {
-		c.doneOnce.Do(func() { close(c.done) })
-	}
 	return c, nil
 }
 
-// onQuarantine reacts to scenarios the queue parked: a progressive
-// sweep observes them as Errored so the schedule advances past them
-// (a completion later rescuing the scenario is still accepted and
-// journaled — only the scheduling signal was pessimistic), and any
-// coordinator checks for settlement.
+// onQuarantine reacts to scenarios the queue parked: the schedule
+// observes them as Errored so it advances past them (a completion later
+// rescuing the scenario is still accepted and journaled — only the
+// scheduling signal was pessimistic), then checks for settlement.
 func (c *Coordinator) onQuarantine() {
-	if c.sched != nil {
-		c.mu.Lock()
-		for _, q := range c.queue.Quarantined() {
-			if !c.outstanding[q.Scenario] {
-				continue
-			}
-			delete(c.outstanding, q.Scenario)
-			if err := c.sched.Observe(q.Scenario, sched.Errored); err != nil && c.schedErr == nil {
-				c.schedErr = err
-			}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, q := range c.queue.Quarantined() {
+		if !c.outstanding[q.Scenario] {
+			continue
 		}
-		if len(c.outstanding) == 0 {
-			c.advanceLocked()
+		delete(c.outstanding, q.Scenario)
+		if err := c.sched.Observe(q.Scenario, sched.Errored); err != nil && c.schedErr == nil {
+			c.schedErr = err
 		}
-		c.mu.Unlock()
 	}
-	if c.queue.Done() {
+	if len(c.outstanding) == 0 {
+		c.advanceLocked()
+	}
+	c.settleLocked()
+}
+
+// settleLocked closes Done once every suite scenario has a stored row
+// or is quarantined. It counts stored rows rather than asking the
+// queue, because the queue marks a completion done before accept
+// stores its rows: a concurrent last completion would otherwise close
+// Done while an earlier one is still being recorded, or is about to be
+// reopened after recording failed. Callers hold c.mu.
+func (c *Coordinator) settleLocked() {
+	missing := len(c.Suite.Scenarios) - len(c.scenarios)
+	for _, q := range c.queue.Quarantined() {
+		if _, ok := c.scenarios[q.Scenario]; !ok {
+			missing--
+		}
+	}
+	if missing == 0 {
 		c.doneOnce.Do(func() { close(c.done) })
 	}
 }
@@ -238,7 +251,7 @@ func (c *Coordinator) onQuarantine() {
 // decided retirements synthesize their skip rows on the spot. Callers
 // hold c.mu.
 func (c *Coordinator) advanceLocked() {
-	if c.sched == nil || c.schedErr != nil {
+	if c.schedErr != nil {
 		return
 	}
 	for len(c.outstanding) == 0 {
@@ -352,65 +365,28 @@ func (c *Coordinator) retireLocked(sk sched.Skip) error {
 	return nil
 }
 
-// rowVerdictLocked derives the scheduler verdict from a stored
-// report-shaped scenario row — the raw-row twin of the root package's
-// in-memory rule: an error row is Errored; a live detection decides by
-// TrojanLikely; otherwise the scenario's first stored comparison (spec
-// order) decides; otherwise the result's own TrojanLikely flag;
-// otherwise Unknown. Callers hold c.mu.
+// rowVerdictLocked applies offramps.RowVerdict to a stored scenario
+// row, with the scenario's first stored comparison (in spec order) as
+// its first executed comparison. Callers hold c.mu.
 func (c *Coordinator) rowVerdictLocked(name string, raw json.RawMessage) sched.Verdict {
-	var head struct {
-		Err    string
-		Result *struct {
-			Detections   []json.RawMessage
-			TrojanLikely bool
-		}
-	}
-	if err := json.Unmarshal(raw, &head); err != nil || head.Err != "" || head.Result == nil {
-		return sched.Errored
-	}
-	if len(head.Result.Detections) > 0 {
-		if head.Result.TrojanLikely {
-			return sched.Trojan
-		}
-		return sched.Clean
-	}
+	var first json.RawMessage
 	for _, cmp := range c.Suite.Compare {
 		if cmp.Suspect != name {
 			continue
 		}
-		key := offramps.CompareKey(cmp.Golden, cmp.GoldenTap, cmp.Suspect, cmp.SuspectTap)
-		craw, ok := c.compares[key]
-		if !ok {
-			continue
+		if craw, ok := c.compares[offramps.CompareKey(cmp.Golden, cmp.GoldenTap, cmp.Suspect, cmp.SuspectTap)]; ok {
+			first = craw
+			break
 		}
-		var chead struct {
-			Error  string                       `json:"error"`
-			Report *struct{ TrojanLikely bool } `json:"report"`
-		}
-		if err := json.Unmarshal(craw, &chead); err != nil || chead.Error != "" || chead.Report == nil {
-			return sched.Errored
-		}
-		if chead.Report.TrojanLikely {
-			return sched.Trojan
-		}
-		return sched.Clean
 	}
-	if head.Result.TrojanLikely {
-		return sched.Trojan
-	}
-	return sched.Unknown
+	return offramps.RowVerdict(raw, first)
 }
 
-// SweepStats reports the progressive scheduler's statistics; ok is
-// false for a naive-order coordinator.
-func (c *Coordinator) SweepStats() (st offramps.SweepStats, ok bool) {
+// SweepStats reports the scheduler's statistics.
+func (c *Coordinator) SweepStats() offramps.SweepStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.sched == nil {
-		return offramps.SweepStats{}, false
-	}
-	return offramps.SweepStats{Stats: c.sched.Stats()}, true
+	return offramps.SweepStats{Stats: c.sched.Stats()}
 }
 
 // Resumed reports how many scenarios the journal already covered.
@@ -428,7 +404,8 @@ func (c *Coordinator) Counts() (pending, leased, done, quarantined, total int) {
 // Quarantined snapshots the parked scenarios.
 func (c *Coordinator) Quarantined() []QuarantinedScenario { return c.queue.Quarantined() }
 
-// Done is closed once every scenario has completed or been quarantined.
+// Done is closed once every scenario's rows are recorded or the
+// scenario is quarantined, so Report can stitch as soon as it fires.
 func (c *Coordinator) Done() <-chan struct{} { return c.done }
 
 // Drain stops dealing leases (workers see "drain" and exit) while
@@ -499,7 +476,7 @@ func (c *Coordinator) accept(scenario string, compares []json.RawMessage, row js
 	}
 	c.scenarios[scenario] = parsed.Report
 	c.accepted++
-	if c.sched != nil && c.outstanding[scenario] {
+	if c.outstanding[scenario] {
 		delete(c.outstanding, scenario)
 		if err := c.sched.Observe(scenario, c.rowVerdictLocked(scenario, parsed.Report)); err != nil && c.schedErr == nil {
 			c.schedErr = err
@@ -513,9 +490,7 @@ func (c *Coordinator) accept(scenario string, compares []json.RawMessage, row js
 		_, _, done, _, total := c.queue.Counts()
 		fmt.Fprintf(c.Progress, "[%d/%d] %s\n", done, total, scenario)
 	}
-	if c.queue.Done() {
-		c.doneOnce.Do(func() { close(c.done) })
-	}
+	c.settleLocked()
 	return nil
 }
 

@@ -21,9 +21,10 @@
 // append-only with torn-tail-tolerant resume and atomic compaction
 // (DESIGN.md §10–§11).
 //
-// With Config.Progressive set, the coordinator feeds its lease queue
-// from the progressive scheduler (internal/sched) instead of naive
-// suite order: scenarios are dealt in rounds — one seed per grid cell
+// The coordinator always feeds its lease queue from the progressive
+// scheduler (internal/sched). Without Config.Progressive it schedules
+// offramps.PlainLayout, one round of every scenario in suite order.
+// With it, scenarios are dealt in rounds — one seed per grid cell
 // first, then refinement around detection-boundary cells — and
 // scenarios the scheduler retires are journaled as synthesized
 // "skipped (...)" rows. The queue is reordered, never re-keyed, so

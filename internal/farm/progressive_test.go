@@ -91,9 +91,7 @@ func TestFarmProgressiveByteIdentity(t *testing.T) {
 		if got := stitchDoc(t, co); !bytes.Equal(got, want) {
 			t.Errorf("cfg %+v: farm progressive report differs from local progressive run\nlocal: %d bytes\nfarm:  %d bytes", cfg, len(want), len(got))
 		}
-		if st, ok := co.SweepStats(); !ok {
-			t.Error("SweepStats() not available on a progressive coordinator")
-		} else if st.Covered != st.Cells {
+		if st := co.SweepStats(); st.Covered != st.Cells {
 			t.Errorf("cfg %+v: covered %d of %d cells", cfg, st.Covered, st.Cells)
 		}
 	}

@@ -11,7 +11,9 @@
 // The input is an abstract Grid: cells addressed by integer coordinates
 // on the swept (non-seed) axes, each holding its scenario names in seed
 // order, plus the extra scenarios (goldens, controls) every sweep must
-// run. The root package derives this layout during GridSpec expansion;
+// run. A Grid with no cells, only extras, is a plain suite run in
+// naive order. The root package derives this layout during GridSpec
+// expansion;
 // sched deliberately does not import it, so the dependency points
 // campaign → scheduler and never back.
 //

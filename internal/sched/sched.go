@@ -56,7 +56,9 @@ type Cell struct {
 
 // Grid is the scheduler's view of an expanded sweep: the swept axis
 // sizes, the cells in expansion order, and the extra scenarios
-// (goldens, controls) that run unconditionally in round 1.
+// (goldens, controls) that run unconditionally in round 1. A grid with
+// no cells and only extras is a plain suite: round 1 runs every
+// scenario in extras order and nothing is ever skipped.
 type Grid struct {
 	// Dims are the cardinalities of the swept non-seed axes, in axis
 	// order. Empty when the sweep has no non-seed axis (a pure seed
@@ -138,8 +140,8 @@ type Scheduler struct {
 
 // New validates the grid and builds a scheduler over it.
 func New(g *Grid, cfg Config) (*Scheduler, error) {
-	if g == nil || len(g.Cells) == 0 {
-		return nil, fmt.Errorf("sched: grid has no cells")
+	if g == nil || len(g.Cells)+len(g.Extras) == 0 {
+		return nil, fmt.Errorf("sched: grid has no cells and no extras")
 	}
 	seen := make(map[string]bool)
 	byCoord := make(map[string]int, len(g.Cells))

@@ -317,3 +317,29 @@ func TestMisuseErrors(t *testing.T) {
 		t.Fatal("double observe should error")
 	}
 }
+
+// TestExtrasOnlyGrid: a grid with no cells is a plain suite. Round 1
+// deals every extra in the given order, no budget or early stop can
+// skip one, and the sweep is decided after that round.
+func TestExtrasOnlyGrid(t *testing.T) {
+	names := []string{"golden", "b", "a", "c"}
+	s, err := New(&Grid{Extras: names}, Config{Budget: 1, EarlyStopK: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	round := mustRound(t, s)
+	if !reflect.DeepEqual(round, names) {
+		t.Fatalf("round 1 = %v, want the extras in order %v", round, names)
+	}
+	observeAll(t, s, round, func(string) Verdict { return Trojan })
+	if next := mustRound(t, s); len(next) != 0 {
+		t.Fatalf("round 2 = %v, want empty", next)
+	}
+	if !s.Done() {
+		t.Fatal("an extras-only sweep should be done after round 1")
+	}
+	want := Stats{Executed: len(names), Total: len(names), Rounds: 1}
+	if st := s.Stats(); st != want || len(s.Skips()) != 0 {
+		t.Fatalf("stats = %+v, skips = %v; want %+v and no skips", st, s.Skips(), want)
+	}
+}

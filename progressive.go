@@ -2,6 +2,7 @@ package offramps
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -10,11 +11,12 @@ import (
 	"offramps/internal/sched"
 )
 
-// This file runs a grid suite progressively: internal/sched decides
-// which scenarios run (coverage first, refinement around detection
+// This file holds the one suite executor: internal/sched decides which
+// scenarios run (coverage first, refinement around detection
 // boundaries, early stop for unanimous cells) and RunSuiteProgressive
 // executes each round as an ordinary campaign batch, feeding verdicts
-// back. Scenarios the scheduler retires become synthesized skip rows —
+// back. A plain suite is the degenerate layout whose scenarios are all
+// extras, so RunSuite is the same loop with nothing to skip. Scenarios the scheduler retires become synthesized skip rows —
 // ScenarioResult errors with the canonical "skipped (...)" text — so
 // the report, the JSONL streams, and StitchReport stay complete. Every
 // executed scenario's row is byte-identical to the full run's row for
@@ -71,60 +73,120 @@ func ValidateProgressive(suite *SuiteSpec, layout *sched.Grid) error {
 	return nil
 }
 
-// progressiveVerdict derives the scheduler verdict for one executed
-// scenario. The rule — and the farm coordinator's raw-row twin
-// (internal/farm) — is: an error is Errored; a live detection decides
-// by TrojanLikely; otherwise the scenario's first comparison whose
-// golden has executed decides (memoized in cache so the final report
-// reuses the same CompareResult); otherwise the result's own
-// TrojanLikely flag; otherwise Unknown.
-func progressiveVerdict(name string, suite *SuiteSpec, results map[string]ScenarioResult, cache map[string]CompareResult) sched.Verdict {
-	res, ok := results[name]
-	if !ok || res.Err != nil || res.Result == nil {
+// PlainLayout is the layout a plain suite runs under: no cells, no
+// axes, every scenario an extra. Round 1 then executes the whole suite
+// in suite order and nothing can be skipped, which is how RunSuite and
+// a farm coordinator without a progressive schedule run.
+func PlainLayout(suite *SuiteSpec) *sched.Grid {
+	return &sched.Grid{Extras: suite.ScenarioNames()}
+}
+
+// verdict is the one verdict rule, over the few fields of a scenario
+// row it reads: whether the row failed (an error, or no result at all),
+// its number of live detector reports, its own TrojanLikely flag, and
+// the verdict of its first executed comparison (Unknown when none ran).
+// A failed row is Errored; a live detection decides by TrojanLikely;
+// otherwise the first executed comparison decides; otherwise the row's
+// own flag; otherwise Unknown.
+func verdict(failed bool, detections int, trojanLikely bool, firstCompare sched.Verdict) sched.Verdict {
+	switch {
+	case failed:
 		return sched.Errored
-	}
-	if len(res.Result.Detections) > 0 {
-		if res.Result.TrojanLikely {
-			return sched.Trojan
-		}
+	case detections == 0 && firstCompare != sched.Unknown:
+		return firstCompare
+	case trojanLikely:
+		return sched.Trojan
+	case detections > 0:
 		return sched.Clean
 	}
-	for _, cmp := range suite.Compare {
+	return sched.Unknown
+}
+
+// compareVerdict is one executed comparison's verdict: Errored when it
+// failed, else its report's TrojanLikely decides.
+func compareVerdict(failed, trojanLikely bool) sched.Verdict {
+	switch {
+	case failed:
+		return sched.Errored
+	case trojanLikely:
+		return sched.Trojan
+	}
+	return sched.Clean
+}
+
+// progressiveVerdict applies the verdict rule to in-memory results. The
+// first executed comparison is the scenario's first comparison whose
+// golden has executed, memoized in cache (by index into suite.Compare)
+// so the final report reuses the same CompareResult.
+func progressiveVerdict(name string, suite *SuiteSpec, results map[string]ScenarioResult, cache map[int]CompareResult) sched.Verdict {
+	first := sched.Unknown
+	for i, cmp := range suite.Compare {
 		if cmp.Suspect != name {
 			continue
 		}
 		if _, ran := results[cmp.Golden]; !ran {
 			continue
 		}
-		key := CompareKey(cmp.Golden, cmp.GoldenTap, cmp.Suspect, cmp.SuspectTap)
-		cr, ok := cache[key]
+		cr, ok := cache[i]
 		if !ok {
 			cr = runCompare(cmp, results)
-			cache[key] = cr
+			cache[i] = cr
 		}
-		if cr.Err != nil {
-			return sched.Errored
-		}
-		if cr.Report.TrojanLikely {
-			return sched.Trojan
-		}
-		return sched.Clean
+		first = compareVerdict(cr.Err != nil, cr.Err == nil && cr.Report.TrojanLikely)
+		break
 	}
-	if res.Result.TrojanLikely {
-		return sched.Trojan
+	res, ok := results[name]
+	if !ok || res.Err != nil || res.Result == nil {
+		return verdict(true, 0, false, first)
 	}
-	return sched.Unknown
+	return verdict(false, len(res.Result.Detections), res.Result.TrojanLikely, first)
 }
 
-// RunSuiteProgressive executes a grid suite under the progressive
-// scheduler: rounds of scenarios chosen by sched run as ordinary
-// campaign batches (each batch internally wave-ordered for golden
-// references, exactly like RunSuite), detector verdicts feed back, and
-// retired scenarios become synthesized skip rows in the report and the
-// sinks. With an unlimited budget and no early stop the executed set is
-// the whole suite and the report is byte-identical to RunSuite's. The
-// receiver's Workers/Budget act as defaults; the suite's own values win
-// when set.
+// RowVerdict applies the verdict rule to rows as they travel through
+// JSONL streams, farm completions, and journals: row is a report-shaped
+// scenario row (StreamRow.Report) and firstCompare the report-shaped
+// object of the scenario's first executed comparison (empty when none
+// ran). Rows arrive from outside the process, so malformed input reads
+// as Errored instead of failing.
+func RowVerdict(row, firstCompare json.RawMessage) sched.Verdict {
+	var r struct {
+		Err    string
+		Result *struct {
+			Detections   []json.RawMessage
+			TrojanLikely bool
+		}
+	}
+	if json.Unmarshal(row, &r) != nil {
+		return sched.Errored
+	}
+	first := sched.Unknown
+	if len(firstCompare) > 0 {
+		var c struct {
+			Error  string                       `json:"error"`
+			Report *struct{ TrojanLikely bool } `json:"report"`
+		}
+		if json.Unmarshal(firstCompare, &c) != nil {
+			return sched.Errored
+		}
+		first = compareVerdict(c.Error != "" || c.Report == nil, c.Report != nil && c.Report.TrojanLikely)
+	}
+	if r.Err != "" || r.Result == nil {
+		return verdict(true, 0, false, first)
+	}
+	return verdict(false, len(r.Result.Detections), r.Result.TrojanLikely, first)
+}
+
+// RunSuiteProgressive is the one suite executor. Rounds of scenarios
+// chosen by sched run as ordinary campaign batches, each batch executed
+// in dependency-ordered waves: a wave runs every scenario whose golden
+// reference (if any) has already executed, so chains of golden
+// references (A ← B ← C) execute correctly at any depth. Verdicts feed
+// back, and retired scenarios become synthesized skip rows in the
+// report and the sinks. Afterwards the Compare entries replay captures
+// through registry-built detectors. Results keep suite order regardless
+// of round or wave. Under PlainLayout the executed set is the whole
+// suite and nothing is skipped; that is RunSuite. The receiver's
+// Workers/Budget act as defaults; the suite's own values win when set.
 func (c Campaign) RunSuiteProgressive(runCtx context.Context, suite *SuiteSpec, layout *sched.Grid, cfg sched.Config) (*SuiteReport, SweepStats, error) {
 	if err := suite.Validate(); err != nil {
 		return nil, SweepStats{}, err
@@ -150,13 +212,17 @@ func (c Campaign) RunSuiteProgressive(runCtx context.Context, suite *SuiteSpec, 
 
 	recordings := make(map[string]*capture.Recording)
 	results := make(map[string]ScenarioResult, len(suite.Scenarios))
-	compares := make(map[string]CompareResult)
+	compares := make(map[int]CompareResult)
 	ctx := SpecContext{
 		BaseSeed: suite.BaseSeed,
 		Dir:      suite.dir,
 		Goldens:  func(name string) *capture.Recording { return recordings[name] },
 	}
 
+	// A sink failure does not stop the suite: the wave's results are
+	// complete (Run surfaces sink errors only after every scenario
+	// finished), so later waves and the comparisons still run; the first
+	// sink error is returned at the end with the full report.
 	var sinkFailure error
 	noteSink := func(err error) {
 		if sinkFailure == nil && err != nil {
@@ -239,8 +305,7 @@ func (c Campaign) RunSuiteProgressive(runCtx context.Context, suite *SuiteSpec, 
 			}
 			batch = append(batch, sc)
 		}
-		// Wave-order the batch for golden references, mirroring RunSuite:
-		// extras referenced as goldens run in this same round (round 1)
+		// Extras referenced as goldens run in this same round (round 1)
 		// or already ran in an earlier one.
 		remaining := batch
 		for len(remaining) > 0 {
@@ -257,6 +322,8 @@ func (c Campaign) RunSuiteProgressive(runCtx context.Context, suite *SuiteSpec, 
 				}
 			}
 			if len(wave) == 0 {
+				// Unreachable after Validate's cycle check; guard anyway so
+				// a future bug cannot loop forever.
 				assemble()
 				return report, stats(), fmt.Errorf("offramps: suite %q: unresolvable golden references", suite.Name)
 			}
@@ -278,9 +345,8 @@ func (c Campaign) RunSuiteProgressive(runCtx context.Context, suite *SuiteSpec, 
 	// Comparisons computed eagerly for verdicts are reused verbatim; the
 	// rest (including any against skip rows, whose pick() naturally
 	// yields the skip text) compute here against the final results.
-	for _, cmp := range suite.Compare {
-		key := CompareKey(cmp.Golden, cmp.GoldenTap, cmp.Suspect, cmp.SuspectTap)
-		cr, ok := compares[key]
+	for i, cmp := range suite.Compare {
+		cr, ok := compares[i]
 		if !ok {
 			cr = runCompare(cmp, results)
 		}

@@ -81,7 +81,7 @@ func TestProgressiveSweep(t *testing.T) {
 	// on a detection boundary when its first seed's verdict differs from
 	// an axis-neighbour's.
 	fullVerdicts := make([]sched.Verdict, len(layout.Cells))
-	cmpCache := make(map[string]CompareResult)
+	cmpCache := make(map[int]CompareResult)
 	for i, c := range layout.Cells {
 		fullVerdicts[i] = progressiveVerdict(c.Seeds[0], fullSuite, fullRows, cmpCache)
 	}

@@ -9,6 +9,8 @@ import (
 	"os"
 	"strconv"
 	"strings"
+
+	"offramps/internal/sched"
 )
 
 // SinkError wraps the first result-sink failure of a campaign. It is a
@@ -36,7 +38,9 @@ type ResultSink interface {
 	Close() error
 }
 
-// scenarioVerdict summarizes one result the way the suite report does.
+// scenarioVerdict renders one result the way the suite report does: the
+// comparison-free verdict rule, plus "not run" for a scenario that never
+// started and "(aborted)" for a print its detector stopped.
 func scenarioVerdict(r ScenarioResult) string {
 	if r.Err != nil {
 		return fmt.Sprintf("error: %v", r.Err)
@@ -44,19 +48,17 @@ func scenarioVerdict(r ScenarioResult) string {
 	if r.Result == nil {
 		return "not run"
 	}
-	// Decide the detector-free case first: "-" means no detector looked,
-	// which must never mask a TrojanLikely flag set some other way.
-	verdict := "-"
-	switch {
-	case r.Result.TrojanLikely:
-		verdict = "TROJAN LIKELY"
-	case len(r.Result.Detections) > 0:
-		verdict = "clean"
+	text := "-" // no detector looked and nothing flagged the run
+	switch verdict(false, len(r.Result.Detections), r.Result.TrojanLikely, sched.Unknown) {
+	case sched.Trojan:
+		text = "TROJAN LIKELY"
+	case sched.Clean:
+		text = "clean"
 	}
 	if r.Result.Aborted {
-		verdict += " (aborted)"
+		text += " (aborted)"
 	}
-	return verdict
+	return text
 }
 
 // JSONLSink appends one JSON object per completed scenario — the

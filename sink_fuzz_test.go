@@ -2,9 +2,13 @@ package offramps
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"offramps/internal/sched"
 )
 
 // FuzzReadResumeIndex hammers the resume reader with arbitrary streams.
@@ -88,6 +92,67 @@ func FuzzReadResumeIndex(f *testing.F) {
 					t.Fatalf("replay rewrote comparison %q — first-wins violated", key)
 				}
 			}
+		}
+	})
+}
+
+// FuzzRowVerdict feeds arbitrary row and comparison bytes to the raw-row
+// verdict adapter. A farm coordinator applies it to /v1/complete bodies,
+// so it must never panic, and input that is not JSON must read as
+// Errored. The seeds are real Table II rows (a golden, the clean
+// control, and a Flaw3D cell, each with its comparison).
+func FuzzRowVerdict(f *testing.F) {
+	suite, err := LoadSuiteOrGrid(filepath.Join("examples", "specs", "grid_tableii.json"), false)
+	if err != nil {
+		f.Fatal(err)
+	}
+	sub, err := suite.Subset("golden", "clean-control", "flaw3d-1")
+	if err != nil {
+		f.Fatal(err)
+	}
+	rep, err := Campaign{}.RunSuite(context.Background(), sub.Spec)
+	if err != nil {
+		f.Fatal(err)
+	}
+	raw := func(emit func(*JSONLSink) error) []byte {
+		var buf bytes.Buffer
+		sink := NewJSONLSink(&buf)
+		sink.Label = suite.Name
+		if err := emit(sink); err != nil {
+			f.Fatal(err)
+		}
+		row, err := ParseStreamRow(buf.Bytes())
+		if err != nil {
+			f.Fatal(err)
+		}
+		return row.Report
+	}
+	for _, r := range rep.Results {
+		row := raw(func(s *JSONLSink) error { return s.Emit(r) })
+		var cmp []byte
+		for _, c := range rep.Comparisons {
+			if c.Suspect == r.Name {
+				cmp = raw(func(s *JSONLSink) error { return s.EmitCompare(c) })
+			}
+		}
+		f.Add(row, cmp)
+		f.Add(row[:len(row)/2], cmp)
+		if len(cmp) > 0 {
+			f.Add(row, cmp[:len(cmp)/2])
+		}
+	}
+	f.Add([]byte(`{"Err":5}`), []byte(nil))
+	f.Add([]byte(`{"Result":{"Detections":{}}}`), []byte(nil))
+	f.Add([]byte(`{"Result":{}}`), []byte(`{"report":[]}`))
+	f.Add([]byte(`null`), []byte(`null`))
+
+	f.Fuzz(func(t *testing.T, row, cmp []byte) {
+		v := RowVerdict(row, cmp)
+		if v > sched.Errored {
+			t.Fatalf("verdict %d is out of range", v)
+		}
+		if (!json.Valid(row) || len(cmp) > 0 && !json.Valid(cmp)) && v != sched.Errored {
+			t.Fatalf("malformed input read as %v, want errored\nrow: %q\ncmp: %q", v, row, cmp)
 		}
 	})
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"offramps/internal/detect"
+	"offramps/internal/sched"
 )
 
 // sinkScenarios builds a small campaign input: three clean prints on
@@ -386,31 +387,101 @@ func TestProgressSinkCacheStats(t *testing.T) {
 	}
 }
 
-// TestScenarioVerdict tables every verdict state. The detector-free
-// placeholder ("-") applies only when nothing flagged the run: a
-// TrojanLikely result must surface TROJAN LIKELY even with an empty
-// Detections slice (e.g. a result narrowed or synthesized elsewhere).
+// TestScenarioVerdict tables every verdict state through every adapter
+// of the one verdict rule: the in-memory adapter the progressive
+// executor observes with, the raw-row adapter over rows that went
+// through JSONLSink and ParseStreamRow (as farm completions and
+// journals carry them), and the report text. The text is the
+// comparison-free verdict plus "not run" and "(aborted)": the
+// detector-free placeholder ("-") applies only when nothing flagged the
+// run, so a TrojanLikely result surfaces TROJAN LIKELY even with an
+// empty Detections slice.
 func TestScenarioVerdict(t *testing.T) {
 	flagged := []*detect.Report{{TrojanLikely: true}}
 	quiet := []*detect.Report{{}}
+	cmpOf := func(trojan bool) *CompareResult {
+		return &CompareResult{Report: &detect.Report{TrojanLikely: trojan}}
+	}
+	cmpErr := &CompareResult{Err: errors.New("no capture"), Error: "no capture"}
 	cases := []struct {
 		name string
 		r    ScenarioResult
-		want string
+		// cmp is the scenario's one comparison (nil = none); goldenMissing
+		// marks a comparison whose golden did not run.
+		cmp           *CompareResult
+		goldenMissing bool
+		want          sched.Verdict
+		text          string
 	}{
-		{"error", ScenarioResult{Err: errors.New("boom")}, "error: boom"},
-		{"not-run", ScenarioResult{}, "not run"},
-		{"no-detector", ScenarioResult{Result: &Result{}}, "-"},
-		{"clean", ScenarioResult{Result: &Result{Detections: quiet}}, "clean"},
-		{"trojan", ScenarioResult{Result: &Result{Detections: flagged, TrojanLikely: true}}, "TROJAN LIKELY"},
-		{"trojan-empty-reports", ScenarioResult{Result: &Result{TrojanLikely: true}}, "TROJAN LIKELY"},
-		{"aborted-no-detector", ScenarioResult{Result: &Result{Aborted: true}}, "- (aborted)"},
-		{"aborted-clean", ScenarioResult{Result: &Result{Detections: quiet, Aborted: true}}, "clean (aborted)"},
-		{"aborted-trojan", ScenarioResult{Result: &Result{Detections: flagged, TrojanLikely: true, Aborted: true}}, "TROJAN LIKELY (aborted)"},
+		{name: "error", r: ScenarioResult{Err: errors.New("boom")}, want: sched.Errored, text: "error: boom"},
+		{name: "error-beats-comparison", r: ScenarioResult{Err: errors.New("boom")}, cmp: cmpOf(true), want: sched.Errored, text: "error: boom"},
+		{name: "skip", r: ScenarioResult{Err: errors.New(SkipMessage("early-stop, 2/2 unanimous"))}, want: sched.Errored, text: "error: skipped (early-stop, 2/2 unanimous)"},
+		{name: "not-run", r: ScenarioResult{}, want: sched.Errored, text: "not run"},
+		{name: "no-detector", r: ScenarioResult{Result: &Result{}}, want: sched.Unknown, text: "-"},
+		{name: "clean", r: ScenarioResult{Result: &Result{Detections: quiet}}, want: sched.Clean, text: "clean"},
+		{name: "trojan", r: ScenarioResult{Result: &Result{Detections: flagged, TrojanLikely: true}}, want: sched.Trojan, text: "TROJAN LIKELY"},
+		{name: "detection-beats-comparison", r: ScenarioResult{Result: &Result{Detections: quiet}}, cmp: cmpOf(true), want: sched.Clean, text: "clean"},
+		{name: "comparison-errored", r: ScenarioResult{Result: &Result{}}, cmp: cmpErr, want: sched.Errored, text: "-"},
+		{name: "comparison-clean", r: ScenarioResult{Result: &Result{}}, cmp: cmpOf(false), want: sched.Clean, text: "-"},
+		{name: "comparison-trojan", r: ScenarioResult{Result: &Result{}}, cmp: cmpOf(true), want: sched.Trojan, text: "-"},
+		{name: "comparison-beats-flag", r: ScenarioResult{Result: &Result{TrojanLikely: true}}, cmp: cmpOf(false), want: sched.Clean, text: "TROJAN LIKELY"},
+		{name: "comparison-golden-not-run", r: ScenarioResult{Result: &Result{}}, cmp: cmpOf(true), goldenMissing: true, want: sched.Unknown, text: "-"},
+		{name: "flag-only", r: ScenarioResult{Result: &Result{TrojanLikely: true}}, want: sched.Trojan, text: "TROJAN LIKELY"},
+		{name: "aborted-no-detector", r: ScenarioResult{Result: &Result{Aborted: true}}, want: sched.Unknown, text: "- (aborted)"},
+		{name: "aborted-clean", r: ScenarioResult{Result: &Result{Detections: quiet, Aborted: true}}, want: sched.Clean, text: "clean (aborted)"},
+		{name: "aborted-trojan", r: ScenarioResult{Result: &Result{Detections: flagged, TrojanLikely: true, Aborted: true}}, want: sched.Trojan, text: "TROJAN LIKELY (aborted)"},
 	}
+	// rawOf sends a row through the JSONL stream format and back.
+	rawOf := func(emit func(*JSONLSink) error) json.RawMessage {
+		var buf strings.Builder
+		sink := NewJSONLSink(&buf)
+		sink.Label = "verdicts"
+		if err := emit(sink); err != nil {
+			t.Fatal(err)
+		}
+		row, err := ParseStreamRow([]byte(buf.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return row.Report
+	}
+	textVerdicts := map[string]sched.Verdict{"TROJAN LIKELY": sched.Trojan, "clean": sched.Clean, "-": sched.Unknown}
 	for _, c := range cases {
-		if got := scenarioVerdict(c.r); got != c.want {
-			t.Errorf("%s: verdict = %q, want %q", c.name, got, c.want)
+		r := c.r
+		r.Name = "suspect"
+		suite := &SuiteSpec{}
+		results := map[string]ScenarioResult{r.Name: r}
+		cache := map[int]CompareResult{}
+		var rawCmp json.RawMessage
+		if c.cmp != nil {
+			cmp := *c.cmp
+			cmp.Golden, cmp.Suspect = "golden", r.Name
+			suite.Compare = []CompareSpec{{Golden: cmp.Golden, Suspect: cmp.Suspect}}
+			cache[0] = cmp
+			if !c.goldenMissing {
+				results[cmp.Golden] = ScenarioResult{Name: cmp.Golden, Result: &Result{}}
+				rawCmp = rawOf(func(s *JSONLSink) error { return s.EmitCompare(cmp) })
+			}
+		}
+
+		if got := progressiveVerdict(r.Name, suite, results, cache); got != c.want {
+			t.Errorf("%s: in-memory verdict = %v, want %v", c.name, got, c.want)
+		}
+		rawRow := rawOf(func(s *JSONLSink) error { return s.Emit(r) })
+		if got := RowVerdict(rawRow, rawCmp); got != c.want {
+			t.Errorf("%s: raw-row verdict = %v, want %v", c.name, got, c.want)
+		}
+		text := scenarioVerdict(r)
+		if text != c.text {
+			t.Errorf("%s: report text = %q, want %q", c.name, text, c.text)
+		}
+		textVerdict, ok := textVerdicts[strings.TrimSuffix(text, " (aborted)")]
+		if !ok {
+			textVerdict = sched.Errored // "error: ..." and "not run"
+		}
+		free := progressiveVerdict(r.Name, &SuiteSpec{}, map[string]ScenarioResult{r.Name: r}, nil)
+		if textVerdict != free {
+			t.Errorf("%s: report text %q reads %v, the comparison-free rule says %v", c.name, text, textVerdict, free)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -16,6 +15,7 @@ import (
 	"offramps/internal/flaw3d"
 	"offramps/internal/fpga"
 	"offramps/internal/gcode"
+	"offramps/internal/sched"
 	"offramps/internal/sim"
 	"offramps/internal/slicer"
 	"offramps/internal/trojan"
@@ -645,108 +645,13 @@ func (r *SuiteReport) Format() string {
 	return sb.String()
 }
 
-// RunSuite executes a suite spec in dependency-ordered waves: each wave
-// runs every not-yet-run scenario whose golden reference (if any) has
-// already completed, so chains of golden references (A ← B ← C) execute
-// correctly at any depth. Afterwards the Compare entries replay captures
-// through registry-built detectors. Results keep spec order regardless
-// of wave. The receiver's Workers/Budget act as defaults; the suite's
-// own values win when set.
+// RunSuite executes every scenario of a suite spec, then its Compare
+// entries. It is RunSuiteProgressive under PlainLayout with no budget
+// and no early stop: one round holding the whole suite, run in
+// dependency-ordered waves, with results in suite order.
 func (c Campaign) RunSuite(runCtx context.Context, suite *SuiteSpec) (*SuiteReport, error) {
-	if err := suite.Validate(); err != nil {
-		return nil, err
-	}
-	if suite.Workers != 0 {
-		c.Workers = suite.Workers
-	}
-	if suite.Budget != 0 {
-		c.Budget = suite.Budget
-	}
-
-	recordings := make(map[string]*capture.Recording)
-	results := make(map[string]ScenarioResult, len(suite.Scenarios))
-	ctx := SpecContext{
-		BaseSeed: suite.BaseSeed,
-		Dir:      suite.dir,
-		Goldens:  func(name string) *capture.Recording { return recordings[name] },
-	}
-
-	// A sink failure does not stop the suite: the wave's results are
-	// complete (Run surfaces sink errors only after every scenario
-	// finished), so later waves and the comparisons still run; the first
-	// sink error is returned at the end with the full report.
-	var sinkFailure error
-	runWave := func(specs []ScenarioSpec) error {
-		res, err := c.RunSpecs(runCtx, ctx, specs)
-		var se *SinkError
-		if errors.As(err, &se) {
-			if sinkFailure == nil {
-				sinkFailure = err
-			}
-			err = nil
-		}
-		if err != nil {
-			// Record what finished before surfacing the cancellation.
-			for _, r := range res {
-				if r.Name != "" {
-					results[r.Name] = r
-				}
-			}
-			return err
-		}
-		for _, r := range res {
-			results[r.Name] = r
-			if r.Err == nil && r.Result != nil && r.Result.Recording != nil {
-				recordings[r.Name] = r.Result.Recording
-			}
-		}
-		return nil
-	}
-
-	report := &SuiteReport{Suite: suite.Name, BaseSeed: suite.BaseSeed}
-	assemble := func() {
-		report.Results = make([]ScenarioResult, 0, len(suite.Scenarios))
-		for _, sc := range suite.Scenarios {
-			r, ok := results[sc.Name]
-			if !ok {
-				r = ScenarioResult{Name: sc.Name, Seed: sc.EffectiveSeed(suite.BaseSeed)}
-			}
-			report.Results = append(report.Results, r)
-		}
-	}
-
-	remaining := suite.Scenarios
-	for len(remaining) > 0 {
-		var wave, deferred []ScenarioSpec
-		for _, sc := range remaining {
-			ready := sc.Detector == nil || sc.Detector.Golden == ""
-			if !ready {
-				_, ready = results[sc.Detector.Golden]
-			}
-			if ready {
-				wave = append(wave, sc)
-			} else {
-				deferred = append(deferred, sc)
-			}
-		}
-		if len(wave) == 0 {
-			// Unreachable after Validate's cycle check; guard anyway so a
-			// future bug cannot loop forever.
-			assemble()
-			return report, fmt.Errorf("offramps: suite %q: unresolvable golden references", suite.Name)
-		}
-		if err := runWave(wave); err != nil {
-			assemble()
-			return report, err
-		}
-		remaining = deferred
-	}
-	assemble()
-
-	for _, cmp := range suite.Compare {
-		report.Comparisons = append(report.Comparisons, runCompare(cmp, results))
-	}
-	return report, sinkFailure
+	rep, _, err := c.RunSuiteProgressive(runCtx, suite, PlainLayout(suite), sched.Config{})
+	return rep, err
 }
 
 // tapRecording picks the named tap's capture out of a result.
