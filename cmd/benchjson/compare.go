@@ -17,10 +17,13 @@ import (
 // compared benchmark is missing from the new report, which means the
 // bench harness itself broke.
 
-// loadReport reads an archived benchjson document and indexes it by
-// benchmark base name (the "-8" GOMAXPROCS suffix stripped, so reports
-// from different machines compare).
-func loadReport(path string) (map[string]Result, error) {
+// loadReport reads an archived benchjson document and indexes it by the
+// names -benches may use: each benchmark's base name (the "-8"
+// GOMAXPROCS suffix stripped, so reports from different machines
+// compare) and, when the result records its package, "pkg.Name". A base
+// name two packages share indexes both results; lookup reports it as
+// ambiguous.
+func loadReport(path string) (map[string][]Result, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -29,11 +32,31 @@ func loadReport(path string) (map[string]Result, error) {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	out := make(map[string]Result, len(rep.Benchmarks))
+	out := make(map[string][]Result, len(rep.Benchmarks))
 	for _, b := range rep.Benchmarks {
-		out[benchBase(b.Name)] = b
+		base := benchBase(b.Name)
+		out[base] = append(out[base], b)
+		if b.Pkg != "" {
+			out[b.Pkg+"."+base] = append(out[b.Pkg+"."+base], b)
+		}
 	}
 	return out, nil
+}
+
+// lookup resolves one -benches name in an indexed report.
+func lookup(rep map[string][]Result, name, path string) (Result, bool, error) {
+	rs := rep[name]
+	switch len(rs) {
+	case 0:
+		return Result{}, false, nil
+	case 1:
+		return rs[0], true, nil
+	}
+	var pkgs []string
+	for _, r := range rs {
+		pkgs = append(pkgs, r.Pkg+"."+name)
+	}
+	return Result{}, false, fmt.Errorf("%s: %s is ambiguous, name one of %s", path, name, strings.Join(pkgs, ", "))
 }
 
 // benchBase strips a trailing "-<digits>" GOMAXPROCS suffix.
@@ -70,12 +93,18 @@ func runCompare(oldPath, newPath, metric, benches string, threshold float64, out
 		if name == "" {
 			continue
 		}
-		n, ok := newRep[name]
+		n, ok, err := lookup(newRep, name, newPath)
+		if err != nil {
+			return err
+		}
 		if !ok {
 			missing = append(missing, name)
 			continue
 		}
-		o, ok := oldRep[name]
+		o, ok, err := lookup(oldRep, name, oldPath)
+		if err != nil {
+			return err
+		}
 		if !ok {
 			fmt.Fprintf(out, "%s: not in baseline %s, skipping\n", name, oldPath)
 			continue

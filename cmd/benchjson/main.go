@@ -8,7 +8,9 @@
 // input carries `-count N` repetitions of a benchmark, the repetitions
 // are collapsed to one object holding the per-metric MEDIAN — robust to
 // the one slow outlier a shared CI runner produces — and the report's
-// top-level "runs" field records N.
+// top-level "runs" field records N. Each object also records the package
+// named by the `pkg:` line before it, and repetitions are grouped by
+// (package, name), so one input may carry several packages' benchmarks.
 //
 // With -compare, benchjson instead diffs two archived reports:
 //
@@ -37,7 +39,7 @@ func main() {
 	var (
 		compare   = fs.Bool("compare", false, "compare two archived reports (old.json new.json) instead of converting")
 		metric    = fs.String("metric", "ns/op", "metric `unit` to compare")
-		benches   = fs.String("benches", "BenchmarkGoldenPrint,BenchmarkCampaign", "comma-separated benchmark `names` to compare")
+		benches   = fs.String("benches", "BenchmarkGoldenPrint,BenchmarkCampaign", "comma-separated benchmark `names` to compare (Name, or pkg.Name when two packages share a Name)")
 		threshold = fs.Float64("threshold", 15, "annotate regressions beyond this `percent`")
 	)
 	if err := fs.Parse(os.Args[1:]); err != nil {
@@ -59,9 +61,12 @@ func main() {
 	}
 }
 
-// Result is one parsed benchmark line.
+// Result is one parsed benchmark line. Pkg is the package from the
+// `pkg:` line preceding it (absent in reports written before benchjson
+// recorded it per result).
 type Result struct {
 	Name    string             `json:"name"`
+	Pkg     string             `json:"pkg,omitempty"`
 	Runs    int64              `json:"runs"`
 	Metrics map[string]float64 `json:"metrics"`
 }
@@ -72,25 +77,34 @@ type Result struct {
 type Report struct {
 	Goos       string   `json:"goos,omitempty"`
 	Goarch     string   `json:"goarch,omitempty"`
-	Pkg        string   `json:"pkg,omitempty"`
 	CPU        string   `json:"cpu,omitempty"`
 	Runs       int      `json:"runs,omitempty"`
 	Benchmarks []Result `json:"benchmarks"`
 }
 
+// benchKey identifies one benchmark across its `-count` repetitions.
+type benchKey struct{ pkg, name string }
+
 func run(in io.Reader, out io.Writer) error {
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	rep := Report{}
-	var order []string
-	samples := make(map[string][]Result)
+	pkg := ""
+	var order []benchKey
+	samples := make(map[benchKey][]Result)
 	for sc.Scan() {
 		line := sc.Text()
 		if r, ok := parseBenchLine(line); ok {
-			if _, seen := samples[r.Name]; !seen {
-				order = append(order, r.Name)
+			r.Pkg = pkg
+			k := benchKey{pkg, r.Name}
+			if _, seen := samples[k]; !seen {
+				order = append(order, k)
 			}
-			samples[r.Name] = append(samples[r.Name], r)
+			samples[k] = append(samples[k], r)
+			continue
+		}
+		if s, ok := strings.CutPrefix(line, "pkg: "); ok {
+			pkg = s
 			continue
 		}
 		parseHeader(&rep, line)
@@ -98,8 +112,8 @@ func run(in io.Reader, out io.Writer) error {
 	if err := sc.Err(); err != nil {
 		return err
 	}
-	for _, name := range order {
-		group := samples[name]
+	for _, k := range order {
+		group := samples[k]
 		rep.Benchmarks = append(rep.Benchmarks, aggregate(group))
 		if len(group) > rep.Runs {
 			rep.Runs = len(group)
@@ -123,7 +137,7 @@ func aggregate(group []Result) Result {
 	if len(group) == 1 {
 		return group[0]
 	}
-	out := Result{Name: group[0].Name, Metrics: make(map[string]float64)}
+	out := Result{Name: group[0].Name, Pkg: group[0].Pkg, Metrics: make(map[string]float64)}
 	iters := make([]float64, len(group))
 	for i, r := range group {
 		iters[i] = float64(r.Runs)
@@ -152,14 +166,13 @@ func median(vs []float64) float64 {
 	return (vs[n/2-1] + vs[n/2]) / 2
 }
 
-// parseHeader captures the context lines `go test` prints before results.
+// parseHeader captures the machine context lines `go test` prints before
+// results. `pkg:` lines are per result and handled by run.
 func parseHeader(rep *Report, line string) {
 	if s, ok := strings.CutPrefix(line, "goos: "); ok {
 		rep.Goos = s
 	} else if s, ok := strings.CutPrefix(line, "goarch: "); ok {
 		rep.Goarch = s
-	} else if s, ok := strings.CutPrefix(line, "pkg: "); ok {
-		rep.Pkg = s
 	} else if s, ok := strings.CutPrefix(line, "cpu: "); ok {
 		rep.CPU = s
 	}

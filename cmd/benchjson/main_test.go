@@ -116,7 +116,7 @@ func TestParseHeader(t *testing.T) {
 	} {
 		parseHeader(&rep, line)
 	}
-	if rep.Goos != "linux" || rep.Goarch != "amd64" || rep.Pkg != "offramps" || rep.CPU == "" {
+	if rep.Goos != "linux" || rep.Goarch != "amd64" || rep.CPU == "" {
 		t.Errorf("header = %+v", rep)
 	}
 }
@@ -220,5 +220,109 @@ func TestRunCompareAgainstCommittedBaseline(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "(+0.0%)") {
 		t.Errorf("self-compare deltas not zero:\n%s", out.String())
+	}
+}
+
+func TestRunRecordsPkgPerBenchmark(t *testing.T) {
+	input := strings.Join([]string{
+		"goos: linux",
+		"pkg: offramps",
+		"BenchmarkGoldenPrint-8   2   100 ns/op",
+		"BenchmarkShared-8        2   500 ns/op",
+		"BenchmarkGoldenPrint-8   2   120 ns/op",
+		"BenchmarkShared-8        2   700 ns/op",
+		"ok  \tofframps\t3.1s",
+		"pkg: offramps/internal/sim",
+		"BenchmarkEngineSparse-8  100   7 ns/op",
+		"BenchmarkShared-8        100   9 ns/op",
+		"BenchmarkEngineSparse-8  100   9 ns/op",
+		"BenchmarkShared-8        100   11 ns/op",
+		"PASS",
+	}, "\n")
+	var out strings.Builder
+	if err := run(strings.NewReader(input), &out); err != nil {
+		t.Fatal(err)
+	}
+	var rep Report
+	if err := json.Unmarshal([]byte(out.String()), &rep); err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		pkg, name string
+		ns        float64
+	}{
+		{"offramps", "BenchmarkGoldenPrint-8", 110},
+		{"offramps", "BenchmarkShared-8", 600},
+		{"offramps/internal/sim", "BenchmarkEngineSparse-8", 8},
+		{"offramps/internal/sim", "BenchmarkShared-8", 10},
+	}
+	if len(rep.Benchmarks) != len(want) {
+		t.Fatalf("benchmarks = %+v, want %d (same name in two packages must not merge)", rep.Benchmarks, len(want))
+	}
+	for i, w := range want {
+		b := rep.Benchmarks[i]
+		if b.Pkg != w.pkg || b.Name != w.name || b.Metrics["ns/op"] != w.ns {
+			t.Errorf("benchmark %d = %s %s %v ns/op, want %s %s %v", i, b.Pkg, b.Name, b.Metrics["ns/op"], w.pkg, w.name, w.ns)
+		}
+	}
+
+	// -compare resolves unique base names and package-qualified ones,
+	// and refuses to guess at a name two packages share.
+	dir := t.TempDir()
+	path := filepath.Join(dir, "two.json")
+	if err := os.WriteFile(path, []byte(out.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var cmp strings.Builder
+	benches := "BenchmarkGoldenPrint,BenchmarkEngineSparse,offramps.BenchmarkShared,offramps/internal/sim.BenchmarkShared"
+	if err := runCompare(path, path, "ns/op", benches, 15, &cmp); err != nil {
+		t.Fatalf("compare: %v\n%s", err, cmp.String())
+	}
+	for _, line := range []string{
+		"BenchmarkGoldenPrint: ns/op 110 -> 110 (+0.0%)",
+		"BenchmarkEngineSparse: ns/op 8 -> 8 (+0.0%)",
+		"offramps.BenchmarkShared: ns/op 600 -> 600 (+0.0%)",
+		"offramps/internal/sim.BenchmarkShared: ns/op 10 -> 10 (+0.0%)",
+	} {
+		if !strings.Contains(cmp.String(), line) {
+			t.Errorf("compare output lacks %q:\n%s", line, cmp.String())
+		}
+	}
+	err := runCompare(path, path, "ns/op", "BenchmarkShared", 15, &cmp)
+	if err == nil || !strings.Contains(err.Error(), "ambiguous") {
+		t.Errorf("ambiguous bare name compared: %v", err)
+	}
+}
+
+func TestRunCompareReadsLegacyReport(t *testing.T) {
+	// Reports written before per-result packages carry one top-level pkg
+	// (often the wrong one) and none per benchmark.
+	dir := t.TempDir()
+	old := filepath.Join(dir, "old.json")
+	legacy := `{"goos":"linux","pkg":"offramps/internal/sim","runs":5,"benchmarks":[
+		{"name":"BenchmarkGoldenPrint-2","runs":2,"metrics":{"ns/op":200}},
+		{"name":"BenchmarkEngineTicker-2","runs":100,"metrics":{"ns/op":50}}]}`
+	if err := os.WriteFile(old, []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var in strings.Builder
+	if err := run(strings.NewReader("pkg: offramps\nBenchmarkGoldenPrint-8 2 100 ns/op\npkg: offramps/internal/sim\nBenchmarkEngineTicker-8 100 40 ns/op"), &in); err != nil {
+		t.Fatal(err)
+	}
+	cur := filepath.Join(dir, "new.json")
+	if err := os.WriteFile(cur, []byte(in.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := runCompare(old, cur, "ns/op", "BenchmarkGoldenPrint,BenchmarkEngineTicker", 15, &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{
+		"BenchmarkGoldenPrint: ns/op 200 -> 100 (-50.0%)",
+		"BenchmarkEngineTicker: ns/op 50 -> 40 (-20.0%)",
+	} {
+		if !strings.Contains(out.String(), line) {
+			t.Errorf("legacy compare lacks %q:\n%s", line, out.String())
+		}
 	}
 }

@@ -184,6 +184,37 @@ func TestAxisTrackerCountsWithDirection(t *testing.T) {
 	}
 }
 
+// TestAxisTrackerCountOutOfRange pins Count for values that name no axis:
+// 0, whether or not the real axes have counted anything.
+func TestAxisTrackerCountOutOfRange(t *testing.T) {
+	e, arduino, _, b := testRig(t)
+	tr := b.Tracker()
+	bad := []signal.Axis{signal.Axis(0), signal.Axis(5), signal.Axis(-1)}
+	for _, a := range bad {
+		if got := tr.Count(a); got != 0 {
+			t.Errorf("fresh Count(%v) = %d, want 0", a, got)
+		}
+	}
+	for _, a := range signal.Axes {
+		step := arduino.Step(a)
+		step.Set(signal.High)
+		step.Set(signal.Low)
+	}
+	if err := e.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range signal.Axes {
+		if got := tr.Count(a); got != 1 {
+			t.Errorf("Count(%v) = %d after one step, want 1", a, got)
+		}
+	}
+	for _, a := range bad {
+		if got := tr.Count(a); got != 0 {
+			t.Errorf("Count(%v) = %d after stepping every axis, want 0", a, got)
+		}
+	}
+}
+
 func TestAxisTrackerResetAndFirstStep(t *testing.T) {
 	e, arduino, _, b := testRig(t)
 	step := arduino.Step(signal.AxisY)

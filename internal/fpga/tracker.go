@@ -21,9 +21,10 @@ import (
 // be co-located in the same FPGA"). A RAMPS-side tap counts the FPGA's
 // *output* instead and does see board-injected trojans.
 type AxisTracker struct {
-	counts  map[signal.Axis]int64
-	dirs    map[signal.Axis]*signal.Line
-	edges   map[signal.Axis]*EdgeDetector
+	// Per-axis state, indexed by signal.Axis (index 0 unused).
+	counts  [signal.AxisE + 1]int64
+	dirs    [signal.AxisE + 1]*signal.Line
+	edges   [signal.AxisE + 1]*EdgeDetector
 	resetAt sim.Time
 	// firstStep is the time of the first STEP edge after the last Reset;
 	// -1 when none seen yet. The exporter synchronizes on it.
@@ -33,12 +34,7 @@ type AxisTracker struct {
 
 // NewAxisTracker attaches counters to every axis of bus.
 func NewAxisTracker(bus *signal.Bus) *AxisTracker {
-	t := &AxisTracker{
-		counts:    make(map[signal.Axis]int64, 4),
-		dirs:      make(map[signal.Axis]*signal.Line, 4),
-		edges:     make(map[signal.Axis]*EdgeDetector, 4),
-		firstStep: -1,
-	}
+	t := &AxisTracker{firstStep: -1}
 	for _, a := range signal.Axes {
 		a := a
 		t.dirs[a] = bus.Dir(a)
@@ -66,15 +62,19 @@ func (t *AxisTracker) step(a signal.Axis, at sim.Time) {
 // Reset zeroes all counters (homing detected) and re-arms the first-step
 // synchronization.
 func (t *AxisTracker) Reset(at sim.Time) {
-	for _, a := range signal.Axes {
-		t.counts[a] = 0
-	}
+	t.counts = [signal.AxisE + 1]int64{}
 	t.resetAt = at
 	t.firstStep = -1
 }
 
-// Count reports the current net step count of an axis.
-func (t *AxisTracker) Count(a signal.Axis) int64 { return t.counts[a] }
+// Count reports the current net step count of an axis; 0 for a value
+// that names no axis.
+func (t *AxisTracker) Count(a signal.Axis) int64 {
+	if a < signal.AxisX || a > signal.AxisE {
+		return 0
+	}
+	return t.counts[a]
+}
 
 // Snapshot captures all four counters as a transaction payload.
 func (t *AxisTracker) Snapshot(index uint32) capture.Transaction {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"offramps/internal/fpga"
 	"offramps/internal/signal"
 	"offramps/internal/sim"
 )
@@ -48,6 +49,64 @@ func TestPlantAxisMotion(t *testing.T) {
 	}
 	if p.NetSteps(signal.AxisX) != 80 {
 		t.Errorf("NetSteps = %d, want 80", p.NetSteps(signal.AxisX))
+	}
+}
+
+// TestPlantDriverOutOfRange pins Driver for values that name no axis (nil)
+// and checks each real axis gets its own driver.
+func TestPlantDriverOutOfRange(t *testing.T) {
+	_, _, p := newTestPlant(t)
+	for _, a := range []signal.Axis{signal.Axis(0), signal.Axis(5), signal.Axis(-1)} {
+		if d := p.Driver(a); d != nil {
+			t.Errorf("Driver(%v) = %v, want nil", a, d)
+		}
+	}
+	for _, a := range signal.Axes {
+		if d := p.Driver(a); d == nil || d.Axis() != a {
+			t.Errorf("Driver(%v) = %v, want that axis's driver", a, d)
+		}
+	}
+}
+
+// TestAxisAccessorsAgreeAfterHomingAndMove homes X, Y and Z onto their
+// endstops, zeroes an FPGA axis tracker on the same lines the way the
+// board does on homing, then moves all four axes. Per axis, the
+// tracker's Count, the plant's NetSteps since homing and its Position
+// must tell the same story.
+func TestAxisAccessorsAgreeAfterHomingAndMove(t *testing.T) {
+	e, bus, p := newTestPlant(t)
+	tr := fpga.NewAxisTracker(bus)
+	cfg := DefaultConfig()
+	for _, a := range []signal.Axis{signal.AxisX, signal.AxisY, signal.AxisZ} {
+		stepAxis(t, e, bus, a, int(math.Round(cfg.StartPos[a]*cfg.StepsPerMM[a])), signal.High)
+		if bus.MinEndstop(a).Level() != signal.High || math.Abs(p.Position(a)) > 1e-9 {
+			t.Fatalf("%v not homed: endstop %v, position %v", a, bus.MinEndstop(a).Level(), p.Position(a))
+		}
+	}
+	var homed [signal.AxisE + 1]int64
+	for _, a := range signal.Axes {
+		homed[a] = p.NetSteps(a)
+	}
+	tr.Reset(e.Now())
+
+	moves := map[signal.Axis]int{signal.AxisX: 800, signal.AxisY: 400, signal.AxisZ: 80, signal.AxisE: 96}
+	for _, a := range signal.Axes {
+		stepAxis(t, e, bus, a, moves[a], signal.Low)
+	}
+	stepAxis(t, e, bus, signal.AxisE, 48, signal.High) // retract half of it
+	moves[signal.AxisE] -= 48
+
+	for _, a := range signal.Axes {
+		want := int64(moves[a])
+		if got := tr.Count(a); got != want {
+			t.Errorf("Count(%v) = %d, want %d", a, got, want)
+		}
+		if got := p.NetSteps(a) - homed[a]; got != want {
+			t.Errorf("NetSteps(%v) since homing = %d, want %d", a, got, want)
+		}
+		if got, mm := p.Position(a), float64(want)/cfg.StepsPerMM[a]; math.Abs(got-mm) > 1e-9 {
+			t.Errorf("Position(%v) = %v mm, want %v", a, got, mm)
+		}
 	}
 }
 

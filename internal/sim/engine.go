@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // ErrStopped is returned by Run when the simulation was halted by Stop
@@ -86,6 +87,10 @@ func slotOf(at Time) int { return int(at>>wheelShift) & wheelMask }
 //     everything beyond the wheel horizon, promoted into the wheel as its
 //     windows come due.
 //
+// An occupancy bitmap marks the non-empty wheel slots, so the drain loop
+// never visits an empty window: after a window drains it jumps straight
+// to the window of the earliest pending event, wherever it is held.
+//
 // Both tiers store events by value and reuse their backing storage, so
 // scheduling allocates only when a slice grows.
 type Engine struct {
@@ -98,11 +103,15 @@ type Engine struct {
 	pending  int
 
 	// base is the start (aligned to wheelSlot) of the wheel window
-	// currently being drained. Events at < base+wheelSpan live in slots;
-	// later events live in the heap.
+	// currently being drained. Every wheel event lies in
+	// [base, base+wheelSpan); the heap holds the rest (and may also hold
+	// events that fell inside that range after base advanced).
 	base       Time
 	slots      [wheelSlots][]event
 	wheelCount int
+	// occ has bit s set while slots[s] may hold events: set on every
+	// wheel append, cleared when the slot's window drains.
+	occ [wheelSlots / 64]uint64
 
 	heap []event
 }
@@ -136,6 +145,7 @@ func (e *Engine) Reset() {
 	e.pending = 0
 	e.base = 0
 	e.wheelCount = 0
+	e.occ = [wheelSlots / 64]uint64{}
 }
 
 // Now reports the current simulation time.
@@ -195,12 +205,20 @@ func (e *Engine) enqueue(ev event) {
 	ev.seq = e.seq
 	e.pending++
 	if ev.at < e.base+wheelSpan {
-		s := slotOf(ev.at)
-		e.slots[s] = append(e.slots[s], ev)
-		e.wheelCount++
+		e.wheelPush(&ev)
 		return
 	}
 	e.heapPush(ev)
+}
+
+// wheelPush appends ev to its slot and marks the slot occupied. ev is
+// passed by pointer: copying the event into the call costs as much as
+// the append on the scheduling fast path.
+func (e *Engine) wheelPush(ev *event) {
+	s := slotOf(ev.at)
+	e.slots[s] = append(e.slots[s], *ev)
+	e.occ[s>>6] |= 1 << (s & 63)
+	e.wheelCount++
 }
 
 // Stop halts the run loop after the currently executing event returns.
@@ -229,30 +247,25 @@ func (e *Engine) RunUntilIdle() error { return e.run(math.MaxInt64) }
 // run is the drain loop shared by Run and RunUntilIdle. It executes every
 // event with at ≤ until in strict (at, seq) order and leaves the clock at
 // the last executed event (the callers decide whether to advance further).
+//
+// Each pass promotes the heap events due in the current window, drains
+// that window's slot, and then moves base straight to the window of the
+// earliest pending event (see nextWindow), returning once that window
+// starts beyond until.
 func (e *Engine) run(until Time) error {
 	e.stopped = false
 	for e.pending > 0 {
-		if e.wheelCount == 0 {
-			// The wheel is empty: jump the window straight to the heap's
-			// earliest event instead of rotating through empty slots.
-			top := e.heap[0].at
-			if top > until {
-				return nil
-			}
-			e.base = top &^ (wheelSlot - 1)
-		}
 		// Promote far-tier events due in this window.
 		for len(e.heap) > 0 && e.heap[0].at < e.base+wheelSlot {
 			ev := e.heapPop()
-			s := slotOf(ev.at)
-			e.slots[s] = append(e.slots[s], ev)
-			e.wheelCount++
+			e.wheelPush(&ev)
 		}
 		// Drain the current window in (at, seq) order. The slot is
 		// unsorted and may grow while events execute (short-delay
 		// reschedules land back in the same window), so each step scans
 		// for the minimum remaining event.
-		slot := &e.slots[slotOf(e.base)]
+		cur := slotOf(e.base)
+		slot := &e.slots[cur]
 		for len(*slot) > 0 {
 			s := *slot
 			min := 0
@@ -277,18 +290,53 @@ func (e *Engine) run(until Time) error {
 			if e.stopped {
 				return ErrStopped
 			}
-			slot = &e.slots[slotOf(e.base)]
+			slot = &e.slots[cur]
 		}
+		e.occ[cur>>6] &^= 1 << (cur & 63)
 		if e.pending == 0 {
 			break
 		}
-		// Every remaining event lies at or beyond the next window.
-		if e.base+wheelSlot > until {
+		next := e.nextWindow()
+		if next > until {
 			return nil
 		}
-		e.base += wheelSlot
+		e.base = next
 	}
 	return nil
+}
+
+// nextWindow returns the start of the window holding the earliest pending
+// event, once the current window has drained. It is the earlier of the
+// heap top's window and the window of the nearest occupied slot after the
+// current one in cyclic order. The slot distance alone names that window
+// because every wheel event lies in [base, base+wheelSpan): a slot d
+// steps ahead of base's can only hold events of window base+d*wheelSlot.
+func (e *Engine) nextWindow() Time {
+	next := Time(math.MaxInt64)
+	if len(e.heap) > 0 {
+		next = e.heap[0].at &^ (wheelSlot - 1)
+	}
+	if e.wheelCount > 0 {
+		cur := slotOf(e.base)
+		from := (cur + 1) & wheelMask
+		w := from >> 6
+		word := e.occ[w] &^ (1<<(from&63) - 1)
+		// Scan the words in cyclic order, ending back at the first one
+		// for the slots below from.
+		for i := 0; i <= len(e.occ); i++ {
+			if word != 0 {
+				s := w<<6 + bits.TrailingZeros64(word)
+				d := (s - cur) & wheelMask
+				if at := e.base + Time(d)*wheelSlot; at < next {
+					next = at
+				}
+				break
+			}
+			w = (w + 1) % len(e.occ)
+			word = e.occ[w]
+		}
+	}
+	return next
 }
 
 // heapPush inserts ev into the far-tier 4-ary min-heap.

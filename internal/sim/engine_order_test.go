@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -336,4 +337,247 @@ func BenchmarkEngineMixedHorizon(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// buildSparseWorkload is buildWorkload at print density: one event per
+// step period or so, with gaps that leave most wheel windows empty. Ids
+// below roots have no parent: the test schedules id 0 up front and
+// injects the others from outside the run, between Run chunks.
+func buildSparseWorkload(rng *rand.Rand, n, roots int) []workloadNode {
+	delays := []Time{
+		0, 2 * Microsecond, // same instant, STEP pulse width
+		50 * Microsecond, 100 * Microsecond, 250 * Microsecond, 400 * Microsecond, // step periods
+		3*wheelSlot + 5, 40 * wheelSlot, 200*wheelSlot + 3, // multi-window gaps
+		wheelSpan - wheelSlot/2,                 // lands up to a slot behind the current one
+		wheelSpan - 1, wheelSpan, wheelSpan + 1, // horizon boundary
+		2*wheelSpan + wheelSlot/2, 5*wheelSpan - 1, // wrap the wheel more than once
+	}
+	nodes := make([]workloadNode, n)
+	next := roots
+	for i := 0; i < n && next < n; i++ {
+		kids := 1 + rng.Intn(2) // supercritical: the trees use all n ids
+		for k := 0; k < kids && next < n; k++ {
+			d := delays[rng.Intn(len(delays))]
+			nodes[i].children = append(nodes[i].children, struct {
+				delay Time
+				id    int
+			}{d, next})
+			next++
+		}
+	}
+	return nodes
+}
+
+// runUntil executes the reference's pending events with at ≤ until in
+// (at, seq) order and then advances its clock to until, the contract of
+// Engine.Run. It returns the executed events.
+func (r *refEngine) runUntil(until Time, spawn func(id int, schedule func(d Time, id int))) []refEvent {
+	var done []refEvent
+	for {
+		min := -1
+		for i, p := range r.pending {
+			if p.at > until {
+				continue
+			}
+			if min < 0 || p.at < r.pending[min].at || (p.at == r.pending[min].at && p.seq < r.pending[min].seq) {
+				min = i
+			}
+		}
+		if min < 0 {
+			break
+		}
+		ev := r.pending[min]
+		r.pending[min] = r.pending[len(r.pending)-1]
+		r.pending = r.pending[:len(r.pending)-1]
+		r.now = ev.at
+		done = append(done, ev)
+		spawn(ev.id, func(d Time, id int) { r.schedule(r.now+d, id) })
+	}
+	if until > r.now {
+		r.now = until
+	}
+	return done
+}
+
+// sparseRun drives one sparse workload through the engine in random Run
+// chunks, injecting the remaining roots between chunks, and checks every
+// chunk against the reference: same events at the same instants in the
+// same order, the clock at the chunk's horizon, and the same number of
+// events left pending.
+func sparseRun(t *testing.T, e *Engine, seed int64) (order []int, times []Time) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	const n, roots = 800, 6
+	nodes := buildSparseWorkload(rng, n, roots)
+	chunks := []Time{1, wheelSlot / 3, wheelSlot, 7*wheelSlot + 1, 400 * Microsecond, wheelSpan, 3 * wheelSpan}
+
+	ref := &refEngine{}
+	sink := &workloadSink{}
+	var exec func(id int)
+	sink.fire = func(id int) { exec(id) }
+	exec = func(id int) {
+		order = append(order, id)
+		times = append(times, e.Now())
+		for _, c := range nodes[id].children {
+			c := c
+			if c.id%2 == 0 {
+				e.After(c.delay, func() { exec(c.id) })
+			} else {
+				e.AfterEdge(c.delay, sink, uint64(c.id))
+			}
+		}
+	}
+	spawn := func(id int, schedule func(Time, int)) {
+		for _, c := range nodes[id].children {
+			schedule(c.delay, c.id)
+		}
+	}
+
+	ref.schedule(0, 0)
+	e.Schedule(0, func() { exec(0) })
+	injected := 1
+	var until Time
+	for chunk := 0; len(ref.pending) > 0 || injected < roots; chunk++ {
+		until += chunks[rng.Intn(len(chunks))]
+		want := ref.runUntil(until, spawn)
+		from := len(order)
+		if err := e.Run(until); err != nil {
+			t.Fatalf("seed %d chunk %d: Run(%v): %v", seed, chunk, until, err)
+		}
+		if e.Now() != until {
+			t.Fatalf("seed %d chunk %d: Now() = %v after Run(%v)", seed, chunk, e.Now(), until)
+		}
+		got := order[from:]
+		if len(got) != len(want) {
+			t.Fatalf("seed %d chunk %d: executed %d events up to %v, reference %d",
+				seed, chunk, len(got), until, len(want))
+		}
+		for i, w := range want {
+			if got[i] != w.id || times[from+i] != w.at {
+				t.Fatalf("seed %d chunk %d: event %d is id %d at %v, reference id %d at %v",
+					seed, chunk, i, got[i], times[from+i], w.id, w.at)
+			}
+		}
+		if e.Pending() != len(ref.pending) {
+			t.Fatalf("seed %d chunk %d: Pending() = %d, reference %d", seed, chunk, e.Pending(), len(ref.pending))
+		}
+		for s := range e.slots {
+			if bit := e.occ[s>>6]>>(s&63)&1 == 1; bit != (len(e.slots[s]) > 0) {
+				t.Fatalf("seed %d chunk %d: slot %d holds %d events but its occupancy bit is %v",
+					seed, chunk, s, len(e.slots[s]), bit)
+			}
+		}
+		if injected < roots && rng.Intn(3) == 0 {
+			// Scheduled from outside any event, relative to a clock the
+			// horizon moved: the wheel window may lag far behind it.
+			id := injected
+			d := Time(rng.Int63n(int64(4 * wheelSpan)))
+			ref.schedule(ref.now+d, id)
+			e.After(d, func() { exec(id) })
+			injected++
+		}
+	}
+	if len(order) < n/2 {
+		t.Fatalf("seed %d: only %d events executed; workload too small to mean anything", seed, len(order))
+	}
+	return order, times
+}
+
+// TestEngineSparseChunkedVsReference is the differential ordering test at
+// print density, where most wheel windows are empty and the drain loop
+// skips them: delays from the STEP pulse width to several wheel
+// rotations, driven by Run in random chunks instead of RunUntilIdle.
+func TestEngineSparseChunkedVsReference(t *testing.T) {
+	for _, seed := range []int64{1, 7, 42, 1234, 99991} {
+		sparseRun(t, NewEngine(), seed)
+	}
+}
+
+// TestEngineResetAfterStop stops an engine with events pending in several
+// wheel slots and in the heap, resets it, and checks the reset engine is
+// indistinguishable from a fresh one: same internal queue state and the
+// same run, event for event.
+func TestEngineResetAfterStop(t *testing.T) {
+	e := NewEngine()
+	for i := Time(0); i < 12; i++ {
+		e.Schedule(i*5*wheelSlot+i, func() {})
+	}
+	e.Schedule(3*wheelSpan+17, func() {})
+	e.Schedule(20*wheelSlot+1, func() { e.Stop() })
+	if err := e.Run(10 * wheelSpan); err != ErrStopped {
+		t.Fatalf("Run = %v, want ErrStopped", err)
+	}
+	occupied := 0
+	for _, w := range e.occ {
+		occupied += bits.OnesCount64(w)
+	}
+	if occupied < 2 || len(e.heap) == 0 {
+		t.Fatalf("stopped with %d occupied slots and %d heap events; want several of each kind", occupied, len(e.heap))
+	}
+
+	e.Reset()
+	fresh := NewEngine()
+	if e.occ != fresh.occ || e.base != fresh.base || e.wheelCount != 0 || len(e.heap) != 0 ||
+		e.Pending() != 0 || e.Now() != 0 || e.Executed() != 0 {
+		t.Fatalf("Reset left state behind: occ %x base %v wheel %d heap %d pending %d now %v executed %d",
+			e.occ, e.base, e.wheelCount, len(e.heap), e.Pending(), e.Now(), e.Executed())
+	}
+	for s, slot := range e.slots {
+		if len(slot) != 0 {
+			t.Fatalf("Reset left %d events in slot %d", len(slot), s)
+		}
+	}
+
+	gotOrder, gotTimes := sparseRun(t, e, 5)
+	wantOrder, wantTimes := sparseRun(t, fresh, 5)
+	if len(gotOrder) != len(wantOrder) {
+		t.Fatalf("reset engine executed %d events, fresh %d", len(gotOrder), len(wantOrder))
+	}
+	for i := range wantOrder {
+		if gotOrder[i] != wantOrder[i] || gotTimes[i] != wantTimes[i] {
+			t.Fatalf("reset engine diverges at %d: id %d at %v, fresh id %d at %v",
+				i, gotOrder[i], gotTimes[i], wantOrder[i], wantTimes[i])
+		}
+	}
+	if e.Executed() != fresh.Executed() || e.Now() != fresh.Now() {
+		t.Fatalf("reset engine ends at %v after %d events, fresh at %v after %d",
+			e.Now(), e.Executed(), fresh.Now(), fresh.Executed())
+	}
+}
+
+// stepTrain is a periodic STEP-like edge source: each rising edge
+// schedules its 2 µs falling edge and the next rising edge one period on.
+type stepTrain struct {
+	e      *Engine
+	period Time
+}
+
+func (s *stepTrain) FireEdge(arg uint64) {
+	if arg == 1 {
+		s.e.AfterEdge(2*Microsecond, s, 0)
+		s.e.AfterEdge(s.period, s, 1)
+	}
+}
+
+// BenchmarkEngineSparse measures the print's shape: four step trains at
+// 100–400 µs periods plus a 5 ms ticker (past the wheel horizon, so it
+// lives in the heap), about one event per 22 µs, on one engine Reset
+// between iterations the way a pooled testbed core reuses it. Most wheel
+// windows are empty, which is what the drain loop's occupancy skip is for.
+func BenchmarkEngineSparse(b *testing.B) {
+	e := NewEngine()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Reset()
+		for _, p := range []Time{100, 170, 250, 400} {
+			e.ScheduleEdge(0, &stepTrain{e: e, period: p * Microsecond}, 1)
+		}
+		cancel := e.Ticker(5*Millisecond, func(Time) {})
+		if err := e.Run(Second); err != nil {
+			b.Fatal(err)
+		}
+		cancel()
+	}
+	b.ReportMetric(float64(e.Executed()), "events/op")
 }

@@ -22,7 +22,7 @@ go test -run NONE \
   -bench 'BenchmarkGoldenPrint$|BenchmarkCampaign$|BenchmarkCampaignWide$|BenchmarkMonitorObserve$' \
   -benchtime "$benchtime" -count 5 . | tee "$tmp"
 go test -run NONE \
-  -bench 'BenchmarkEngineSchedule$|BenchmarkEngineScheduleEdge$|BenchmarkEngineTicker$|BenchmarkEngineMixedHorizon$' \
+  -bench 'BenchmarkEngineSchedule$|BenchmarkEngineScheduleEdge$|BenchmarkEngineTicker$|BenchmarkEngineMixedHorizon$|BenchmarkEngineSparse$' \
   -benchtime 100x -count 5 ./internal/sim | tee -a "$tmp"
 
 go run ./cmd/benchjson < "$tmp" > "$out"
