@@ -106,9 +106,8 @@ type Engine struct {
 	// currently being drained. Every wheel event lies in
 	// [base, base+wheelSpan); the heap holds the rest (and may also hold
 	// events that fell inside that range after base advanced).
-	base       Time
-	slots      [wheelSlots][]event
-	wheelCount int
+	base  Time
+	slots [wheelSlots][]event
 	// occ has bit s set while slots[s] may hold events: set on every
 	// wheel append, cleared when the slot's window drains.
 	occ [wheelSlots / 64]uint64
@@ -144,7 +143,6 @@ func (e *Engine) Reset() {
 	e.executed = 0
 	e.pending = 0
 	e.base = 0
-	e.wheelCount = 0
 	e.occ = [wheelSlots / 64]uint64{}
 }
 
@@ -218,7 +216,6 @@ func (e *Engine) wheelPush(ev *event) {
 	s := slotOf(ev.at)
 	e.slots[s] = append(e.slots[s], *ev)
 	e.occ[s>>6] |= 1 << (s & 63)
-	e.wheelCount++
 }
 
 // Stop halts the run loop after the currently executing event returns.
@@ -282,7 +279,6 @@ func (e *Engine) run(until Time) error {
 			s[min] = s[last]
 			s[last] = event{} // release fn/tgt references
 			*slot = s[:last]
-			e.wheelCount--
 			e.pending--
 			e.now = ev.at
 			e.executed++
@@ -316,25 +312,23 @@ func (e *Engine) nextWindow() Time {
 	if len(e.heap) > 0 {
 		next = e.heap[0].at &^ (wheelSlot - 1)
 	}
-	if e.wheelCount > 0 {
-		cur := slotOf(e.base)
-		from := (cur + 1) & wheelMask
-		w := from >> 6
-		word := e.occ[w] &^ (1<<(from&63) - 1)
-		// Scan the words in cyclic order, ending back at the first one
-		// for the slots below from.
-		for i := 0; i <= len(e.occ); i++ {
-			if word != 0 {
-				s := w<<6 + bits.TrailingZeros64(word)
-				d := (s - cur) & wheelMask
-				if at := e.base + Time(d)*wheelSlot; at < next {
-					next = at
-				}
-				break
+	cur := slotOf(e.base)
+	from := (cur + 1) & wheelMask
+	w := from >> 6
+	word := e.occ[w] &^ (1<<(from&63) - 1)
+	// Scan the words in cyclic order, ending back at the first one for
+	// the slots below from.
+	for i := 0; i <= len(e.occ); i++ {
+		if word != 0 {
+			s := w<<6 + bits.TrailingZeros64(word)
+			d := (s - cur) & wheelMask
+			if at := e.base + Time(d)*wheelSlot; at < next {
+				next = at
 			}
-			w = (w + 1) % len(e.occ)
-			word = e.occ[w]
+			break
 		}
+		w = (w + 1) % len(e.occ)
+		word = e.occ[w]
 	}
 	return next
 }

@@ -517,10 +517,10 @@ func TestEngineResetAfterStop(t *testing.T) {
 
 	e.Reset()
 	fresh := NewEngine()
-	if e.occ != fresh.occ || e.base != fresh.base || e.wheelCount != 0 || len(e.heap) != 0 ||
+	if e.occ != fresh.occ || e.base != fresh.base || len(e.heap) != 0 ||
 		e.Pending() != 0 || e.Now() != 0 || e.Executed() != 0 {
-		t.Fatalf("Reset left state behind: occ %x base %v wheel %d heap %d pending %d now %v executed %d",
-			e.occ, e.base, e.wheelCount, len(e.heap), e.Pending(), e.Now(), e.Executed())
+		t.Fatalf("Reset left state behind: occ %x base %v heap %d pending %d now %v executed %d",
+			e.occ, e.base, len(e.heap), e.Pending(), e.Now(), e.Executed())
 	}
 	for s, slot := range e.slots {
 		if len(slot) != 0 {
