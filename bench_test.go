@@ -10,6 +10,7 @@ import (
 	"offramps/internal/flaw3d"
 	"offramps/internal/fpga"
 	"offramps/internal/reconstruct"
+	"offramps/internal/signal"
 	"offramps/internal/sim"
 	"offramps/internal/trojan"
 )
@@ -115,8 +116,18 @@ func BenchmarkDrift(b *testing.B) {
 // BenchmarkGoldenPrint measures one full end-to-end simulated print —
 // slicer output through firmware, MITM, drivers, plant, and capture. It
 // runs the way a campaign worker does: successive testbeds on one
-// pooled core, each iteration's buffers reclaimed for the next.
-func BenchmarkGoldenPrint(b *testing.B) {
+// pooled core, each iteration's buffers reclaimed for the next. Clean
+// paths carry their step trains lazily, so events/op counts only what
+// stays on the queue; steps/op (STEP rises seen by the four drivers)
+// keeps ns per pulse comparable across that change.
+func BenchmarkGoldenPrint(b *testing.B) { benchGoldenPrint(b, false) }
+
+// BenchmarkGoldenPrintEager is BenchmarkGoldenPrint on the eager rig: a
+// no-op Watch on each Arduino STEP line keeps every pulse on the event
+// queue, so lazy against eager is measured within one commit.
+func BenchmarkGoldenPrintEager(b *testing.B) { benchGoldenPrint(b, true) }
+
+func benchGoldenPrint(b *testing.B, eager bool) {
 	prog, err := TestPart()
 	if err != nil {
 		b.Fatal(err)
@@ -129,6 +140,11 @@ func BenchmarkGoldenPrint(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		if eager {
+			for _, a := range signal.Axes {
+				tb.Arduino.Step(a).Watch(func(sim.Time, signal.Level) {})
+			}
+		}
 		res, err := tb.Run(context.Background(), prog)
 		if err != nil {
 			b.Fatal(err)
@@ -136,8 +152,13 @@ func BenchmarkGoldenPrint(b *testing.B) {
 		if !res.Completed {
 			b.Fatal(res.HaltError)
 		}
+		var steps uint64
+		for _, a := range signal.Axes {
+			steps += tb.Plant.Driver(a).StepsSeen()
+		}
 		b.ReportMetric(res.Duration.Seconds(), "sim-s/op")
 		b.ReportMetric(float64(tb.Engine.Executed()), "events/op")
+		b.ReportMetric(float64(steps), "steps/op")
 		core.Reclaim(res)
 	}
 }

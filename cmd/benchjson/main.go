@@ -7,7 +7,8 @@
 // custom b.ReportMetric units such as events/op or sim-s/op). When the
 // input carries `-count N` repetitions of a benchmark, the repetitions
 // are collapsed to one object holding the per-metric MEDIAN — robust to
-// the one slow outlier a shared CI runner produces — and the report's
+// the one slow outlier a shared CI runner produces — plus each metric's
+// spread over the repetitions in "min" and "max", and the report's
 // top-level "runs" field records N. Each object also records the package
 // named by the `pkg:` line before it, and repetitions are grouped by
 // (package, name), so one input may carry several packages' benchmarks.
@@ -63,12 +64,17 @@ func main() {
 
 // Result is one parsed benchmark line. Pkg is the package from the
 // `pkg:` line preceding it (absent in reports written before benchjson
-// recorded it per result).
+// recorded it per result). For an aggregated result, Metrics holds the
+// medians and Min/Max each metric's extremes over the repetitions
+// (absent for a single run and in reports written before benchjson
+// recorded spread).
 type Result struct {
 	Name    string             `json:"name"`
 	Pkg     string             `json:"pkg,omitempty"`
 	Runs    int64              `json:"runs"`
 	Metrics map[string]float64 `json:"metrics"`
+	Min     map[string]float64 `json:"min,omitempty"`
+	Max     map[string]float64 `json:"max,omitempty"`
 }
 
 // Report is the document benchjson emits. Runs is the `-count`
@@ -131,13 +137,18 @@ func run(in io.Reader, out io.Writer) error {
 }
 
 // aggregate collapses the `-count` repetitions of one benchmark into a
-// single result: the median of each metric (over the repetitions that
-// reported it) and the median iteration count.
+// single result: the median, minimum and maximum of each metric (over
+// the repetitions that reported it) and the median iteration count.
 func aggregate(group []Result) Result {
 	if len(group) == 1 {
 		return group[0]
 	}
-	out := Result{Name: group[0].Name, Pkg: group[0].Pkg, Metrics: make(map[string]float64)}
+	out := Result{
+		Name: group[0].Name, Pkg: group[0].Pkg,
+		Metrics: make(map[string]float64),
+		Min:     make(map[string]float64),
+		Max:     make(map[string]float64),
+	}
 	iters := make([]float64, len(group))
 	for i, r := range group {
 		iters[i] = float64(r.Runs)
@@ -150,7 +161,8 @@ func aggregate(group []Result) Result {
 		}
 	}
 	for unit, vs := range units {
-		out.Metrics[unit] = median(vs)
+		out.Metrics[unit] = median(vs) // sorts vs
+		out.Min[unit], out.Max[unit] = vs[0], vs[len(vs)-1]
 	}
 	return out
 }

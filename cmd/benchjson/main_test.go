@@ -89,6 +89,36 @@ func TestRunAggregatesRepetitionsToMedians(t *testing.T) {
 	}
 }
 
+func TestRunRecordsSpread(t *testing.T) {
+	input := strings.Join([]string{
+		"BenchmarkGoldenPrint-8   2   100 ns/op   10 allocs/op",
+		"BenchmarkGoldenPrint-8   2   900 ns/op   14 allocs/op",
+		"BenchmarkGoldenPrint-8   3   110 ns/op   12 allocs/op",
+		"BenchmarkCampaign-8      4   500 ns/op",
+	}, "\n")
+	var out strings.Builder
+	if err := run(strings.NewReader(input), &out); err != nil {
+		t.Fatal(err)
+	}
+	var rep Report
+	if err := json.Unmarshal([]byte(out.String()), &rep); err != nil {
+		t.Fatal(err)
+	}
+	gp := rep.Benchmarks[0]
+	if gp.Min["ns/op"] != 100 || gp.Max["ns/op"] != 900 || gp.Min["allocs/op"] != 10 || gp.Max["allocs/op"] != 14 {
+		t.Errorf("spread = min %v max %v, want ns/op 100..900 and allocs/op 10..14", gp.Min, gp.Max)
+	}
+	if gp.Metrics["ns/op"] != 110 {
+		t.Errorf("median = %v, want 110 next to the spread", gp.Metrics["ns/op"])
+	}
+	if c := rep.Benchmarks[1]; c.Min != nil || c.Max != nil {
+		t.Errorf("single run grew a spread: %+v", c)
+	}
+	if !strings.Contains(out.String(), `"min"`) || !strings.Contains(out.String(), `"max"`) {
+		t.Errorf("spread missing from the document:\n%s", out.String())
+	}
+}
+
 func TestRunSingleShotKeepsLegacyShape(t *testing.T) {
 	var out strings.Builder
 	if err := run(strings.NewReader("BenchmarkGoldenPrint-8   2   100 ns/op"), &out); err != nil {

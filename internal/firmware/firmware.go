@@ -40,10 +40,14 @@ type Firmware struct {
 	killed        bool
 	err           error
 
-	executed  int
-	unknown   int
-	doneAt    sim.Time
-	statusLog []string
+	executed int
+	unknown  int
+	doneAt   sim.Time
+	// startedAt is when Start ran, the control ticker's origin;
+	// dispatchedAt is when the pending command dispatch was scheduled.
+	startedAt    sim.Time
+	dispatchedAt sim.Time
+	statusLog    []string
 
 	uart *uartTx
 
@@ -56,6 +60,7 @@ type Firmware struct {
 	nextFn        func()
 	executeNextFn func()
 	trains        *TrainCache
+	move          [signal.AxisE]signal.Train // the trains of the move being planned
 	fan           fanGate
 	fanLine       *signal.Line
 }
@@ -113,6 +118,8 @@ func (fw *Firmware) Start() error {
 		return fmt.Errorf("firmware: no program loaded")
 	}
 	fw.started = true
+	fw.startedAt = fw.engine.Now()
+	fw.dispatchedAt = fw.startedAt
 	fw.stopControl = fw.engine.Ticker(fw.cfg.ControlPeriod, fw.controlTick)
 	fw.stopFanPWM = fw.engine.Ticker(fw.cfg.FanPWMPeriod, fw.fanPWMTick)
 	fw.engine.After(fw.dispatchDelay(), fw.executeNextFn)
@@ -164,10 +171,16 @@ func (fw *Firmware) logStatus(msg string) {
 }
 
 // halt kills the machine: heaters off, motors off, execution stops. This
-// is Marlin's kill() — reached via thermal protection.
+// is Marlin's kill() — reached via thermal protection from the control
+// ticker, whose events are scheduled one ControlPeriod ahead, or from a
+// failed homing, while no step train runs.
 func (fw *Firmware) halt(err error) {
 	if fw.killed {
 		return
+	}
+	if s := fw.bus.TrainSink(); s != nil {
+		now := fw.engine.Now()
+		s.Halt(now, now-fw.cfg.ControlPeriod)
 	}
 	fw.killed = true
 	fw.done = true
@@ -212,6 +225,7 @@ func (fw *Firmware) next() {
 	if fw.killed {
 		return
 	}
+	fw.dispatchedAt = fw.engine.Now()
 	fw.engine.After(fw.dispatchDelay(), fw.executeNextFn)
 }
 
@@ -219,6 +233,11 @@ func (fw *Firmware) next() {
 func (fw *Firmware) executeNext() {
 	if fw.killed || fw.done {
 		return
+	}
+	// Every command may touch the STEP/DIR/EN lines: deferred step
+	// edges that precede it land first.
+	if s := fw.bus.TrainSink(); s != nil {
+		s.Advance(fw.engine.Now(), fw.dispatchedAt)
 	}
 	// Skip blank/comment lines without consuming dispatch latency.
 	for fw.pc < len(fw.prog) && fw.prog[fw.pc].Empty() {
@@ -389,10 +408,14 @@ func (fw *Firmware) executeMove(cmd gcode.Command) {
 		fw.bus.Dir(a).Set(level)
 	}
 
-	// Emit every step pulse through a per-axis step train: O(1) pending
-	// engine work per axis instead of O(steps) events and closures
-	// enqueued upfront. Timestamps match the eager schedule exactly.
-	base := fw.engine.Now() + fw.cfg.DirSetup
+	// Emit every step pulse through a per-axis step train. The move's
+	// trains go to the bus's train sink together, which takes all of
+	// them (no engine events) or none; else each runs eagerly with O(1)
+	// pending engine work. Timestamps match either way.
+	now := fw.engine.Now()
+	base := now + fw.cfg.DirSetup
+	end := base + pm.duration() + fw.cfg.StepPulseWidth
+	move := fw.move[:0]
 	for i, a := range signal.Axes {
 		n := pm.axes[i].steps
 		if n == 0 {
@@ -407,7 +430,17 @@ func (fw *Firmware) executeMove(cmd gcode.Command) {
 			width: fw.cfg.StepPulseWidth,
 			n:     n,
 		}
-		fw.engine.ScheduleEdge(t.riseAt(0), t, trainRise)
+		move = append(move, signal.Train{
+			Axis:     a,
+			Rises:    t,
+			N:        n,
+			Width:    t.width,
+			Negative: pm.axes[i].negative,
+			Issued:   now,
+			MinGap:   pm.minGap(n),
+			Until:    end,
+			Kill:     signal.Tick{Origin: fw.startedAt, Period: fw.cfg.ControlPeriod},
+		})
 		// Track believed position.
 		if pm.axes[i].negative {
 			fw.steps[a] -= int64(n)
@@ -415,8 +448,14 @@ func (fw *Firmware) executeMove(cmd gcode.Command) {
 			fw.steps[a] += int64(n)
 		}
 	}
+	if sink := fw.bus.TrainSink(); sink == nil || !sink.Accept(move) {
+		for _, tr := range move {
+			t := tr.Rises.(*stepTrain)
+			fw.engine.ScheduleEdge(t.RiseAt(0), t, trainRise)
+		}
+	}
 
-	fw.engine.After(fw.cfg.DirSetup+pm.duration()+fw.cfg.StepPulseWidth, fw.nextFn)
+	fw.engine.Schedule(end, fw.nextFn)
 }
 
 // controlTick runs both heater PID loops and their PWM windows.

@@ -118,5 +118,13 @@ func (pm plannedMove) stepTime(k, n int) sim.Time {
 	return sim.FromSeconds(pm.prof.timeAt(frac * pm.prof.dist))
 }
 
+// minGap bounds from below the interval between consecutive rises of
+// an axis with n pulses: a pulse slot of dist/n mm takes at least
+// slot/vPeak, and truncating each rise to the nanosecond can shave
+// one more nanosecond off.
+func (pm plannedMove) minGap(n int) sim.Time {
+	return sim.FromSeconds(pm.prof.dist/float64(n)/pm.prof.vPeak) - 1
+}
+
 // duration returns the block's total duration.
 func (pm plannedMove) duration() sim.Time { return sim.FromSeconds(pm.prof.total()) }

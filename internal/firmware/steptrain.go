@@ -11,14 +11,17 @@ const (
 	trainFall
 )
 
-// stepTrain emits the step pulses of one axis of one planned move through
-// the engine's allocation-free fast path. Instead of enqueueing every
-// pulse of the move upfront (O(steps) pending events and two fresh
-// closures per pulse), the train keeps at most one rise and one fall in
-// flight: each rising edge schedules its own falling edge and the next
-// rise from the move's precomputed velocity profile. Pulse timestamps are
-// identical to the eager schedule — base plus the profile time of pulse k
-// — so captures stay bit-identical.
+// stepTrain is the step pulses of one axis of one planned move, in
+// closed form: pulse k rises at base plus the profile time of pulse k.
+//
+// Handed to the bus's TrainSink as a signal.Train, with the other
+// trains of its move, the train puts no events on the queue at all:
+// the FPGA board applies its edges lazily on a clean path and calls
+// Done when it is through. Otherwise the
+// train runs eagerly through the engine's allocation-free fast path,
+// keeping at most one rise and one fall in flight: each rising edge
+// schedules its own falling edge and the next rise. Both routes give
+// identical pulse timestamps, so captures stay bit-identical.
 type stepTrain struct {
 	fw    *Firmware
 	line  *signal.Line
@@ -28,9 +31,9 @@ type stepTrain struct {
 	k, n  int
 }
 
-// riseAt returns the absolute time of pulse k's rising edge — the same
+// RiseAt returns the absolute time of pulse k's rising edge — the same
 // arithmetic as plannedMove.stepTime, anchored at base.
-func (t *stepTrain) riseAt(k int) sim.Time {
+func (t *stepTrain) RiseAt(k int) sim.Time {
 	frac := (float64(k) + 0.5) / float64(t.n)
 	return t.base + sim.FromSeconds(t.prof.timeAt(frac*t.prof.dist))
 }
@@ -59,9 +62,13 @@ func (t *stepTrain) FireEdge(arg uint64) {
 	engine.ScheduleEdge(engine.Now()+t.width, t, trainFall)
 	t.k++
 	if t.k < t.n {
-		engine.ScheduleEdge(t.riseAt(t.k), t, trainRise)
+		engine.ScheduleEdge(t.RiseAt(t.k), t, trainRise)
 	}
 }
+
+// Done implements signal.Rises: a lazy train's consumer is through
+// with it, so it returns to the pool.
+func (t *stepTrain) Done() { t.fw.releaseTrain(t) }
 
 // TrainCache recycles step trains. Each firmware owns one by default;
 // a pooled testbed core (Config.Trains) shares a cache across the

@@ -149,6 +149,14 @@ type Board struct {
 
 	trojans map[string]Trojan
 	order   []string
+
+	// Lazy step trains (see lazy.go): the live trains, retired records
+	// for reuse, whether an Arduino-side edge is being replayed (its
+	// path forward then stays silent), and a re-entry guard for Advance.
+	lazy        []*lazyTrain
+	spareTrains []*lazyTrain
+	replaying   bool
+	advancing   bool
 }
 
 // tap is one monitoring attachment point: the axis tracker counting a
@@ -201,6 +209,13 @@ func NewBoard(engine *sim.Engine, arduino, ramps *signal.Bus, cfg Config) (*Boar
 	b.primary = TapArduino
 	if !cfg.Tap.TapsArduino() {
 		b.primary = TapRAMPS
+	}
+	// Take step trains off the event queue where the path is clean.
+	arduino.SetTrainSink(b)
+	for _, a := range signal.Axes {
+		p := b.paths[a.StepPin()]
+		p.src.Defer(b)
+		p.dst.Defer(b)
 	}
 	return b, nil
 }
@@ -373,6 +388,11 @@ func (b *Board) Trojans() []Trojan {
 //   - Force/Release: clamp the output to a level, ignoring the source
 //     (T6/T7/T8 overrides).
 //   - InjectPulse: synthesize pulses the source never sent (T1/T3/T4/T5).
+//
+// A STEP path that none of these has touched, on a board without
+// trojans, is clean: the board may carry its step trains lazily, and
+// the forward then stays silent while the board replays a source edge,
+// because the board applies the output copy itself (see lazy.go).
 type PinPath struct {
 	board *Board
 	src   *signal.Line
@@ -382,24 +402,38 @@ type PinPath struct {
 	filters []func(at sim.Time, level signal.Level) bool
 	forced  bool
 	level   signal.Level
+	// touched is set once any trojan primitive has been applied.
+	touched bool
 }
 
 func newPinPath(b *Board, src, dst *signal.Line, delay sim.Time) *PinPath {
 	p := &PinPath{board: b, src: src, dst: dst, delay: delay}
 	dst.Set(src.Level())
-	src.Watch(func(at sim.Time, level signal.Level) {
-		if p.forced {
-			return
-		}
-		for _, f := range p.filters {
-			if !f(at, level) {
-				return
-			}
-		}
-		p.dst.SetAfter(p.delay, level)
-	})
+	src.Attach((*forward)(p))
 	return p
 }
+
+// forward is a PinPath's source-line listener.
+type forward PinPath
+
+// Edge forwards a source edge to the output after the propagation
+// delay, unless the path is forced, a filter drops it, or the board is
+// replaying it lazily.
+func (f *forward) Edge(at sim.Time, level signal.Level) {
+	p := (*PinPath)(f)
+	if p.forced || p.board.replaying {
+		return
+	}
+	for _, fn := range p.filters {
+		if !fn(at, level) {
+			return
+		}
+	}
+	p.dst.SetAfter(p.delay, level)
+}
+
+// clean reports whether no trojan primitive has touched the path.
+func (p *PinPath) clean() bool { return !p.touched }
 
 // Name reports the pin name the path carries.
 func (p *PinPath) Name() string { return p.src.Name() }
@@ -417,12 +451,14 @@ func (p *PinPath) AddFilter(f func(at sim.Time, level signal.Level) bool) {
 		panic("fpga: AddFilter(nil)")
 	}
 	p.filters = append(p.filters, f)
+	p.touched = true
 }
 
 // Force clamps the output to level until Release. Source edges are
 // swallowed while forced.
 func (p *PinPath) Force(level signal.Level) {
 	p.forced = true
+	p.touched = true
 	p.level = level
 	p.dst.SetAfter(p.delay, level)
 }
@@ -449,6 +485,7 @@ func (p *PinPath) InjectPulse(width sim.Time) {
 	if width <= 0 {
 		panic(fmt.Sprintf("fpga: InjectPulse with non-positive width %v", width))
 	}
+	p.touched = true
 	p.dst.SetAfter(p.delay, signal.High)
 	p.board.engine.AfterEdge(p.delay+width, p, 0)
 }

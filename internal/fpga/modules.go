@@ -12,25 +12,43 @@ import (
 // (§IV-B). It counts rising and falling edges on one line and invokes an
 // optional handler on rising edges.
 type EdgeDetector struct {
+	line    *signal.Line
 	rising  uint64
 	falling uint64
 	onRise  []func(at sim.Time)
 }
 
-// NewEdgeDetector attaches a detector to line.
+// NewEdgeDetector attaches a detector to line. Its rising-edge hooks
+// are arbitrary code, so it watches the line like any other listener
+// and keeps the line's step trains eager.
 func NewEdgeDetector(line *signal.Line) *EdgeDetector {
-	d := &EdgeDetector{}
-	line.Watch(func(at sim.Time, level signal.Level) {
-		if level == signal.High {
-			d.rising++
-			for _, fn := range d.onRise {
-				fn(at)
-			}
-		} else {
-			d.falling++
-		}
-	})
+	d := &EdgeDetector{line: line}
+	line.Watch((*detectorSink)(d).Edge)
 	return d
+}
+
+// newTapDetector attaches a detector for the board's own tap: its only
+// hook is an AxisTracker's, which is replay-safe, so it attaches as a
+// signal.Sink.
+func newTapDetector(line *signal.Line) *EdgeDetector {
+	d := &EdgeDetector{line: line}
+	line.Attach((*detectorSink)(d))
+	return d
+}
+
+// detectorSink is an EdgeDetector's line listener.
+type detectorSink EdgeDetector
+
+// Edge counts the edge and runs the rising-edge hooks.
+func (s *detectorSink) Edge(at sim.Time, level signal.Level) {
+	if level == signal.High {
+		s.rising++
+		for _, fn := range s.onRise {
+			fn(at)
+		}
+	} else {
+		s.falling++
+	}
 }
 
 // OnRising registers fn to run at every rising edge.
@@ -42,10 +60,16 @@ func (d *EdgeDetector) OnRising(fn func(at sim.Time)) {
 }
 
 // Rising reports the rising-edge count.
-func (d *EdgeDetector) Rising() uint64 { return d.rising }
+func (d *EdgeDetector) Rising() uint64 {
+	d.line.Sync()
+	return d.rising
+}
 
 // Falling reports the falling-edge count.
-func (d *EdgeDetector) Falling() uint64 { return d.falling }
+func (d *EdgeDetector) Falling() uint64 {
+	d.line.Sync()
+	return d.falling
+}
 
 // PulseGenerator is the paper's Pulse Generation Module: it produces step
 // pulses with configurable frequency and width for trojan injection

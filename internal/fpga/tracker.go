@@ -23,6 +23,7 @@ import (
 type AxisTracker struct {
 	// Per-axis state, indexed by signal.Axis (index 0 unused).
 	counts  [signal.AxisE + 1]int64
+	steps   [signal.AxisE + 1]*signal.Line
 	dirs    [signal.AxisE + 1]*signal.Line
 	edges   [signal.AxisE + 1]*EdgeDetector
 	resetAt sim.Time
@@ -37,8 +38,9 @@ func NewAxisTracker(bus *signal.Bus) *AxisTracker {
 	t := &AxisTracker{firstStep: -1}
 	for _, a := range signal.Axes {
 		a := a
+		t.steps[a] = bus.Step(a)
 		t.dirs[a] = bus.Dir(a)
-		det := NewEdgeDetector(bus.Step(a))
+		det := newTapDetector(bus.Step(a))
 		det.OnRising(func(at sim.Time) { t.step(a, at) })
 		t.edges[a] = det
 	}
@@ -73,11 +75,23 @@ func (t *AxisTracker) Count(a signal.Axis) int64 {
 	if a < signal.AxisX || a > signal.AxisE {
 		return 0
 	}
+	t.steps[a].Sync()
 	return t.counts[a]
 }
 
-// Snapshot captures all four counters as a transaction payload.
+// Snapshot captures all four counters, current to Now, as a
+// transaction payload.
 func (t *AxisTracker) Snapshot(index uint32) capture.Transaction {
+	for _, l := range t.steps[signal.AxisX:] {
+		l.Sync()
+	}
+	return t.snapshot(index)
+}
+
+// snapshot captures the counters as they stand, for an exporter tick
+// that has already advanced the lazy step trains to its own place in
+// the event order.
+func (t *AxisTracker) snapshot(index uint32) capture.Transaction {
 	return capture.Transaction{
 		Index: index,
 		X:     int32(t.counts[signal.AxisX]),
@@ -105,6 +119,11 @@ func (t *AxisTracker) OnFirstStep(fn func(at sim.Time)) {
 // transaction with all four step counts every ExportPeriod. "This
 // synchronization significantly increased accuracy over initial tests
 // which did not wait for the first step."
+//
+// Each tick is an advance point for the board's lazy step trains: it
+// first applies the deferred edges that precede it in engine order —
+// those before the tick instant, and those at it that were scheduled
+// before the tick was, one ExportPeriod earlier — then snapshots.
 type Exporter struct {
 	board     *Board
 	tracker   *AxisTracker
@@ -113,6 +132,7 @@ type Exporter struct {
 	mode      capture.Mode
 	index     uint32
 	started   bool
+	origin    sim.Time // when the ticker started: ticks at origin + m·period
 	stop      func()
 	onExport  []func(capture.Transaction)
 }
@@ -150,8 +170,11 @@ func (e *Exporter) start(at sim.Time) {
 			e.recording.Transactions = make([]capture.Transaction, 0, 2048)
 		}
 	}
-	e.stop = e.board.engine.Ticker(e.board.cfg.ExportPeriod, func(sim.Time) {
-		tx := e.tracker.Snapshot(e.index)
+	period := e.board.cfg.ExportPeriod
+	e.origin = e.board.engine.Now()
+	e.stop = e.board.engine.Ticker(period, func(now sim.Time) {
+		e.board.Advance(now, now-period)
+		tx := e.tracker.snapshot(e.index)
 		e.index++
 		e.fp.Add(tx)
 		if e.mode == capture.ModeFull {
@@ -182,6 +205,15 @@ func (e *Exporter) OnExport(fn func(capture.Transaction)) {
 		panic("fpga: OnExport(nil)")
 	}
 	e.onExport = append(e.onExport, fn)
+}
+
+// tick returns the export ticker's event stream; a zero Tick when the
+// ticker is not running.
+func (e *Exporter) tick() signal.Tick {
+	if e.stop == nil {
+		return signal.Tick{}
+	}
+	return signal.Tick{Origin: e.origin, Period: e.board.cfg.ExportPeriod}
 }
 
 // Started reports whether export has begun.

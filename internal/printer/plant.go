@@ -170,6 +170,8 @@ func NewPlant(engine *sim.Engine, bus *signal.Bus, cfg Config) (*Plant, error) {
 		a := a
 		d, err := ramps.NewDriver(bus, a, ramps.MicrostepSixteenth, func(at sim.Time, delta int) {
 			p.onStep(a, at, delta)
+		}, func(n int, negative bool) bool {
+			return p.quiet(a, n, negative)
 		})
 		if err != nil {
 			return nil, err
@@ -243,6 +245,41 @@ func (p *Plant) deposit(filament float64) {
 	})
 }
 
+// quiet reports whether n more steps of axis a in the given direction
+// leave its MIN switch as it is, so onStep drives no line while they
+// run. Position moves monotonically through such a batch; the slack
+// dwarfs float drift, so a batch ending within it of the switch counts
+// as a crossing.
+func (p *Plant) quiet(a signal.Axis, n int, negative bool) bool {
+	if p.endstops[a] == nil {
+		return true
+	}
+	const slack = 1e-6 // mm
+	pos := p.axes[a].posMM
+	span := float64(n) / p.axes[a].stepsPerMM
+	if negative {
+		return pos <= 0 || pos-span > slack
+	}
+	return pos > 0 || pos+span < -slack
+}
+
+// sync applies every step a lazy train has deferred up to Now, so a
+// reader between engine events sees current state.
+func (p *Plant) sync() {
+	for _, a := range signal.Axes {
+		p.bus.Step(a).Sync()
+	}
+}
+
+// axis returns the state of a, or nil for a value that names no axis.
+func (p *Plant) axis(a signal.Axis) *axisState {
+	if a < signal.AxisX || a > signal.AxisE {
+		return nil
+	}
+	p.sync()
+	return p.axes[a]
+}
+
 // refreshEndstop drives the axis's MIN switch from the carriage position.
 func (p *Plant) refreshEndstop(a signal.Axis) {
 	es := p.endstops[a]
@@ -274,15 +311,31 @@ func (p *Plant) publishTemps() {
 // drain).
 func (p *Plant) Stop() { p.stopThermal() }
 
-// Position reports the carriage position of an axis in mm.
-func (p *Plant) Position(a signal.Axis) float64 { return p.axes[a].posMM }
+// Position reports the carriage position of an axis in mm; 0 for a
+// value that names no axis.
+func (p *Plant) Position(a signal.Axis) float64 {
+	if st := p.axis(a); st != nil {
+		return st.posMM
+	}
+	return 0
+}
 
-// NetSteps reports the net microsteps delivered to an axis.
-func (p *Plant) NetSteps(a signal.Axis) int64 { return p.axes[a].netSteps }
+// NetSteps reports the net microsteps delivered to an axis; 0 for a
+// value that names no axis.
+func (p *Plant) NetSteps(a signal.Axis) int64 {
+	if st := p.axis(a); st != nil {
+		return st.netSteps
+	}
+	return 0
+}
 
-// LostSteps reports steps lost against the hard stops (low, high).
+// LostSteps reports steps lost against the hard stops (low, high);
+// zeros for a value that names no axis.
 func (p *Plant) LostSteps(a signal.Axis) (low, high uint64) {
-	return p.axes[a].lostLow, p.axes[a].lostHigh
+	if st := p.axis(a); st != nil {
+		return st.lostLow, st.lostHigh
+	}
+	return 0, 0
 }
 
 // Driver exposes the axis driver (test instrumentation); nil for a value
@@ -322,8 +375,11 @@ func (p *Plant) FanDuty() float64 { return p.fanMeter.Duty(p.engine.Now()) }
 // PeakFanDuty reports the highest smoothed fan duty seen during the run.
 func (p *Plant) PeakFanDuty() float64 { return p.peakFanDuty }
 
-// Part returns the deposition ledger.
-func (p *Plant) Part() *Part { return p.part }
+// Part returns the deposition ledger, current to Now.
+func (p *Plant) Part() *Part {
+	p.sync()
+	return p.part
+}
 
 // Thermistor returns the NTC model used for the feedback channels.
 func (p *Plant) Thermistor() ramps.Thermistor { return p.thermistor }

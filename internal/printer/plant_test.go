@@ -60,6 +60,15 @@ func TestPlantDriverOutOfRange(t *testing.T) {
 		if d := p.Driver(a); d != nil {
 			t.Errorf("Driver(%v) = %v, want nil", a, d)
 		}
+		if pos := p.Position(a); pos != 0 {
+			t.Errorf("Position(%v) = %v, want 0", a, pos)
+		}
+		if n := p.NetSteps(a); n != 0 {
+			t.Errorf("NetSteps(%v) = %v, want 0", a, n)
+		}
+		if lo, hi := p.LostSteps(a); lo != 0 || hi != 0 {
+			t.Errorf("LostSteps(%v) = %v, %v, want 0, 0", a, lo, hi)
+		}
 	}
 	for _, a := range signal.Axes {
 		if d := p.Driver(a); d == nil || d.Axis() != a {

@@ -69,11 +69,50 @@ type Driver struct {
 	// stepsTaken counts microsteps actually emitted.
 	stepsSeen  uint64
 	stepsTaken uint64
+
+	// quiet, when set, vouches that the handler drives no line for a
+	// batch of steps (see NewDriver).
+	quiet QuietFunc
 }
 
+// driverSink is the driver's STEP-line listener. It is a signal.Sink:
+// it reads only EN and DIR, which a lazy step train cannot change.
+type driverSink Driver
+
+// Edge steps the motor on a rising STEP edge while EN is low.
+func (s *driverSink) Edge(at sim.Time, level signal.Level) {
+	if level != signal.High {
+		return
+	}
+	d := (*Driver)(s)
+	d.stepsSeen++
+	if d.en.Level() == signal.High {
+		return // disabled: motor freewheels, step lost
+	}
+	d.stepsTaken++
+	delta := 1
+	if d.dir.Level() == signal.High {
+		delta = -1
+	}
+	d.handler(at, delta)
+}
+
+// Quiet implements signal.Quieter: a driver is quiet only when its
+// handler's owner says so through the QuietFunc given to NewDriver.
+func (s *driverSink) Quiet(n int, negative bool) bool {
+	return s.quiet != nil && s.quiet(n, negative)
+}
+
+// QuietFunc reports whether n more steps in the given direction
+// (negative = DIR High) leave every line but STEP untouched by a
+// driver's handler.
+type QuietFunc func(n int, negative bool) bool
+
 // NewDriver attaches a driver to the axis's pins on bus. handler receives
-// the microsteps; it must be non-nil.
-func NewDriver(bus *signal.Bus, axis signal.Axis, microstep Microstep, handler StepHandler) (*Driver, error) {
+// the microsteps; it must be non-nil. quiet, when non-nil, is the
+// handler owner's QuietFunc: only a quiet driver lets its STEP line
+// carry a lazy step train, so without it the driver never does.
+func NewDriver(bus *signal.Bus, axis signal.Axis, microstep Microstep, handler StepHandler, quiet QuietFunc) (*Driver, error) {
 	if handler == nil {
 		return nil, fmt.Errorf("ramps: driver for %v needs a step handler", axis)
 	}
@@ -84,25 +123,12 @@ func NewDriver(bus *signal.Bus, axis signal.Axis, microstep Microstep, handler S
 		axis:      axis,
 		microstep: microstep,
 		handler:   handler,
+		quiet:     quiet,
 		step:      bus.Step(axis),
 		dir:       bus.Dir(axis),
 		en:        bus.Enable(axis),
 	}
-	d.step.Watch(func(at sim.Time, level signal.Level) {
-		if level != signal.High {
-			return
-		}
-		d.stepsSeen++
-		if d.en.Level() == signal.High {
-			return // disabled: motor freewheels, step lost
-		}
-		d.stepsTaken++
-		delta := 1
-		if d.dir.Level() == signal.High {
-			delta = -1
-		}
-		d.handler(at, delta)
-	})
+	d.step.Attach((*driverSink)(d))
 	return d, nil
 }
 
@@ -113,10 +139,19 @@ func (d *Driver) Axis() signal.Axis { return d.axis }
 func (d *Driver) Microstep() Microstep { return d.microstep }
 
 // StepsSeen reports rising STEP edges observed, including gated ones.
-func (d *Driver) StepsSeen() uint64 { return d.stepsSeen }
+func (d *Driver) StepsSeen() uint64 {
+	d.step.Sync()
+	return d.stepsSeen
+}
 
 // StepsTaken reports microsteps actually delivered to the motor.
-func (d *Driver) StepsTaken() uint64 { return d.stepsTaken }
+func (d *Driver) StepsTaken() uint64 {
+	d.step.Sync()
+	return d.stepsTaken
+}
 
 // StepsLost reports edges discarded because the driver was disabled.
-func (d *Driver) StepsLost() uint64 { return d.stepsSeen - d.stepsTaken }
+func (d *Driver) StepsLost() uint64 {
+	d.step.Sync()
+	return d.stepsSeen - d.stepsTaken
+}

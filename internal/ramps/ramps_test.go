@@ -16,7 +16,7 @@ func newTestDriver(t *testing.T) (*sim.Engine, *signal.Bus, *Driver, *[]int) {
 	var steps []int
 	d, err := NewDriver(bus, signal.AxisX, MicrostepSixteenth, func(_ sim.Time, delta int) {
 		steps = append(steps, delta)
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,10 +91,10 @@ func TestDriverGatedByEnable(t *testing.T) {
 func TestDriverRejectsBadArgs(t *testing.T) {
 	e := sim.NewEngine()
 	bus := signal.NewBus(e)
-	if _, err := NewDriver(bus, signal.AxisX, MicrostepSixteenth, nil); err == nil {
+	if _, err := NewDriver(bus, signal.AxisX, MicrostepSixteenth, nil, nil); err == nil {
 		t.Error("nil handler accepted")
 	}
-	if _, err := NewDriver(bus, signal.AxisX, Microstep(3), func(sim.Time, int) {}); err == nil {
+	if _, err := NewDriver(bus, signal.AxisX, Microstep(3), func(sim.Time, int) {}, nil); err == nil {
 		t.Error("bogus microstep accepted")
 	}
 }

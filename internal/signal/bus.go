@@ -198,6 +198,8 @@ type Bus struct {
 	// the FPGA's XADC / external DAC path (Section III-C1).
 	ThermHotend *Analog
 	ThermBed    *Analog
+
+	trains TrainSink
 }
 
 // NewBus creates a bus with every control and feedback pin plus the two
@@ -241,6 +243,13 @@ func (b *Bus) Names() []string {
 	sort.Strings(names)
 	return names
 }
+
+// SetTrainSink installs the consumer that takes step trains driven
+// onto this bus off the event queue (see Train).
+func (b *Bus) SetTrainSink(s TrainSink) { b.trains = s }
+
+// TrainSink returns the installed train consumer, or nil.
+func (b *Bus) TrainSink() TrainSink { return b.trains }
 
 // Step returns the STEP line for axis.
 func (b *Bus) Step(a Axis) *Line { return b.Line(a.StepPin()) }

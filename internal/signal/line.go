@@ -50,14 +50,43 @@ type Listener func(at sim.Time, level Level)
 // transitions are timestamped with the engine clock. The zero value is not
 // usable — create lines with NewLine or through a Bus.
 type Line struct {
-	name      string
-	engine    *sim.Engine
-	level     Level
-	listeners []Listener
+	name   string
+	engine *sim.Engine
+	level  Level
+	// listeners holds every listener in registration order, Watch
+	// functions wrapped as sinks.
+	listeners []Sink
+	// deferrer, when set, holds edges of this line that a lazy step
+	// train has not applied yet (see Defer).
+	deferrer Deferrer
 	// edges counts transitions since creation (both directions).
 	edges uint64
 	// lastChange is the time of the most recent transition.
 	lastChange sim.Time
+}
+
+// Sink is a built-in line consumer whose reaction to an edge depends
+// only on the edge itself and on state that a lazy step train cannot
+// change while it runs. Sinks are registered with Attach; a line whose
+// listeners are all sinks may have its edges applied late, in order,
+// with their true timestamps (see Train).
+type Sink interface {
+	Edge(at sim.Time, level Level)
+}
+
+// Quieter is an optional Sink extension: Quiet reports whether n more
+// rising edges, with the consumer's direction input at negative, leave
+// every other line untouched. A sink that does not implement it is
+// quiet by contract; a Watch listener is never quiet.
+type Quieter interface {
+	Quiet(n int, negative bool) bool
+}
+
+// Deferrer applies the edges it holds back for a line, up to the
+// current simulation time. The FPGA board installs one on every STEP
+// line it carries lazily.
+type Deferrer interface {
+	Sync()
 }
 
 // NewLine creates a line named name at level Low.
@@ -72,13 +101,47 @@ func NewLine(engine *sim.Engine, name string) *Line {
 func (l *Line) Name() string { return l.name }
 
 // Level reports the current logic level.
-func (l *Line) Level() Level { return l.level }
+func (l *Line) Level() Level {
+	l.Sync()
+	return l.level
+}
 
 // Edges reports the number of transitions observed since creation.
-func (l *Line) Edges() uint64 { return l.edges }
+func (l *Line) Edges() uint64 {
+	l.Sync()
+	return l.edges
+}
 
 // LastChange reports the time of the most recent transition.
-func (l *Line) LastChange() sim.Time { return l.lastChange }
+func (l *Line) LastChange() sim.Time {
+	l.Sync()
+	return l.lastChange
+}
+
+// Defer installs the deferrer that holds this line's lazily applied
+// edges. Level, Edges, LastChange and Sync consult it first.
+func (l *Line) Defer(d Deferrer) { l.deferrer = d }
+
+// Sync applies every deferred edge of the line up to Now. Inside an
+// event it also applies edges at the current instant that the engine
+// would have run after that event, so a same-nanosecond read there is
+// not exact (DESIGN.md §6, "Lazy step trains").
+func (l *Line) Sync() {
+	if l.deferrer != nil {
+		l.deferrer.Sync()
+	}
+}
+
+// Quiet reports whether every listener of the line is quiet for n more
+// rising edges in the given direction (see Quieter).
+func (l *Line) Quiet(n int, negative bool) bool {
+	for _, s := range l.listeners {
+		if q, ok := s.(Quieter); ok && !q.Quiet(n, negative) {
+			return false
+		}
+	}
+	return true
+}
 
 // Watch registers fn to be called on every level change. Listeners cannot
 // be removed; attach a guard inside fn if conditional delivery is needed.
@@ -88,21 +151,44 @@ func (l *Line) Watch(fn Listener) {
 	if fn == nil {
 		panic("signal: Watch with nil listener")
 	}
-	l.listeners = append(l.listeners, fn)
+	l.listeners = append(l.listeners, watchFunc(fn))
 }
+
+// Attach registers s as a listener in the same ordered list Watch
+// appends to. Unlike a Watch listener, a sink may be quiet, so it does
+// not by itself keep the line from carrying a lazy step train.
+func (l *Line) Attach(s Sink) {
+	if s == nil {
+		panic("signal: Attach with nil sink")
+	}
+	l.listeners = append(l.listeners, s)
+}
+
+// watchFunc adapts a Watch listener to the listener list. It is never
+// quiet: arbitrary code may drive any line.
+type watchFunc Listener
+
+func (f watchFunc) Edge(at sim.Time, level Level) { f(at, level) }
+
+func (watchFunc) Quiet(int, bool) bool { return false }
 
 // Set drives the line to level at the current simulation time. Setting the
 // line to its current level is a no-op (no edge, no listener calls),
 // mirroring real electrical behaviour.
-func (l *Line) Set(level Level) {
+func (l *Line) Set(level Level) { l.SetAt(l.engine.Now(), level) }
+
+// SetAt drives the line to level as of time at, which may lie before
+// Now: the lazy step path applies a deferred edge this way, with its
+// true timestamp. Like Set, driving the current level is a no-op.
+func (l *Line) SetAt(at sim.Time, level Level) {
 	if level == l.level {
 		return
 	}
 	l.level = level
 	l.edges++
-	l.lastChange = l.engine.Now()
-	for _, fn := range l.listeners {
-		fn(l.lastChange, level)
+	l.lastChange = at
+	for _, s := range l.listeners {
+		s.Edge(at, level)
 	}
 }
 

@@ -206,8 +206,19 @@ func NewTestbed(opts ...Option) (*Testbed, error) {
 		return nil, fmt.Errorf("offramps: building firmware: %w", err)
 	}
 	tb.Firmware = fw
+	if eagerSteps {
+		for _, a := range signal.Axes {
+			arduino.Step(a).Watch(func(sim.Time, signal.Level) {})
+		}
+	}
 	return tb, nil
 }
+
+// eagerSteps, when set, builds every testbed with a no-op listener on
+// each Arduino-side STEP line, which keeps all step pulses on the event
+// queue. It exists for the lazy-versus-eager differential tests, which
+// use the eager rig as their oracle; nothing else sets it.
+var eagerSteps bool
 
 // Result summarizes one simulated print.
 type Result struct {
