@@ -20,17 +20,17 @@ import (
 // report simulated seconds per run and verify the experiment's headline
 // property, so `go test -bench .` doubles as a reproduction run.
 
-// freshGoldens disables the process-wide golden cache so every benchmark
+// freshGoldens is a campaign without a golden cache, so every benchmark
 // iteration pays for its own golden print: the experiment benchmarks
 // share seeds across experiments, and cross-benchmark cache hits would
 // silently deflate whichever benchmark runs later in the binary.
-var freshGoldens = WithGoldenCache(nil)
+var freshGoldens = Campaign{}
 
 // BenchmarkTableI regenerates Table I: golden print plus all nine
 // trojans, judging each physical effect.
 func BenchmarkTableI(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep, err := TableI(uint64(i)+1, freshGoldens)
+		rep, err := TableI(freshGoldens, uint64(i)+1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -47,7 +47,7 @@ func BenchmarkTableI(b *testing.B) {
 // printed and checked against the golden capture, plus the clean control.
 func BenchmarkTableII(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep, err := TableII(uint64(i)+1, freshGoldens)
+		rep, err := TableII(freshGoldens, uint64(i)+1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -71,7 +71,7 @@ func BenchmarkTableII(b *testing.B) {
 // comparison and the detector's report.
 func BenchmarkFigure4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep, err := Figure4(uint64(i)+1, freshGoldens)
+		rep, err := Figure4(freshGoldens, uint64(i)+1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func BenchmarkFigure4(b *testing.B) {
 // and the no-quality-impact comparison.
 func BenchmarkOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep, err := Overhead(uint64(i)+1, freshGoldens)
+		rep, err := Overhead(uint64(i) + 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -102,7 +102,7 @@ func BenchmarkOverhead(b *testing.B) {
 // the worst per-window drift against the 5 % margin.
 func BenchmarkDrift(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep, err := Drift(uint64(i)+1, 3, freshGoldens)
+		rep, err := Drift(freshGoldens, uint64(i)+1, 3)
 		if err != nil {
 			b.Fatal(err)
 		}

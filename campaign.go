@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"sync"
 
-	"offramps/internal/capture"
 	"offramps/internal/detect"
 	"offramps/internal/firmware"
 	"offramps/internal/fpga"
@@ -49,9 +48,6 @@ type Scenario struct {
 	// RunOptions are extra run options, applied after the campaign's own
 	// limit/detector options.
 	RunOptions []RunOption
-	// Prepare, when non-nil, instruments the freshly built testbed before
-	// the run starts (signal probes, recorders, ...).
-	Prepare func(*Testbed) error
 }
 
 // ScenarioResult pairs one scenario with its outcome.
@@ -86,7 +82,7 @@ type Campaign struct {
 	// scenario results by (program hash, seed, budget) so repeated golden
 	// prints across campaigns simulate exactly once. Determinism makes a
 	// hit bit-identical to a fresh run. Scenarios with trojans, detectors,
-	// Prepare hooks, or any extra options are never cached.
+	// or any extra options are never cached.
 	Cache *GoldenCache
 	// Sinks receive each ScenarioResult as it completes (completion
 	// order, Emit calls serialized across workers), so huge campaigns
@@ -128,12 +124,12 @@ func planEligible(s *Scenario) bool { return len(s.Options) == 0 }
 
 // fusible reports whether a scenario can join a fused fingerprint-mode
 // run: the simulation must be fully determined by (program, seed,
-// budget) — no trojans, hooks, or opaque options — and the detector
-// must be a passive FlagOnly observer of the primary/Arduino feed, so
-// attaching N of them to one print is observationally identical to N
-// separate prints.
+// budget) — no trojans or opaque options — and the detector must be a
+// passive FlagOnly observer of the primary/Arduino feed, so attaching N
+// of them to one print is observationally identical to N separate
+// prints.
 func fusible(s *Scenario) bool {
-	return s.Trojan == nil && s.Prepare == nil &&
+	return s.Trojan == nil &&
 		len(s.Options) == 0 && len(s.RunOptions) == 0 &&
 		s.Detector != nil && s.Policy == FlagOnly &&
 		(s.DetectorBind == BindPrimary || s.DetectorBind == BindArduino)
@@ -330,11 +326,6 @@ func (c Campaign) runFresh(ctx context.Context, s Scenario, seed uint64, budget 
 	if err != nil {
 		return nil, err
 	}
-	if s.Prepare != nil {
-		if err := s.Prepare(tb); err != nil {
-			return nil, fmt.Errorf("prepare: %w", err)
-		}
-	}
 
 	ropts := []RunOption{WithLimit(budget), WithCaptureMode(c.CaptureMode)}
 	if plan != nil {
@@ -430,16 +421,4 @@ func firstScenarioErr(results []ScenarioResult) error {
 		}
 	}
 	return nil
-}
-
-// scenarioCapture extracts a scenario's non-empty recording or explains
-// why it cannot.
-func scenarioCapture(r ScenarioResult) (*capture.Recording, error) {
-	if r.Err != nil {
-		return nil, r.Err
-	}
-	if r.Result == nil || r.Result.Recording == nil || r.Result.Recording.Len() == 0 {
-		return nil, fmt.Errorf("offramps: scenario %q produced no capture", r.Name)
-	}
-	return r.Result.Recording, nil
 }

@@ -146,11 +146,11 @@ func TestCampaignCancelMidPool(t *testing.T) {
 	for i := range scens {
 		scens[i] = Scenario{Name: fmt.Sprintf("s%d", i), Program: prog, Seed: uint64(i) + 1}
 	}
-	// The first scenario pulls the plug as soon as its worker picks it
-	// up, so the cancellation lands while the pool is busy.
-	scens[0].Prepare = func(*Testbed) error {
+	// The first scenario pulls the plug as soon as its worker builds its
+	// trojan, so the cancellation lands while the pool is busy.
+	scens[0].Trojan = func(uint64) fpga.Trojan {
 		cancel()
-		return nil
+		return trojan.NewT2ExtrusionReduction(trojan.T2Params{KeepRatio: 0.5})
 	}
 
 	before := runtime.NumGoroutine()

@@ -1,9 +1,12 @@
 // Command experiments regenerates every table and figure in the paper's
 // evaluation section (see DESIGN.md §3 for the experiment index), plus
-// the tap-side topology experiment this reproduction adds. Every
-// experiment fans its prints across a campaign worker pool; -workers
-// bounds the pool. -json writes the machine-readable reports alongside
-// the Format() text.
+// the tap-side topology and self-attestation experiments this
+// reproduction adds. Every experiment but Overhead runs its suite
+// through one shared campaign: -workers bounds its pool, and one golden
+// cache (backed by -golden-store when given) serves the goldens the
+// experiments have in common. -json writes the machine-readable reports
+// alongside the Format() text; with -json - the reports go to stdout
+// and the text to stderr.
 //
 // Usage:
 //
@@ -12,6 +15,7 @@
 //	experiments -drift -runs 6
 //	experiments -all -workers 4
 //	experiments -all -json reports.json
+//	experiments -overhead -json - > overhead.json
 //	experiments -all -cpuprofile cpu.out -memprofile mem.out
 package main
 
@@ -19,6 +23,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -29,14 +34,18 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run parses args and runs the selected experiments, writing the
+// reports' text to stdout — or to stderr when -json - claims stdout for
+// the JSON document.
+func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
 		all      = fs.Bool("all", false, "run every experiment")
 		table1   = fs.Bool("table1", false, "Table I: the nine-trojan suite")
@@ -49,7 +58,7 @@ func run(args []string) error {
 		seed     = fs.Uint64("seed", 1, "base time-noise seed")
 		runs     = fs.Int("runs", 4, "number of prints for the drift experiment")
 		workers  = fs.Int("workers", 0, "campaign worker-pool size (0 = GOMAXPROCS)")
-		jsonOut  = fs.String("json", "", "also write the machine-readable reports to `file` (\"-\" = stdout)")
+		jsonOut  = fs.String("json", "", "also write the machine-readable reports to `file` (\"-\" = stdout, text to stderr)")
 		storeDir = fs.String("golden-store", "", "persist golden runs in `dir` across invocations")
 
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the selected experiments to `file`")
@@ -58,6 +67,20 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *all {
+		*table1, *table2, *figure4, *overhead, *drift, *tapside, *selfatt = true, true, true, true, true, true, true
+	}
+	if !*table1 && !*table2 && !*figure4 && !*overhead && !*drift && !*tapside && !*selfatt {
+		fs.Usage()
+		return fmt.Errorf("nothing selected; use -all or pick experiments")
+	}
+
+	// Drift rejects fewer than two runs itself; checking here first
+	// spares the experiments that would otherwise run before it.
+	if *drift && *runs < 2 {
+		return fmt.Errorf("-runs must be at least 2 for the drift experiment, got %d", *runs)
+	}
+
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -73,74 +96,71 @@ func run(args []string) error {
 		defer func() {
 			f, err := os.Create(*memprofile)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "experiments: memprofile:", err)
+				fmt.Fprintln(stderr, "experiments: memprofile:", err)
 				return
 			}
 			defer f.Close()
 			runtime.GC() // settle allocations so the profile shows live heap
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "experiments: memprofile:", err)
+				fmt.Fprintln(stderr, "experiments: memprofile:", err)
 			}
 		}()
 	}
-	if *all {
-		*table1, *table2, *figure4, *overhead, *drift, *tapside, *selfatt = true, true, true, true, true, true, true
-	}
-	if !*table1 && !*table2 && !*figure4 && !*overhead && !*drift && !*tapside && !*selfatt {
-		fs.Usage()
-		return fmt.Errorf("nothing selected; use -all or pick experiments")
-	}
 
-	// -golden-store swaps the process-wide experiment cache for one backed
-	// by a persistent tier: a rerun of the same tables serves its goldens
-	// from disk instead of re-simulating them.
-	var cache *offramps.GoldenCache
+	// One campaign runs every selected experiment, so a golden print the
+	// experiments share simulates once; -golden-store backs its cache
+	// with a persistent tier, so a rerun of the same tables serves its
+	// goldens from disk instead of re-simulating them.
+	c := offramps.Campaign{Workers: *workers, Cache: offramps.NewGoldenCache()}
 	if *storeDir != "" {
 		store, err := goldenstore.Open(*storeDir)
 		if err != nil {
 			return fmt.Errorf("golden-store: %w", err)
 		}
-		cache = offramps.NewGoldenCache()
-		cache.AttachStore(store)
+		c.Cache.AttachStore(store)
 	}
 
-	type experiment struct {
+	type report interface{ Format() string }
+	list := []struct {
 		enabled bool
 		name    string
 		key     string // stable key for the -json document
-		run     func() (interface{ Format() string }, error)
+		run     func() (report, error)
+	}{
+		{*table1, "Table I", "table1", func() (report, error) { return offramps.TableI(c, *seed) }},
+		{*table2, "Table II", "table2", func() (report, error) { return offramps.TableII(c, *seed) }},
+		{*figure4, "Figure 4", "figure4", func() (report, error) { return offramps.Figure4(c, *seed) }},
+		{*overhead, "Overhead (§V-B)", "overhead", func() (report, error) { return offramps.Overhead(*seed) }},
+		{*drift, "Drift (§V-C)", "drift", func() (report, error) { return offramps.Drift(c, *seed, *runs) }},
+		{*tapside, "Tap sides (§V-D)", "tapside", func() (report, error) { return offramps.TapSides(c, *seed) }},
+		{*selfatt, "Self-attestation", "selfattest", func() (report, error) { return offramps.SelfAttest(c, *seed) }},
 	}
-	list := []experiment{
-		{*table1, "Table I", "table1", func() (interface{ Format() string }, error) { return offrampsTableI(*seed, *workers, cache) }},
-		{*table2, "Table II", "table2", func() (interface{ Format() string }, error) { return offrampsTableII(*seed, *workers, cache) }},
-		{*figure4, "Figure 4", "figure4", func() (interface{ Format() string }, error) { return offrampsFigure4(*seed, *workers, cache) }},
-		{*overhead, "Overhead (§V-B)", "overhead", func() (interface{ Format() string }, error) { return offrampsOverhead(*seed, *workers, cache) }},
-		{*drift, "Drift (§V-C)", "drift", func() (interface{ Format() string }, error) { return offrampsDrift(*seed, *runs, *workers, cache) }},
-		{*tapside, "Tap sides (§V-D)", "tapside", func() (interface{ Format() string }, error) { return offrampsTapSides(*seed, *workers, cache) }},
-		{*selfatt, "Self-attestation", "selfattest", func() (interface{ Format() string }, error) { return offrampsSelfAttest(*seed, *workers, cache) }},
+	text := stdout
+	if *jsonOut == "-" {
+		text = stderr
 	}
 	reports := make(map[string]any)
 	for _, ex := range list {
 		if !ex.enabled {
 			continue
 		}
-		fmt.Printf("==== %s ====\n", ex.name)
+		fmt.Fprintf(text, "==== %s ====\n", ex.name)
 		start := time.Now()
 		rep, err := ex.run()
 		if err != nil {
 			return fmt.Errorf("%s: %w", ex.name, err)
 		}
-		fmt.Print(rep.Format())
-		fmt.Printf("(regenerated in %v)\n\n", time.Since(start).Round(time.Millisecond))
+		fmt.Fprint(text, rep.Format())
+		fmt.Fprintf(text, "(regenerated in %v)\n\n", time.Since(start).Round(time.Millisecond))
 		reports[ex.key] = rep
 	}
-	if cache != nil {
-		storeHits, storeMisses := cache.StoreStats()
-		fmt.Printf("golden store: %d hits, %d misses, %d simulations\n",
-			storeHits, storeMisses, cache.Sims())
+	if *storeDir != "" {
+		storeHits, storeMisses := c.Cache.StoreStats()
+		fmt.Fprintf(text, "golden store: %d hits, %d misses, %d simulations\n",
+			storeHits, storeMisses, c.Cache.Sims())
 	}
 	if *jsonOut != "" {
-		if err := writeJSON(*jsonOut, *seed, reports); err != nil {
+		if err := writeJSON(*jsonOut, stdout, *seed, reports); err != nil {
 			return fmt.Errorf("json: %w", err)
 		}
 	}
@@ -149,7 +169,7 @@ func run(args []string) error {
 
 // writeJSON emits the machine-readable report document to path ("-" =
 // stdout).
-func writeJSON(path string, seed uint64, reports map[string]any) error {
+func writeJSON(path string, stdout io.Writer, seed uint64, reports map[string]any) error {
 	doc := struct {
 		Seed    uint64         `json:"seed"`
 		Reports map[string]any `json:"reports"`
@@ -160,7 +180,7 @@ func writeJSON(path string, seed uint64, reports map[string]any) error {
 	}
 	out = append(out, '\n')
 	if path == "-" {
-		_, err = os.Stdout.Write(out)
+		_, err = stdout.Write(out)
 		return err
 	}
 	return os.WriteFile(path, out, 0o644)

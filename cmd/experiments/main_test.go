@@ -1,17 +1,20 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
 func TestRunRequiresSelection(t *testing.T) {
-	if err := run(nil); err == nil {
+	if err := run(nil, io.Discard, io.Discard); err == nil {
 		t.Error("empty selection accepted")
 	}
-	if err := run([]string{"-bogus"}); err == nil {
+	if err := run([]string{"-bogus"}, io.Discard, io.Discard); err == nil {
 		t.Error("bad flag accepted")
 	}
 }
@@ -21,27 +24,24 @@ func TestRunSingleExperiment(t *testing.T) {
 		t.Skip("runs two full simulated prints")
 	}
 	// The overhead experiment is the fastest full-pipeline one.
-	if err := run([]string{"-overhead"}); err != nil {
+	var stdout bytes.Buffer
+	if err := run([]string{"-overhead"}, &stdout, io.Discard); err != nil {
 		t.Fatal(err)
+	}
+	if !strings.Contains(stdout.String(), "==== Overhead") {
+		t.Errorf("stdout lacks the overhead report:\n%s", stdout.String())
 	}
 }
 
-func TestRunWritesJSONReport(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs two full simulated prints")
-	}
-	path := filepath.Join(t.TempDir(), "reports.json")
-	if err := run([]string{"-overhead", "-json", path}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Seed    uint64                     `json:"seed"`
-		Reports map[string]json.RawMessage `json:"reports"`
-	}
+// reportDoc is the shape of the -json document.
+type reportDoc struct {
+	Seed    uint64                     `json:"seed"`
+	Reports map[string]json.RawMessage `json:"reports"`
+}
+
+func checkOverheadDoc(t *testing.T, data []byte) {
+	t.Helper()
+	var doc reportDoc
 	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Fatalf("-json output is not valid JSON: %v", err)
 	}
@@ -50,5 +50,56 @@ func TestRunWritesJSONReport(t *testing.T) {
 	}
 	if _, ok := doc.Reports["overhead"]; !ok || len(doc.Reports) != 1 {
 		t.Errorf("reports keys = %v, want [overhead]", doc.Reports)
+	}
+}
+
+func TestRunWritesJSONReport(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs two full simulated prints")
+	}
+	path := filepath.Join(t.TempDir(), "reports.json")
+	if err := run([]string{"-overhead", "-json", path}, io.Discard, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkOverheadDoc(t, data)
+}
+
+// TestRunJSONToStdout: with -json - stdout carries the JSON document
+// alone, and the Format() text moves to stderr.
+func TestRunJSONToStdout(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs two full simulated prints")
+	}
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-overhead", "-json", "-"}, &stdout, &stderr); err != nil {
+		t.Fatal(err)
+	}
+	checkOverheadDoc(t, stdout.Bytes())
+	if !strings.Contains(stderr.String(), "==== Overhead") {
+		t.Errorf("stderr lacks the overhead text:\n%s", stderr.String())
+	}
+}
+
+// TestRunRejectsSingleDriftRunUpFront: -runs below 2 fails before any
+// experiment runs, not after the ones ahead of Drift.
+func TestRunRejectsSingleDriftRunUpFront(t *testing.T) {
+	var stdout bytes.Buffer
+	err := run([]string{"-all", "-runs", "1"}, &stdout, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "-runs") {
+		t.Fatalf("err = %v, want a -runs rejection", err)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("experiments ran before the rejection:\n%s", stdout.String())
+	}
+	if testing.Short() {
+		return
+	}
+	// Without drift selected the value is irrelevant.
+	if err := run([]string{"-overhead", "-runs", "1"}, io.Discard, io.Discard); err != nil {
+		t.Errorf("-runs 1 rejected without -drift: %v", err)
 	}
 }

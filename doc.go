@@ -28,9 +28,10 @@
 // a runnable Scenario through the trojan/detector registries, and a
 // SuiteSpec file bundles scenarios with post-run golden comparisons
 // (cmd/suite executes them). The experiment entry points (TableI,
-// TableII, Figure4, Overhead, Drift, TapSides) all compile themselves
-// from specs to regenerate every table and figure in the paper's
-// evaluation. The board's capture tap point is itself configuration
+// TableII, Figure4, Drift, TapSides, SelfAttest) each run a suite
+// through Campaign.RunSuite and render its report, regenerating the
+// paper's evaluation; Overhead instruments two testbeds directly. The
+// board's capture tap point is itself configuration
 // (WithTapSide): the paper's Arduino-side tap, a RAMPS-side tap that can
 // see board-injected trojans (§V-D), or both. Live detection is tap-
 // addressable on top of that: WithDetectorAt binds a detector to a

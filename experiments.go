@@ -15,35 +15,26 @@ import (
 	"offramps/internal/trojan"
 )
 
-// ExperimentOption tunes how the experiment entry points run their
-// campaigns.
-type ExperimentOption func(*Campaign)
-
-// WithWorkers sets the campaign worker-pool size (default: GOMAXPROCS).
-func WithWorkers(n int) ExperimentOption {
-	return func(c *Campaign) { c.Workers = n }
-}
-
-// WithGoldenCache overrides the golden-capture cache the experiment's
-// campaign uses (nil disables caching, e.g. for fresh-vs-cached
-// verification runs).
-func WithGoldenCache(gc *GoldenCache) ExperimentOption {
-	return func(c *Campaign) { c.Cache = gc }
-}
-
-// experimentGoldenCache memoizes golden prints across the experiment entry
-// points: TableI, TableII, Figure4, and Drift all print the standard test
-// part, with overlapping (program, seed) pairs, so one process-wide cache
-// lets `experiments -all` simulate each golden exactly once.
-var experimentGoldenCache = NewGoldenCache()
-
-// newCampaign builds the experiment suite's standard campaign.
-func newCampaign(opts []ExperimentOption) Campaign {
-	c := Campaign{Budget: DefaultRunBudget, Cache: experimentGoldenCache}
-	for _, opt := range opts {
-		opt(&c)
+// runExperiment is the one way a paper experiment reaches the simulator:
+// its suite runs through the campaign's suite executor, and render — a
+// pure function of the suite report — turns the rows into the
+// experiment's report. A failed scenario or comparison fails the
+// experiment.
+func runExperiment[R any](c Campaign, suite *SuiteSpec, render func(*SuiteReport) (R, error)) (R, error) {
+	var zero R
+	rep, err := c.RunSuite(context.Background(), suite)
+	if err != nil {
+		return zero, err
 	}
-	return c
+	if err := firstScenarioErr(rep.Results); err != nil {
+		return zero, err
+	}
+	for _, cmp := range rep.Comparisons {
+		if cmp.Err != nil {
+			return zero, fmt.Errorf("offramps: compare %s vs %s: %w", cmp.Golden, cmp.Suspect, cmp.Err)
+		}
+	}
+	return render(rep)
 }
 
 // ---------------------------------------------------------------------------
@@ -96,57 +87,50 @@ var paperEffects = map[string]string{
 	"T9": "Arbitrarily reducing part fan speed mid-print",
 }
 
-// TableISpecs returns the declarative Table I scenario grid: the clean
-// T0 print plus one scenario per registered Table I trojan, every seed a
-// zero delta from the base (the paper pairs all ten prints on one seed).
-func TableISpecs() []ScenarioSpec {
-	specs := []ScenarioSpec{{Name: "T0"}}
+// TableISuite returns the paper's Table I as a declarative suite: the
+// clean T0 print plus one scenario per registered Table I trojan, every
+// seed a zero delta from the base (the paper pairs all ten prints on one
+// seed).
+func TableISuite(seed uint64) *SuiteSpec {
+	s := &SuiteSpec{Name: "table1", BaseSeed: seed, Scenarios: []ScenarioSpec{{Name: "T0"}}}
 	for _, id := range trojan.SuiteIDs {
-		s := ScenarioSpec{Name: id, Trojan: &TrojanSpec{Name: id}}
+		sc := ScenarioSpec{Name: id, Trojan: &TrojanSpec{Name: id}}
 		if id == "T7" {
 			// Observe the post-kill physics: the clamp keeps heating
 			// after the firmware panics.
-			s.Settle = 60 * sim.Second
+			sc.Settle = 60 * sim.Second
 		}
-		specs = append(specs, s)
+		s.Scenarios = append(s.Scenarios, sc)
 	}
-	return specs
+	return s
 }
 
 // TableI reproduces the paper's Table I: print the test part once clean
-// (T0, FPGA in bypass) and once under each trojan — all fanned across the
-// campaign worker pool — and verify each trojan's physical effect on the
-// part or machine. The scenario grid comes from TableISpecs through the
-// spec compiler.
-func TableI(seed uint64, opts ...ExperimentOption) (*TableIReport, error) {
-	suite := trojan.Suite(seed)
-	scens, err := CompileSpecs(SpecContext{BaseSeed: seed}, TableISpecs())
-	if err != nil {
-		return nil, err
-	}
-	results, err := newCampaign(opts).Run(context.Background(), scens)
-	if err != nil {
-		return nil, err
-	}
-	if err := firstScenarioErr(results); err != nil {
-		return nil, err
-	}
-	golden := results[0].Result
+// (T0) and once under each trojan, by executing the declarative
+// TableISuite, and verify each trojan's physical effect on the part or
+// machine.
+func TableI(c Campaign, seed uint64) (*TableIReport, error) {
+	return runExperiment(c, TableISuite(seed), renderTableI)
+}
+
+// renderTableI judges each trojan's print of a TableISuite report
+// against the T0 golden.
+func renderTableI(rep *SuiteReport) (*TableIReport, error) {
+	golden := rep.Results[0].Result
 	if !golden.Completed {
 		return nil, fmt.Errorf("offramps: golden print halted: %w", golden.HaltError)
 	}
-
 	report := &TableIReport{Golden: golden}
-	for i, tr := range suite {
-		res := results[i+1].Result
+	for i, tr := range trojan.Suite(rep.BaseSeed) {
+		res := rep.Results[i+1].Result
 		row := TableIRow{
 			ID:       tr.ID(),
 			Kind:     tr.Kind().String(),
 			Scenario: tr.Scenario(),
 			Effect:   paperEffects[tr.ID()],
 			Result:   res,
+			Diff:     res.Part.Compare(golden.Part, 1.0),
 		}
-		row.Diff = res.Part.Compare(golden.Part, 1.0)
 		row.Observed, row.Measured = judgeTrojan(tr.ID(), golden, res, row.Diff)
 		report.Rows = append(report.Rows, row)
 	}
@@ -282,21 +266,16 @@ func TableIISuite(seed uint64) *SuiteSpec {
 // profiles, and replay each through the golden detector. The whole
 // experiment — prints and comparisons — executes the declarative
 // TableIISuite.
-func TableII(seed uint64, opts ...ExperimentOption) (*TableIIReport, error) {
-	rep, err := newCampaign(opts).RunSuite(context.Background(), TableIISuite(seed))
-	if err != nil {
-		return nil, err
-	}
-	if err := firstScenarioErr(rep.Results); err != nil {
-		return nil, err
-	}
+func TableII(c Campaign, seed uint64) (*TableIIReport, error) {
+	return runExperiment(c, TableIISuite(seed), renderTableII)
+}
 
+// renderTableII reads one row per Flaw3D case and the clean control off
+// a TableIISuite report's comparisons.
+func renderTableII(rep *SuiteReport) (*TableIIReport, error) {
 	report := &TableIIReport{}
 	cases := flaw3d.TableII()
 	for i, cmp := range rep.Comparisons {
-		if cmp.Err != nil {
-			return nil, fmt.Errorf("offramps: compare %s vs %s: %w", cmp.Golden, cmp.Suspect, cmp.Err)
-		}
 		if i < len(cases) {
 			report.Rows = append(report.Rows, TableIIRow{
 				Case: cases[i], Report: *cmp.Report, Detected: cmp.Report.TrojanLikely,
@@ -358,24 +337,16 @@ func Figure4Suite(seed uint64) *SuiteSpec {
 
 // Figure4 reproduces the paper's Figure 4 using the same trojan the paper
 // shows, by executing the declarative Figure4Suite.
-func Figure4(seed uint64, opts ...ExperimentOption) (*Figure4Report, error) {
-	srep, err := newCampaign(opts).RunSuite(context.Background(), Figure4Suite(seed))
-	if err != nil {
-		return nil, err
-	}
-	golden, err := scenarioCapture(srep.Results[0])
-	if err != nil {
-		return nil, err
-	}
-	suspect, err := scenarioCapture(srep.Results[1])
-	if err != nil {
-		return nil, err
-	}
-	cmp := srep.Comparisons[0]
-	if cmp.Err != nil {
-		return nil, cmp.Err
-	}
-	rep := *cmp.Report
+func Figure4(c Campaign, seed uint64) (*Figure4Report, error) {
+	return runExperiment(c, Figure4Suite(seed), renderFigure4)
+}
+
+// renderFigure4 excerpts both captures of a Figure4Suite report around
+// the comparison's first mismatch (the comparison ran, so both captures
+// are non-empty).
+func renderFigure4(srep *SuiteReport) (*Figure4Report, error) {
+	golden, suspect := srep.Results[0].Result.Recording, srep.Results[1].Result.Recording
+	rep := *srep.Comparisons[0].Report
 
 	out := &Figure4Report{Report: rep}
 	// Excerpt 6 transactions around the first mismatch, like the paper.
@@ -434,68 +405,57 @@ func (r *OverheadReport) Format() string {
 	return sb.String()
 }
 
-// OverheadSpecs returns the §V-B scenario pair: the same part printed
-// with the MITM inline and with jumpers in direct mode. The latency
-// probes the experiment adds to the MITM print are instrumentation, not
-// topology, so they attach as a Prepare hook after compilation — the one
-// part of this experiment a spec cannot carry.
-func OverheadSpecs() []ScenarioSpec {
-	direct := false
-	return []ScenarioSpec{
-		{Name: "mitm"},
-		{Name: "direct", MITM: &direct},
-	}
-}
-
 // Overhead reproduces §V-B: measure the MITM's propagation delay and the
 // control-signal envelope during a real print, and show the detection
 // hardware has no effect on print quality by printing the same part with
-// and without the MITM inline — the two rigs run as parallel campaign
-// scenarios compiled from OverheadSpecs.
-func Overhead(seed uint64, opts ...ExperimentOption) (*OverheadReport, error) {
-	scens, err := CompileSpecs(SpecContext{BaseSeed: seed}, OverheadSpecs())
+// the MITM inline and with jumpers in direct mode. It measures the
+// simulator itself rather than a scenario, so it builds and instruments
+// its two testbeds directly instead of running a suite.
+func Overhead(seed uint64) (*OverheadReport, error) {
+	prog, err := TestPart()
+	if err != nil {
+		return nil, err
+	}
+	mitm, err := NewTestbed(WithSeed(seed))
+	if err != nil {
+		return nil, err
+	}
+	direct, err := NewTestbed(WithSeed(seed), WithoutMITM())
 	if err != nil {
 		return nil, err
 	}
 
-	// Instrumentation owned by the MITM scenario: a step-line recorder
-	// plus latency probes that timestamp each Arduino-side edge and match
-	// it to the next RAMPS-side edge on the same pin.
+	// Instrument the MITM print: a step-line recorder plus latency probes
+	// that timestamp each Arduino-side edge and match it to the next
+	// RAMPS-side edge on the same pin.
 	report := &OverheadReport{}
-	var recorder *signal.Recorder
-	instrument := func(tb *Testbed) error {
-		stepPins := []string{signal.PinXStep, signal.PinYStep, signal.PinZStep, signal.PinEStep}
-		recorder = signal.NewRecorder(tb.Arduino, stepPins...)
-		for _, pin := range signal.ControlPins {
-			pin := pin
-			var pendingAt sim.Time = -1
-			tb.Arduino.Line(pin).Watch(func(at sim.Time, _ signal.Level) {
-				pendingAt = at
-			})
-			tb.RAMPS.Line(pin).Watch(func(at sim.Time, _ signal.Level) {
-				if pendingAt < 0 {
-					return
-				}
-				delay := at - pendingAt
-				pendingAt = -1
-				if delay > report.MaxPropagation {
-					report.MaxPropagation = delay
-					report.SlowestPin = pin
-				}
-			})
-		}
-		return nil
+	recorder := signal.NewRecorder(mitm.Arduino, signal.PinXStep, signal.PinYStep, signal.PinZStep, signal.PinEStep)
+	for _, pin := range signal.ControlPins {
+		var pendingAt sim.Time = -1
+		mitm.Arduino.Line(pin).Watch(func(at sim.Time, _ signal.Level) {
+			pendingAt = at
+		})
+		mitm.RAMPS.Line(pin).Watch(func(at sim.Time, _ signal.Level) {
+			if pendingAt < 0 {
+				return
+			}
+			delay := at - pendingAt
+			pendingAt = -1
+			if delay > report.MaxPropagation {
+				report.MaxPropagation = delay
+				report.SlowestPin = pin
+			}
+		})
 	}
 
-	scens[0].Prepare = instrument
-	results, err := newCampaign(opts).Run(context.Background(), scens)
+	resMITM, err := mitm.Run(context.Background(), prog)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("offramps: overhead MITM print: %w", err)
 	}
-	if err := firstScenarioErr(results); err != nil {
-		return nil, err
+	resDirect, err := direct.Run(context.Background(), prog)
+	if err != nil {
+		return nil, fmt.Errorf("offramps: overhead direct print: %w", err)
 	}
-	resMITM, resDirect := results[0].Result, results[1].Result
 
 	report.QualityMITM = resMITM.Quality
 	report.LineStats = recorder.AllStats()
@@ -623,29 +583,22 @@ func TapSidesSuite(seed uint64) *SuiteSpec {
 // a board-injected trojan when the capture taps the FPGA's input (the
 // co-location blind spot the paper reproduces faithfully), and catches
 // the very same print when the capture taps the FPGA's output.
-func TapSides(seed uint64, opts ...ExperimentOption) (*TapSideReport, error) {
-	srep, err := newCampaign(opts).RunSuite(context.Background(), TapSidesSuite(seed))
-	if err != nil {
-		return nil, err
-	}
-	if err := firstScenarioErr(srep.Results); err != nil {
-		return nil, err
-	}
-	for _, cmp := range srep.Comparisons {
-		if cmp.Err != nil {
-			return nil, fmt.Errorf("offramps: compare %s vs %s: %w", cmp.Golden, cmp.Suspect, cmp.Err)
-		}
-	}
+func TapSides(c Campaign, seed uint64) (*TapSideReport, error) {
+	return runExperiment(c, TapSidesSuite(seed), renderTapSides)
+}
+
+// renderTapSides reads both tap sides' verdicts off a TapSidesSuite
+// report.
+func renderTapSides(srep *SuiteReport) (*TapSideReport, error) {
 	golden, trojaned := srep.Results[0].Result, srep.Results[1].Result
-	report := &TapSideReport{
+	return &TapSideReport{
 		TrojanID:        "T2",
 		ArduinoReport:   *srep.Comparisons[0].Report,
 		RAMPSReport:     *srep.Comparisons[1].Report,
 		ArduinoDetected: srep.Comparisons[0].Report.TrojanLikely,
 		RAMPSDetected:   srep.Comparisons[1].Report.TrojanLikely,
 		Diff:            trojaned.Part.Compare(golden.Part, 1.0),
-	}
-	return report, nil
+	}, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -740,22 +693,18 @@ func SelfAttestSuite(seed uint64) *SuiteSpec {
 // detected by dual-tap self-attestation in a single print with no golden
 // capture, while the paper's Arduino-side workflow reports the same
 // print clean.
-func SelfAttest(seed uint64, opts ...ExperimentOption) (*SelfAttestReport, error) {
-	srep, err := newCampaign(opts).RunSuite(context.Background(), SelfAttestSuite(seed))
-	if err != nil {
-		return nil, err
-	}
-	if err := firstScenarioErr(srep.Results); err != nil {
-		return nil, err
-	}
+func SelfAttest(c Campaign, seed uint64) (*SelfAttestReport, error) {
+	return runExperiment(c, SelfAttestSuite(seed), renderSelfAttest)
+}
+
+// renderSelfAttest reads the attestation verdicts and the Arduino-side
+// contrast off a SelfAttestSuite report.
+func renderSelfAttest(srep *SuiteReport) (*SelfAttestReport, error) {
 	attested, clean, golden := srep.Results[0].Result, srep.Results[1].Result, srep.Results[2].Result
 	if len(attested.Detections) != 1 || len(clean.Detections) != 1 {
 		return nil, fmt.Errorf("offramps: selfattest: attestation reports missing")
 	}
 	cmp := srep.Comparisons[0]
-	if cmp.Err != nil {
-		return nil, fmt.Errorf("offramps: compare %s vs %s: %w", cmp.Golden, cmp.Suspect, cmp.Err)
-	}
 	return &SelfAttestReport{
 		TrojanID:           "T2",
 		Attestation:        *attested.Detections[0],
@@ -794,24 +743,18 @@ func DriftSuite(seed uint64, runs int) *SuiteSpec {
 // divergence, the quantity the paper bounds at 5 % ("This drift was,
 // however, always less than a 5 % difference in our testing"). Prints and
 // pairwise comparisons both execute the declarative DriftSuite.
-func Drift(seed uint64, runs int, opts ...ExperimentOption) (*DriftReport, error) {
+func Drift(c Campaign, seed uint64, runs int) (*DriftReport, error) {
 	if runs < 2 {
 		return nil, fmt.Errorf("offramps: drift needs at least 2 runs, got %d", runs)
 	}
-	srep, err := newCampaign(opts).RunSuite(context.Background(), DriftSuite(seed, runs))
-	if err != nil {
-		return nil, err
-	}
-	for i, r := range srep.Results {
-		if _, err := scenarioCapture(r); err != nil {
-			return nil, fmt.Errorf("offramps: drift run %d: %w", i, err)
-		}
-	}
-	report := &DriftReport{Runs: runs, FinalCountsEqual: true}
+	return runExperiment(c, DriftSuite(seed, runs), renderDrift)
+}
+
+// renderDrift folds a DriftSuite report's pairwise comparisons into the
+// worst drift and the false-positive count.
+func renderDrift(srep *SuiteReport) (*DriftReport, error) {
+	report := &DriftReport{Runs: len(srep.Results), FinalCountsEqual: true}
 	for _, cmp := range srep.Comparisons {
-		if cmp.Err != nil {
-			return nil, cmp.Err
-		}
 		rep := cmp.Report
 		if rep.LargestSubstantial > report.MaxDriftPercent {
 			report.MaxDriftPercent = rep.LargestSubstantial

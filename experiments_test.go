@@ -13,8 +13,12 @@ import (
 // unit tests (each runs multiple full simulated prints) but still finish
 // in seconds apiece.
 
+// experimentCampaign is shared by the experiment tests, so the goldens
+// the experiments have in common simulate once, as in `experiments -all`.
+var experimentCampaign = Campaign{Cache: NewGoldenCache()}
+
 func TestTableIReproduces(t *testing.T) {
-	rep, err := TableI(1)
+	rep, err := TableI(experimentCampaign, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +73,7 @@ func TestTableIReproduces(t *testing.T) {
 }
 
 func TestTableIIReproduces(t *testing.T) {
-	rep, err := TableII(1)
+	rep, err := TableII(experimentCampaign, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +109,7 @@ func TestTableIIReproduces(t *testing.T) {
 }
 
 func TestFigure4Reproduces(t *testing.T) {
-	rep, err := Figure4(1)
+	rep, err := Figure4(experimentCampaign, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +176,7 @@ func TestOverheadReproduces(t *testing.T) {
 }
 
 func TestDriftReproduces(t *testing.T) {
-	rep, err := Drift(1, 4)
+	rep, err := Drift(experimentCampaign, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +200,7 @@ func TestDriftReproduces(t *testing.T) {
 }
 
 func TestDriftValidation(t *testing.T) {
-	if _, err := Drift(1, 1); err == nil {
+	if _, err := Drift(experimentCampaign, 1, 1); err == nil {
 		t.Error("Drift with 1 run accepted")
 	}
 }
@@ -210,7 +214,7 @@ func TestDriftValidation(t *testing.T) {
 // capture; see TapSideReport).
 func TestTapSidesReproduces(t *testing.T) {
 	for _, seed := range []uint64{1, 42} {
-		rep, err := TapSides(seed)
+		rep, err := TapSides(experimentCampaign, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +249,7 @@ func TestTapSidesReproduces(t *testing.T) {
 // Arduino-side capture passes the paper's golden workflow, and a clean
 // dual-tap print is not false-positived.
 func TestSelfAttestReproduces(t *testing.T) {
-	rep, err := SelfAttest(1)
+	rep, err := SelfAttest(experimentCampaign, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +285,7 @@ func TestSelfAttestSeedSweep(t *testing.T) {
 		seeds = seeds[:3]
 	}
 	for _, seed := range seeds {
-		rep, err := SelfAttest(seed)
+		rep, err := SelfAttest(experimentCampaign, seed)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

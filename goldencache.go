@@ -18,8 +18,8 @@ import (
 // cacheable scenario's capture is the testbed's compiled-in default
 // configuration, which is constant for a build: scenarios carrying any
 // opaque knob that could change the capture — a trojan or detector
-// factory, a Prepare hook, extra Options or RunOptions — are never cached
-// (see Scenario.goldenCacheable and DESIGN.md §6).
+// factory, extra Options or RunOptions — are never cached (see
+// Scenario.goldenCacheable and DESIGN.md §6).
 type goldenKey struct {
 	program [sha256.Size]byte
 	seed    uint64
@@ -352,12 +352,12 @@ func (gc *GoldenCache) UsedStoreKeys() []goldenstore.Key {
 }
 
 // goldenCacheable reports whether the scenario is a pure golden print the
-// cache may memoize: no trojan, no detector, no instrumentation, and no
-// opaque construction or run options. Options and RunOptions are funcs —
-// their effect on the capture cannot be content-addressed, so any
-// non-empty slice disqualifies the scenario (the conservative reading of
-// "the key must cover every option that affects the capture").
+// cache may memoize: no trojan, no detector, and no opaque construction
+// or run options. Options and RunOptions are funcs — their effect on the
+// capture cannot be content-addressed, so any non-empty slice
+// disqualifies the scenario (the conservative reading of "the key must
+// cover every option that affects the capture").
 func (s *Scenario) goldenCacheable() bool {
-	return s.Trojan == nil && s.Detector == nil && s.Prepare == nil &&
+	return s.Trojan == nil && s.Detector == nil &&
 		len(s.Options) == 0 && len(s.RunOptions) == 0
 }

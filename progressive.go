@@ -230,7 +230,11 @@ func (c Campaign) RunSuiteProgressive(runCtx context.Context, suite *SuiteSpec, 
 		}
 	}
 	runWave := func(specs []ScenarioSpec) error {
-		res, err := c.RunSpecs(runCtx, ctx, specs)
+		scens, err := CompileSpecs(ctx, specs)
+		if err != nil {
+			return err
+		}
+		res, err := c.Run(runCtx, scens)
 		var se *SinkError
 		if errors.As(err, &se) {
 			noteSink(err)

@@ -10,7 +10,9 @@ import (
 	"testing"
 
 	"offramps/internal/detect"
+	"offramps/internal/fpga"
 	"offramps/internal/sched"
+	"offramps/internal/trojan"
 )
 
 // sinkScenarios builds a small campaign input: three clean prints on
@@ -498,9 +500,9 @@ func TestCampaignCancelKeepsSinkError(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	scens := []Scenario{
-		{Name: "a", Program: prog, Seed: 1, Prepare: func(*Testbed) error {
+		{Name: "a", Program: prog, Seed: 1, Trojan: func(uint64) fpga.Trojan {
 			cancel()
-			return nil
+			return trojan.NewT2ExtrusionReduction(trojan.T2Params{KeepRatio: 0.5})
 		}},
 		{Name: "b", Program: prog, Seed: 2},
 	}

@@ -418,16 +418,6 @@ func CompileSpecs(ctx SpecContext, specs []ScenarioSpec) ([]Scenario, error) {
 	return out, nil
 }
 
-// RunSpecs compiles the specs under ctx and runs them as one campaign —
-// the declarative twin of Run.
-func (c Campaign) RunSpecs(runCtx context.Context, ctx SpecContext, specs []ScenarioSpec) ([]ScenarioResult, error) {
-	scens, err := CompileSpecs(ctx, specs)
-	if err != nil {
-		return nil, err
-	}
-	return c.Run(runCtx, scens)
-}
-
 // ---------------------------------------------------------------------------
 // Suites: a spec file is a named set of scenarios plus post-run
 // comparisons.

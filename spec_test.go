@@ -268,9 +268,7 @@ func TestParseSuiteSpecStrict(t *testing.T) {
 func TestBuiltinSuitesValidate(t *testing.T) {
 	suites := []*SuiteSpec{
 		TableIISuite(1), Figure4Suite(1), DriftSuite(1, 3), TapSidesSuite(1),
-		SelfAttestSuite(1),
-		{Name: "table1", BaseSeed: 1, Scenarios: TableISpecs()},
-		{Name: "overhead", BaseSeed: 1, Scenarios: OverheadSpecs()},
+		SelfAttestSuite(1), TableISuite(1),
 	}
 	for _, s := range suites {
 		if err := s.Validate(); err != nil {
@@ -375,21 +373,29 @@ func TestSuiteReportFormatPartial(t *testing.T) {
 	}
 }
 
-// TestSpecCompiledTableIMatchesClosurePath asserts the declarative path
-// produces bit-identical results to a hand-built closure scenario — the
-// "closure path stays a thin adapter" guarantee.
+// TestSpecCompiledTableIMatchesClosurePath asserts that Table I's T2
+// scenario, compiled from TableISuite, produces bit-identical results to
+// a hand-built closure scenario — the spec compiler adds nothing to the
+// run a closure describes.
 func TestSpecCompiledTableIMatchesClosurePath(t *testing.T) {
 	prog := mustTestPart(t)
 	seed := uint64(11)
 
-	compiled, err := CompileSpecs(SpecContext{BaseSeed: seed}, []ScenarioSpec{
-		{Name: "t2", Trojan: &TrojanSpec{Name: "T2"}},
-	})
+	var t2 []ScenarioSpec
+	for _, sc := range TableISuite(seed).Scenarios {
+		if sc.Name == "T2" {
+			t2 = append(t2, sc)
+		}
+	}
+	compiled, err := CompileSpecs(SpecContext{BaseSeed: seed}, t2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(compiled) != 1 {
+		t.Fatalf("TableISuite has %d T2 scenarios, want 1", len(compiled))
+	}
 	closure := []Scenario{{
-		Name: "t2", Program: prog, Seed: seed,
+		Name: "T2", Program: prog, Seed: seed,
 		Trojan: func(s uint64) fpga.Trojan {
 			return trojan.NewT2ExtrusionReduction(trojan.T2Params{KeepRatio: 0.5})
 		},
