@@ -9,6 +9,7 @@ import (
 	"offramps/internal/detect"
 	"offramps/internal/flaw3d"
 	"offramps/internal/fpga"
+	"offramps/internal/gcode"
 	"offramps/internal/reconstruct"
 	"offramps/internal/signal"
 	"offramps/internal/sim"
@@ -120,18 +121,34 @@ func BenchmarkDrift(b *testing.B) {
 // paths carry their step trains lazily, so events/op counts only what
 // stays on the queue; steps/op (STEP rises seen by the four drivers)
 // keeps ns per pulse comparable across that change.
-func BenchmarkGoldenPrint(b *testing.B) { benchGoldenPrint(b, false) }
+func BenchmarkGoldenPrint(b *testing.B) { benchPrint(b, goldenPart(b), false) }
 
 // BenchmarkGoldenPrintEager is BenchmarkGoldenPrint on the eager rig: a
 // no-op Watch on each Arduino STEP line keeps every pulse on the event
 // queue, so lazy against eager is measured within one commit.
-func BenchmarkGoldenPrintEager(b *testing.B) { benchGoldenPrint(b, true) }
+func BenchmarkGoldenPrintEager(b *testing.B) { benchPrint(b, goldenPart(b), true) }
 
-func benchGoldenPrint(b *testing.B, eager bool) {
+// BenchmarkRelocationPrint is BenchmarkGoldenPrint on Table II case 5,
+// the Flaw3D relocation print that dumps every 5 moves: each dump trip
+// presses and releases the Y MIN switch, which its trains carry lazily.
+func BenchmarkRelocationPrint(b *testing.B) {
+	prog, err := flaw3d.TableII()[4].Apply(goldenPart(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchPrint(b, prog, false)
+}
+
+// goldenPart returns the golden test part's program.
+func goldenPart(b *testing.B) gcode.Program {
 	prog, err := TestPart()
 	if err != nil {
 		b.Fatal(err)
 	}
+	return prog
+}
+
+func benchPrint(b *testing.B, prog gcode.Program, eager bool) {
 	core := NewTestbedCore()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -431,15 +431,14 @@ func (fw *Firmware) executeMove(cmd gcode.Command) {
 			n:     n,
 		}
 		move = append(move, signal.Train{
-			Axis:     a,
-			Rises:    t,
-			N:        n,
-			Width:    t.width,
-			Negative: pm.axes[i].negative,
-			Issued:   now,
-			MinGap:   pm.minGap(n),
-			Until:    end,
-			Kill:     signal.Tick{Origin: fw.startedAt, Period: fw.cfg.ControlPeriod},
+			Axis:   a,
+			Rises:  t,
+			N:      n,
+			Width:  t.width,
+			Issued: now,
+			MinGap: pm.minGap(n),
+			Until:  end,
+			Kill:   signal.Tick{Origin: fw.startedAt, Period: fw.cfg.ControlPeriod},
 		})
 		// Track believed position.
 		if pm.axes[i].negative {

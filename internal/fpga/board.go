@@ -151,10 +151,12 @@ type Board struct {
 	order   []string
 
 	// Lazy step trains (see lazy.go): the live trains, retired records
-	// for reuse, whether an Arduino-side edge is being replayed (its
-	// path forward then stays silent), and a re-entry guard for Advance.
+	// for reuse, Arduino-side endstop copies a replayed step has yet to
+	// land, whether an Arduino-side edge is being replayed (its path
+	// forward then stays silent), and a re-entry guard for Advance.
 	lazy        []*lazyTrain
 	spareTrains []*lazyTrain
+	held        []heldEdge
 	replaying   bool
 	advancing   bool
 }
@@ -188,9 +190,18 @@ func NewBoard(engine *sim.Engine, arduino, ramps *signal.Bus, cfg Config) (*Boar
 	}
 	// Feedback direction (RAMPS → Arduino): forwarded transparently. The
 	// FPGA snoops these (homing detection) but the platform never needs
-	// to modify them for the Table I suite.
+	// to modify them for the Table I suite. A MIN switch may close under
+	// a lazy step train, so the board forwards those lines itself.
 	for _, pin := range signal.FeedbackPins {
-		ramps.Line(pin).Connect(arduino.Line(pin), cfg.PropagationDelay)
+		src, dst := ramps.Line(pin), arduino.Line(pin)
+		if pin == signal.PinUARTRx {
+			src.Connect(dst, cfg.PropagationDelay)
+			continue
+		}
+		dst.Set(src.Level())
+		src.Attach(&endstopForward{board: b, dst: dst})
+		src.Defer(b)
+		dst.Defer(b)
 	}
 	// Analog thermistor channels pass through the ADC/DAC path.
 	ramps.ThermHotend.Connect(arduino.ThermHotend)

@@ -18,7 +18,12 @@ import (
 // takes the firmware's train descriptors instead (Accept) and applies
 // the edges itself, pulse by pulse, at the next advance point: an
 // exporter tick, the firmware's next command, a kill, or any reader of
-// tracker, line, driver or plant state.
+// tracker, line, driver, endstop or plant state.
+//
+// A replayed RAMPS-side rise may move the carriage onto or off its MIN
+// switch. The plant drives the RAMPS-side MIN line with the step's own
+// time, and the board's endstop forward holds the Arduino-side copy,
+// one propagation delay later, until the advance point it precedes.
 //
 // An advance point that fires at now and was scheduled at sched runs
 // after exactly the edges the engine would have run before it: those
@@ -78,15 +83,18 @@ func (tr *lazyTrain) edge() (kind int, at, sched sim.Time) {
 //   - the axis's STEP, DIR and EN paths were never filtered, forced or
 //     injected;
 //   - its STEP line and the RAMPS copy carry only quiet listeners: the
-//     path forward, the tap detectors, and a driver that vouches the
-//     plant will not move its endstop (any Watch is never quiet);
+//     path forward, the tap detectors, and a driver whose plant's MIN
+//     line for the axis carries only quiet listeners in turn — the
+//     endstop forward, and a homing detector that has seen homing
+//     (any Watch is never quiet);
 //   - no tap waits for its first step (that pulse starts the export
 //     ticker, which must see the real instant);
 //   - no edge ties an exporter tick or a kill tick in both time and
 //     scheduling instant;
-//   - pulses cannot overlap, and the train is over before the firmware
-//     can touch the axis's lines again — so by the next command's
-//     advance point no train of the axis is left.
+//   - pulses cannot overlap, and the train is over, and any endstop
+//     copy it causes has landed, before the firmware can touch the
+//     axis's lines again — so by the next command's advance point
+//     nothing of the move is left.
 func (b *Board) Accept(move []signal.Train) bool {
 	if len(b.trojans) > 0 {
 		return false
@@ -125,11 +133,13 @@ func (b *Board) replaySafe(t signal.Train) bool {
 	if t.N <= 0 || !p.clean() || !b.paths[a.DirPin()].clean() || !b.paths[a.EnablePin()].clean() {
 		return false
 	}
-	if !p.src.Quiet(t.N, t.Negative) || !p.dst.Quiet(t.N, t.Negative) {
+	if !p.src.Quiet() || !p.dst.Quiet() {
 		return false
 	}
 	d := p.delay
-	if t.MinGap <= t.Width+d || t.Rises.RiseAt(t.N-1)+t.Width+d >= t.Until {
+	// The last pulse's fall lands width+delay after its rise on the
+	// RAMPS side, and an endstop copy 2·delay after it.
+	if t.MinGap <= t.Width+d || t.Rises.RiseAt(t.N-1)+max(t.Width, d)+d >= t.Until {
 		return false
 	}
 	for _, tp := range b.taps {
@@ -188,9 +198,11 @@ func ties(t signal.Train, tk signal.Tick, delay sim.Time) bool {
 // copy keeps its rise's order. Every other edge touches its own line's
 // consumers alone. So pulses are taken whole, in rise order, and each
 // pulse's edges run in firing order until one no longer precedes the
-// advance point; that train then waits for the next one.
+// advance point; that train then waits for the next one. The held
+// endstop copies touch only their Arduino-side lines, so they land
+// last.
 func (b *Board) Advance(now, sched sim.Time) {
-	if b.advancing || len(b.lazy) == 0 {
+	if b.advancing || len(b.lazy) == 0 && len(b.held) == 0 {
 		return
 	}
 	b.advancing = true
@@ -209,6 +221,7 @@ func (b *Board) Advance(now, sched sim.Time) {
 		}
 		b.applyPulse(best, now, sched)
 	}
+	b.landHeld(now, sched)
 	b.advancing = false
 }
 
@@ -261,25 +274,30 @@ func (b *Board) retire(tr *lazyTrain) {
 	b.spareTrains = append(b.spareTrains, tr)
 }
 
-// Sync applies every deferred step edge up to Now; it is the
-// signal.Deferrer of the board's STEP lines and the advance point of
-// every reader. Between engine events that is exact; inside one, edges
-// at Now are applied even when the engine would have run them after
-// the current event (see signal.Line.Sync).
+// Sync applies every deferred step and endstop edge up to Now; it is
+// the signal.Deferrer of the board's STEP and MIN lines and the advance
+// point of every reader. Between engine events that is exact; inside
+// one, edges at Now are applied even when the engine would have run
+// them after the current event (see signal.Line.Sync).
 func (b *Board) Sync() {
-	if len(b.lazy) > 0 {
+	if len(b.lazy) > 0 || len(b.held) > 0 {
 		b.Advance(b.engine.Now(), math.MaxInt64)
 	}
 }
 
 // Halt implements signal.TrainSink. After the edges that precede the
 // kill, no pulse rises again; what is left of a risen pulse — its
-// fall, and RAMPS copies still in flight — becomes real engine events,
-// scheduled before the kill's own EN change so they keep its order.
-// Those events land within one pulse width of the kill, where nothing
-// but the RAMPS-side consumers of the same edges observes them.
+// fall, and RAMPS copies still in flight — and any endstop copy still
+// held become real engine events, scheduled before the kill's own EN
+// change so they keep its order. Those events land within one pulse
+// width of the kill, where nothing but the consumers of the same edges
+// observes them.
 func (b *Board) Halt(now, sched sim.Time) {
 	b.Advance(now, sched)
+	for _, h := range b.held {
+		b.engine.ScheduleEdge(h.at, h.line, uint64(h.level))
+	}
+	b.held = b.held[:0]
 	live := b.lazy
 	// Same-instant RAMPS copies keep their rises' order.
 	for i := 1; i < len(live); i++ {
@@ -355,4 +373,55 @@ func riseBefore(a *lazyTrain, i int, b *lazyTrain, j int) bool {
 		i--
 		j--
 	}
+}
+
+// endstopForward carries one MIN endstop line from the RAMPS side to
+// the Arduino side, one propagation delay late, as Line.Connect would.
+// It is a signal.Sink, quiet while its Arduino-side line is: the edges
+// it forwards reach nothing else. An edge caused by a replayed step is
+// held with its true landing time instead of scheduled from Now.
+type endstopForward struct {
+	board *Board
+	dst   *signal.Line
+}
+
+// heldEdge is an endstop copy a replayed step caused that has not
+// landed yet: line goes to level at at, an event the engine would have
+// scheduled one propagation delay earlier.
+type heldEdge struct {
+	line  *signal.Line
+	at    sim.Time
+	level signal.Level
+}
+
+// Edge forwards a RAMPS-side endstop edge.
+func (f *endstopForward) Edge(at sim.Time, level signal.Level) {
+	b := f.board
+	d := b.cfg.PropagationDelay
+	switch {
+	case d == 0:
+		f.dst.SetAt(at, level)
+	case b.advancing:
+		b.held = append(b.held, heldEdge{line: f.dst, at: at + d, level: level})
+	default:
+		f.dst.SetAfter(d, level)
+	}
+}
+
+// Quiet implements signal.Quieter.
+func (f *endstopForward) Quiet() bool { return f.dst.Quiet() }
+
+// landHeld applies the held endstop copies that precede an event at now
+// scheduled at sched. They were held in landing order.
+func (b *Board) landHeld(now, sched sim.Time) {
+	d := b.cfg.PropagationDelay
+	n := 0
+	for _, h := range b.held {
+		if h.at > now || h.at == now && h.at-d >= sched {
+			break
+		}
+		h.line.SetAt(h.at, h.level)
+		n++
+	}
+	b.held = b.held[:copy(b.held, b.held[n:])]
 }

@@ -2,6 +2,7 @@ package fpga
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"offramps/internal/capture"
@@ -16,8 +17,9 @@ import (
 // are placed on exporter ticks and kills to pin the tie rule of lazy.go.
 
 const (
-	lzExport = sim.Millisecond     // export period of the rig
-	lzWidth  = 2 * sim.Microsecond // STEP pulse width
+	lzExport = sim.Millisecond       // export period of the rig
+	lzWidth  = 2 * sim.Microsecond   // STEP pulse width
+	lzUntil  = 500 * sim.Millisecond // end of the crossing tests' runs
 )
 
 // lazyRig is a homed board with a plant behind it and a minimal stand-in
@@ -27,6 +29,7 @@ type lazyRig struct {
 	t      *testing.T
 	e      *sim.Engine
 	ard    *signal.Bus
+	ramps  *signal.Bus
 	board  *Board
 	plant  *printer.Plant
 	killed bool
@@ -36,16 +39,26 @@ type lazyRig struct {
 
 func newLazyRig(t *testing.T, tap TapSide, eager bool) *lazyRig {
 	t.Helper()
-	e := sim.NewEngine()
-	ard, ramps := signal.NewBus(e), signal.NewBus(e)
 	cfg := DefaultConfig()
 	cfg.Tap = tap
+	r := newUnhomedRig(t, cfg, eager, printer.DefaultConfig())
+	r.home(signal.AxisX, signal.AxisY, signal.AxisZ)
+	return r
+}
+
+// newUnhomedRig builds a rig from board configuration cfg, exporting
+// every lzExport, on a plant with configuration pcfg. Its homing
+// presses are left to the caller.
+func newUnhomedRig(t *testing.T, cfg Config, eager bool, pcfg printer.Config) *lazyRig {
+	t.Helper()
+	e := sim.NewEngine()
+	ard, ramps := signal.NewBus(e), signal.NewBus(e)
 	cfg.ExportPeriod = lzExport
 	b, err := NewBoard(e, ard, ramps, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := printer.NewPlant(e, ramps, printer.DefaultConfig())
+	p, err := printer.NewPlant(e, ramps, pcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,10 +67,16 @@ func newLazyRig(t *testing.T, tap TapSide, eager bool) *lazyRig {
 			ard.Step(a).Watch(func(sim.Time, signal.Level) {})
 		}
 	}
-	at := pressSequence(e, ramps.MinEndstop(signal.AxisX), 10*sim.Millisecond)
-	at = pressSequence(e, ramps.MinEndstop(signal.AxisY), at)
-	pressSequence(e, ramps.MinEndstop(signal.AxisZ), at)
-	return &lazyRig{t: t, e: e, ard: ard, board: b, plant: p}
+	return &lazyRig{t: t, e: e, ard: ard, ramps: ramps, board: b, plant: p}
+}
+
+// home double-taps the given axes' MIN switches, in order, from 10 ms
+// on, 100 ms per axis: X, Y and Z complete a homing cycle at 260 ms.
+func (r *lazyRig) home(axes ...signal.Axis) {
+	at := 10 * sim.Millisecond
+	for _, a := range axes {
+		at = pressSequence(r.e, r.ramps.MinEndstop(a), at)
+	}
 }
 
 // rigTrain is one axis's train in the rig: explicit rises, emitted
@@ -91,15 +110,21 @@ func (tr *rigTrain) FireEdge(arg uint64) {
 }
 
 // move plans, at instant at, one positive move with the given rises per
-// axis, ending at until, and offers the board all of its trains. kill names the ticker that may
-// halt the machine.
+// axis, ending at until, and offers the board all of its trains. kill
+// names the ticker that may halt the machine.
 func (r *lazyRig) move(at, until sim.Time, kill signal.Tick, rises map[signal.Axis][]sim.Time) {
+	r.moveDir(signal.Low, at, until, kill, rises)
+}
+
+// moveDir is move with dir on the DIR lines of the moving axes: Low
+// moves away from the MIN switches, High toward them.
+func (r *lazyRig) moveDir(dir signal.Level, at, until sim.Time, kill signal.Tick, rises map[signal.Axis][]sim.Time) {
 	r.e.Schedule(at, func() {
 		now := r.e.Now()
 		r.board.Advance(now, now)
 		for _, a := range signal.Axes {
 			if len(rises[a]) > 0 {
-				r.ard.Dir(a).Set(signal.Low)
+				r.ard.Dir(a).Set(dir)
 			}
 		}
 		var move []signal.Train
@@ -162,10 +187,23 @@ type lazyState struct {
 	Edges        [8]uint64
 	Levels       [8]signal.Level
 	LastChange   [8]sim.Time
+	// The X, Y and Z MIN lines, Arduino then RAMPS side.
+	MinEdges      [6]uint64
+	MinLevels     [6]signal.Level
+	MinLastChange [6]sim.Time
 }
 
 func (r *lazyRig) state() lazyState {
 	var s lazyState
+	// The MIN lines come first, so no other reader syncs them.
+	for i, a := range signal.Axes[:3] {
+		for j, bus := range []*signal.Bus{r.ard, r.ramps} {
+			l := bus.MinEndstop(a)
+			s.MinEdges[2*i+j] = l.Edges()
+			s.MinLevels[2*i+j] = l.Level()
+			s.MinLastChange[2*i+j] = l.LastChange()
+		}
+	}
 	for _, side := range []TapSide{TapArduino, TapRAMPS} {
 		if rec := r.board.RecordingAt(side); rec != nil {
 			s.Recordings = append(s.Recordings, rec)
@@ -192,10 +230,16 @@ func (r *lazyRig) state() lazyState {
 // asserts equal state; it returns the lazy rig for further checks.
 func runBoth(t *testing.T, tap TapSide, until sim.Time, drive func(r *lazyRig)) *lazyRig {
 	t.Helper()
+	return runBothOn(t, func(eager bool) *lazyRig { return newLazyRig(t, tap, eager) }, until, drive)
+}
+
+// runBothOn is runBoth on rigs that build makes.
+func runBothOn(t *testing.T, build func(eager bool) *lazyRig, until sim.Time, drive func(r *lazyRig)) *lazyRig {
+	t.Helper()
 	var states [2]lazyState
 	var lazy *lazyRig
 	for i, eager := range []bool{false, true} {
-		r := newLazyRig(t, tap, eager)
+		r := build(eager)
 		drive(r)
 		if err := r.e.Run(until); err != nil {
 			t.Fatal(err)
@@ -217,10 +261,12 @@ func runBoth(t *testing.T, tap TapSide, until sim.Time, drive func(r *lazyRig)) 
 // startExport steps X once after homing, which starts the exporters;
 // it returns the Arduino-side first-step instant.
 func startExport(r *lazyRig) sim.Time {
-	s0 := 400*sim.Millisecond + 10*sim.Microsecond
-	r.move(400*sim.Millisecond, 401*sim.Millisecond, signal.Tick{}, map[signal.Axis][]sim.Time{signal.AxisX: {s0}})
-	return s0
+	r.move(400*sim.Millisecond, 401*sim.Millisecond, signal.Tick{}, map[signal.Axis][]sim.Time{signal.AxisX: {lzFirstStep}})
+	return lzFirstStep
 }
+
+// lzFirstStep is the first step after homing, which startExport emits.
+const lzFirstStep = 400*sim.Millisecond + 10*sim.Microsecond
 
 func TestLazyTickOnArduinoRise(t *testing.T) {
 	us := sim.Microsecond
@@ -353,5 +399,198 @@ func TestLazyMoveTakenWholeOrNot(t *testing.T) {
 	}
 	if !reflect.DeepEqual(states[0], states[1]) {
 		t.Errorf("a partly watched rig differs from the eager one:\n%+v\n%+v", states[0], states[1])
+	}
+}
+
+// The tests below cross the X MIN switch with lazy trains. The X
+// carriage starts 0.1 mm (8 steps) above the switch; after the first
+// step that starts the export, a 20-pulse train toward MIN presses it
+// mid-train, and one back releases it.
+
+// nearSwitch is the plant configuration of the crossing tests.
+func nearSwitch() printer.Config {
+	c := printer.DefaultConfig()
+	c.StartPos[signal.AxisX] = 0.1
+	return c
+}
+
+// switchRig is a dual-tap rig on nearSwitch with the given
+// propagation delay and the given axes homed.
+func switchRig(t *testing.T, eager bool, delay sim.Time, homed ...signal.Axis) *lazyRig {
+	cfg := DefaultConfig()
+	cfg.Tap = TapDual
+	cfg.PropagationDelay = delay
+	r := newUnhomedRig(t, cfg, eager, nearSwitch())
+	r.home(homed...)
+	return r
+}
+
+// pulses returns n rises 70 µs apart from from on.
+func pulses(from sim.Time, n int) []sim.Time {
+	rs := make([]sim.Time, n)
+	for k := range rs {
+		rs[k] = from + sim.Time(k)*70*sim.Microsecond
+	}
+	return rs
+}
+
+// crossSwitch moves X, with Y alongside, n pulses toward MIN across
+// the switch, then X alone 20 pulses back off it; it returns the end of
+// the second move.
+func crossSwitch(r *lazyRig, n int) sim.Time {
+	us, ms := sim.Microsecond, sim.Millisecond
+	s0 := startExport(r)
+	in := pulses(s0+ms, n)
+	r.moveDir(signal.High, s0+500*us, s0+3*ms, signal.Tick{}, map[signal.Axis][]sim.Time{signal.AxisX: in, signal.AxisY: in})
+	r.move(s0+3*ms+200*us, s0+6*ms, signal.Tick{}, map[signal.Axis][]sim.Time{signal.AxisX: pulses(s0+4*ms, 20)})
+	return s0 + 6*ms
+}
+
+// switchEdges runs drive on an eager rig from build and returns the
+// times of its RAMPS-side X MIN edges: r+delay for a crossing pulse
+// rising at r.
+func switchEdges(t *testing.T, build func(eager bool) *lazyRig, drive func(r *lazyRig)) []sim.Time {
+	t.Helper()
+	r := build(true)
+	var edges []sim.Time
+	r.ramps.MinEndstop(signal.AxisX).Watch(func(at sim.Time, _ signal.Level) { edges = append(edges, at) })
+	drive(r)
+	if err := r.e.Run(lzUntil); err != nil {
+		t.Fatal(err)
+	}
+	return edges
+}
+
+func TestLazySwitchCrossingReadsBetweenRuns(t *testing.T) {
+	// The default delay, and one wider than a pulse: a copy then lands
+	// after its train is over, with nothing but the copy left to apply.
+	for _, d := range []sim.Time{DefaultConfig().PropagationDelay, 5 * sim.Microsecond} {
+		testSwitchCrossingReads(t, d)
+	}
+}
+
+func testSwitchCrossingReads(t *testing.T, d sim.Time) {
+	build := func(eager bool) *lazyRig {
+		return switchRig(t, eager, d, signal.AxisX, signal.AxisY, signal.AxisZ)
+	}
+	// The homing presses are the first four edges. Cut the train toward
+	// MIN after the pulse that presses the switch, so the Arduino copy
+	// of the press is the last thing the move leaves; the release
+	// happens mid-train.
+	edges := switchEdges(t, build, func(r *lazyRig) { crossSwitch(r, 20) })
+	if len(edges) != 6 {
+		t.Fatalf("delay %v: X MIN edges at %v: want the homing taps, a press and a release", d, edges)
+	}
+	n := int((edges[4]-d-(lzFirstStep+sim.Millisecond))/(70*sim.Microsecond)) + 1
+	if cut := switchEdges(t, build, func(r *lazyRig) { crossSwitch(r, n) }); cut[4] != edges[4] {
+		t.Fatalf("delay %v: a %d-pulse train presses the switch at %v, not at %v", d, n, cut[4], edges[4])
+	}
+	// Read every 37 µs, and around each crossing: just after its RAMPS
+	// edge at r+d, so the read replays that edge late, inside
+	// [r+d, r+2d) while the Arduino copy is in flight, and at the copy.
+	var stops []sim.Time
+	for at := 400 * sim.Millisecond; at < 410*sim.Millisecond; at += 37 * sim.Microsecond {
+		stops = append(stops, at)
+	}
+	for _, e := range edges[4:] {
+		stops = append(stops, e+1, e+d/2, e+d-1, e+d, e+d+1)
+	}
+	slices.Sort(stops)
+	stops = slices.Compact(stops)
+	var seq [2][]lazyState
+	for i, eager := range []bool{false, true} {
+		r := build(eager)
+		crossSwitch(r, n)
+		for _, until := range stops {
+			if err := r.e.Run(until); err != nil {
+				t.Fatal(err)
+			}
+			seq[i] = append(seq[i], r.state())
+		}
+		if !eager && r.accepted != 3 {
+			t.Fatalf("delay %v: lazy rig accepted %d trains, want the 3 that cross the switch", d, r.accepted)
+		}
+	}
+	for k := range seq[0] {
+		if !reflect.DeepEqual(seq[0][k], seq[1][k]) {
+			t.Fatalf("delay %v: at %v lazy and eager rigs differ:\nlazy  %+v\neager %+v", d, stops[k], seq[0][k], seq[1][k])
+		}
+	}
+}
+
+func TestLazyWatchedSwitchRunsEagerly(t *testing.T) {
+	for _, side := range []string{"arduino", "ramps"} {
+		r := runBothOn(t, func(eager bool) *lazyRig {
+			r := switchRig(t, eager, DefaultConfig().PropagationDelay, signal.AxisX, signal.AxisY, signal.AxisZ)
+			bus := r.ard
+			if side == "ramps" {
+				bus = r.ramps
+			}
+			bus.MinEndstop(signal.AxisX).Watch(func(sim.Time, signal.Level) {})
+			return r
+		}, lzUntil, func(r *lazyRig) { crossSwitch(r, 20) })
+		if r.accepted != 0 {
+			t.Errorf("%s MIN probe: board took %d trains", side, r.accepted)
+		}
+	}
+}
+
+func TestLazyCrossingBeforeHomingRunsEagerly(t *testing.T) {
+	// Z is never homed, so the homing detector still watches the
+	// switches.
+	r := runBothOn(t, func(eager bool) *lazyRig {
+		return switchRig(t, eager, DefaultConfig().PropagationDelay, signal.AxisX, signal.AxisY)
+	}, lzUntil, func(r *lazyRig) { crossSwitch(r, 20) })
+	if r.accepted != 0 {
+		t.Errorf("board took %d trains before homing", r.accepted)
+	}
+	if n := r.ramps.MinEndstop(signal.AxisX).Edges(); n != 6 {
+		t.Errorf("X MIN saw %d edges, want the homing taps, a press and a release", n)
+	}
+}
+
+func TestLazyHaltMaterializesHeldEndstopCopy(t *testing.T) {
+	us, ms := sim.Microsecond, sim.Millisecond
+	d := DefaultConfig().PropagationDelay
+	build := func(eager bool) *lazyRig {
+		return switchRig(t, eager, DefaultConfig().PropagationDelay, signal.AxisX, signal.AxisY, signal.AxisZ)
+	}
+	s0 := lzFirstStep
+	toward := func(r *lazyRig, kill signal.Tick) {
+		startExport(r)
+		r.moveDir(signal.High, s0+500*us, s0+3*ms, kill, map[signal.Axis][]sim.Time{signal.AxisX: pulses(s0+ms, 20)})
+	}
+	edges := switchEdges(t, build, func(r *lazyRig) { toward(r, signal.Tick{}) })
+	if len(edges) != 5 {
+		t.Fatalf("X MIN edges at %v: want the homing taps and a press", edges)
+	}
+	// The kill lands after the RAMPS-side press, before its Arduino
+	// copy: the board holds the copy, and Halt must hand it to the
+	// engine. A probe added after the kill sees it fire on time.
+	k := edges[4] + d/2
+	type seen struct{ at, now sim.Time }
+	var states [2]lazyState
+	var got [2][]seen
+	for i, eager := range []bool{false, true} {
+		r := build(eager)
+		toward(r, r.killAt(k-2*ms, ms, 2))
+		r.e.Schedule(k+1, func() {
+			r.ard.MinEndstop(signal.AxisX).Watch(func(at sim.Time, _ signal.Level) {
+				got[i] = append(got[i], seen{at, r.e.Now()})
+			})
+		})
+		if err := r.e.Run(lzUntil); err != nil {
+			t.Fatal(err)
+		}
+		if !eager && r.accepted != 1 {
+			t.Fatalf("lazy rig accepted %d trains, want 1", r.accepted)
+		}
+		states[i] = r.state()
+	}
+	if want := []seen{{edges[4] + d, edges[4] + d}}; !reflect.DeepEqual(got[0], want) {
+		t.Errorf("Arduino X MIN after the kill: lazy rig saw %v, want %v", got[0], want)
+	}
+	if !reflect.DeepEqual(got[0], got[1]) || !reflect.DeepEqual(states[0], states[1]) {
+		t.Errorf("lazy and eager runs differ:\nlazy  %+v %+v\neager %+v %+v", got[0], states[0], got[1], states[1])
 	}
 }

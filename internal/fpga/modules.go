@@ -163,6 +163,10 @@ const (
 // Homing is the synchronization anchor of the whole monitoring design:
 // step counters reset here, and capture export begins at the first STEP
 // edge after it.
+//
+// The detector attaches to each MIN line as a signal.Sink that is quiet
+// once homed: from then on a press changes nothing, so a lazy step
+// train may cross a switch. Before that, a crossing runs eagerly.
 type HomingDetector struct {
 	axes    []signal.Axis
 	phase   map[signal.Axis]homingPhase
@@ -180,15 +184,26 @@ func NewHomingDetector(bus *signal.Bus) *HomingDetector {
 		phase: make(map[signal.Axis]homingPhase, 3),
 	}
 	for _, a := range d.axes {
-		a := a
-		bus.MinEndstop(a).Watch(func(at sim.Time, level signal.Level) {
-			if level == signal.High {
-				d.press(a, at)
-			}
-		})
+		bus.MinEndstop(a).Attach(homingSink{d, a})
 	}
 	return d
 }
+
+// homingSink is a HomingDetector's listener on one axis's MIN line.
+type homingSink struct {
+	d *HomingDetector
+	a signal.Axis
+}
+
+// Edge advances the state machine on a press.
+func (s homingSink) Edge(at sim.Time, level signal.Level) {
+	if level == signal.High {
+		s.d.press(s.a, at)
+	}
+}
+
+// Quiet implements signal.Quieter: after homing a press is ignored.
+func (s homingSink) Quiet() bool { return s.d.homed }
 
 // press advances the state machine on an endstop closure.
 func (d *HomingDetector) press(a signal.Axis, at sim.Time) {

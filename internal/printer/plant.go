@@ -170,8 +170,9 @@ func NewPlant(engine *sim.Engine, bus *signal.Bus, cfg Config) (*Plant, error) {
 		a := a
 		d, err := ramps.NewDriver(bus, a, ramps.MicrostepSixteenth, func(at sim.Time, delta int) {
 			p.onStep(a, at, delta)
-		}, func(n int, negative bool) bool {
-			return p.quiet(a, n, negative)
+		}, func() bool {
+			es := p.endstops[a]
+			return es == nil || es.Quiet()
 		})
 		if err != nil {
 			return nil, err
@@ -180,7 +181,7 @@ func NewPlant(engine *sim.Engine, bus *signal.Bus, cfg Config) (*Plant, error) {
 	}
 	for _, a := range []signal.Axis{signal.AxisX, signal.AxisY, signal.AxisZ} {
 		p.endstops[a] = ramps.NewEndstop(bus, a)
-		p.refreshEndstop(a)
+		p.refreshEndstop(a, engine.Now())
 	}
 
 	p.hotendMosfet = ramps.NewMosfet(bus, signal.PinHotend)
@@ -198,8 +199,10 @@ func NewPlant(engine *sim.Engine, bus *signal.Bus, cfg Config) (*Plant, error) {
 	return p, nil
 }
 
-// onStep applies one microstep to an axis and runs deposition.
-func (p *Plant) onStep(a signal.Axis, _ sim.Time, delta int) {
+// onStep applies one microstep to an axis and runs deposition. at is
+// the step's own time, which lies before Now when a lazy step train
+// applies it late.
+func (p *Plant) onStep(a signal.Axis, at sim.Time, delta int) {
 	st := p.axes[a]
 	moved := float64(delta) / st.stepsPerMM
 	next := st.posMM + moved
@@ -216,7 +219,7 @@ func (p *Plant) onStep(a signal.Axis, _ sim.Time, delta int) {
 	if a == signal.AxisE {
 		p.deposit(moved)
 	}
-	p.refreshEndstop(a)
+	p.refreshEndstop(a, at)
 }
 
 // deposit handles extruder motion: retraction builds debt, forward motion
@@ -245,24 +248,6 @@ func (p *Plant) deposit(filament float64) {
 	})
 }
 
-// quiet reports whether n more steps of axis a in the given direction
-// leave its MIN switch as it is, so onStep drives no line while they
-// run. Position moves monotonically through such a batch; the slack
-// dwarfs float drift, so a batch ending within it of the switch counts
-// as a crossing.
-func (p *Plant) quiet(a signal.Axis, n int, negative bool) bool {
-	if p.endstops[a] == nil {
-		return true
-	}
-	const slack = 1e-6 // mm
-	pos := p.axes[a].posMM
-	span := float64(n) / p.axes[a].stepsPerMM
-	if negative {
-		return pos <= 0 || pos-span > slack
-	}
-	return pos > 0 || pos+span < -slack
-}
-
 // sync applies every step a lazy train has deferred up to Now, so a
 // reader between engine events sees current state.
 func (p *Plant) sync() {
@@ -280,13 +265,14 @@ func (p *Plant) axis(a signal.Axis) *axisState {
 	return p.axes[a]
 }
 
-// refreshEndstop drives the axis's MIN switch from the carriage position.
-func (p *Plant) refreshEndstop(a signal.Axis) {
+// refreshEndstop drives the axis's MIN switch from the carriage
+// position, as of time at.
+func (p *Plant) refreshEndstop(a signal.Axis, at sim.Time) {
 	es := p.endstops[a]
 	if es == nil {
 		return
 	}
-	es.SetPressed(p.axes[a].posMM <= 0)
+	es.SetAt(at, p.axes[a].posMM <= 0)
 }
 
 // thermalTick integrates both heater bodies and refreshes the thermistor

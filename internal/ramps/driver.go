@@ -70,8 +70,8 @@ type Driver struct {
 	stepsSeen  uint64
 	stepsTaken uint64
 
-	// quiet, when set, vouches that the handler drives no line for a
-	// batch of steps (see NewDriver).
+	// quiet, when set, vouches that whatever lines the handler drives
+	// may change late (see NewDriver).
 	quiet QuietFunc
 }
 
@@ -99,19 +99,21 @@ func (s *driverSink) Edge(at sim.Time, level signal.Level) {
 
 // Quiet implements signal.Quieter: a driver is quiet only when its
 // handler's owner says so through the QuietFunc given to NewDriver.
-func (s *driverSink) Quiet(n int, negative bool) bool {
-	return s.quiet != nil && s.quiet(n, negative)
+func (s *driverSink) Quiet() bool {
+	return s.quiet != nil && s.quiet()
 }
 
-// QuietFunc reports whether n more steps in the given direction
-// (negative = DIR High) leave every line but STEP untouched by a
-// driver's handler.
-type QuietFunc func(n int, negative bool) bool
+// QuietFunc reports whether every line a driver's handler may drive
+// carries only quiet listeners (signal.Line.Quiet), so the handler's
+// steps, and the edges they cause, may be applied late with their true
+// timestamps. The plant's handler drives only the axis's MIN endstop.
+type QuietFunc func() bool
 
 // NewDriver attaches a driver to the axis's pins on bus. handler receives
-// the microsteps; it must be non-nil. quiet, when non-nil, is the
-// handler owner's QuietFunc: only a quiet driver lets its STEP line
-// carry a lazy step train, so without it the driver never does.
+// the microsteps; it must be non-nil, and it drives any line with the
+// step's own timestamp, never Now. quiet, when non-nil, is the handler
+// owner's QuietFunc: only a quiet driver lets its STEP line carry a lazy
+// step train, so without it the driver never does.
 func NewDriver(bus *signal.Bus, axis signal.Axis, microstep Microstep, handler StepHandler, quiet QuietFunc) (*Driver, error) {
 	if handler == nil {
 		return nil, fmt.Errorf("ramps: driver for %v needs a step handler", axis)

@@ -25,9 +25,13 @@ func NewMosfet(bus *signal.Bus, pin string) *Mosfet {
 func (m *Mosfet) On() bool { return m.line.Level() == signal.High }
 
 // Endstop models a mechanical limit switch wired to a MIN endstop input.
-// The plant calls SetPressed as the carriage enters/leaves the switch
-// travel; the switch drives the feedback line toward the Arduino (and the
-// FPGA, which snoops it for homing detection).
+// The plant calls SetAt as the carriage enters/leaves the switch travel,
+// with the time of the step that moved it; the switch drives the
+// feedback line toward the Arduino (and the FPGA, which snoops it for
+// homing detection). That step may be one a lazy step train applies
+// late, so the edge carries the step's timestamp, not Now, and a switch
+// whose line carries only quiet listeners (Quiet) lets the train run
+// lazily through a crossing.
 //
 // Polarity: pressed = High, matching the paper's added mechanical
 // endstops in their normally-open wiring.
@@ -41,21 +45,27 @@ func NewEndstop(bus *signal.Bus, axis signal.Axis) *Endstop {
 	return &Endstop{line: bus.MinEndstop(axis)}
 }
 
-// SetPressed drives the switch state onto the line.
-func (e *Endstop) SetPressed(pressed bool) {
+// SetAt drives the switch state onto the line as of time at.
+func (e *Endstop) SetAt(at sim.Time, pressed bool) {
 	if pressed == e.pressed {
 		return
 	}
 	e.pressed = pressed
 	if pressed {
-		e.line.Set(signal.High)
+		e.line.SetAt(at, signal.High)
 	} else {
-		e.line.Set(signal.Low)
+		e.line.SetAt(at, signal.Low)
 	}
 }
 
 // Pressed reports the current switch state.
-func (e *Endstop) Pressed() bool { return e.pressed }
+func (e *Endstop) Pressed() bool {
+	e.line.Sync()
+	return e.pressed
+}
+
+// Quiet reports whether the switch's line carries only quiet listeners.
+func (e *Endstop) Quiet() bool { return e.line.Quiet() }
 
 // DutyMeter estimates the recent duty cycle of a PWM line with an
 // exponentially-weighted moving average. The plant uses one on the fan

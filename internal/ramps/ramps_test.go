@@ -198,15 +198,15 @@ func TestEndstop(t *testing.T) {
 	if es.Pressed() || bus.MinEndstop(signal.AxisZ).Level() != signal.Low {
 		t.Error("endstop pressed at reset")
 	}
-	es.SetPressed(true)
-	es.SetPressed(true) // idempotent
+	es.SetAt(e.Now(), true)
+	es.SetAt(e.Now(), true) // idempotent
 	if bus.MinEndstop(signal.AxisZ).Level() != signal.High {
 		t.Error("endstop line not driven high")
 	}
 	if bus.MinEndstop(signal.AxisZ).Edges() != 1 {
 		t.Errorf("endstop produced %d edges, want 1", bus.MinEndstop(signal.AxisZ).Edges())
 	}
-	es.SetPressed(false)
+	es.SetAt(e.Now(), false)
 	if bus.MinEndstop(signal.AxisZ).Level() != signal.Low {
 		t.Error("endstop line not released")
 	}

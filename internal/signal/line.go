@@ -74,17 +74,17 @@ type Sink interface {
 	Edge(at sim.Time, level Level)
 }
 
-// Quieter is an optional Sink extension: Quiet reports whether n more
-// rising edges, with the consumer's direction input at negative, leave
-// every other line untouched. A sink that does not implement it is
-// quiet by contract; a Watch listener is never quiet.
+// Quieter is an optional Sink extension: Quiet reports whether the
+// sink's reactions to the line's edges may be applied late, with their
+// true timestamps, by the line's Deferrer. A sink that does not
+// implement it is quiet by contract; a Watch listener is never quiet.
 type Quieter interface {
-	Quiet(n int, negative bool) bool
+	Quiet() bool
 }
 
 // Deferrer applies the edges it holds back for a line, up to the
 // current simulation time. The FPGA board installs one on every STEP
-// line it carries lazily.
+// and MIN endstop line it carries lazily.
 type Deferrer interface {
 	Sync()
 }
@@ -132,11 +132,11 @@ func (l *Line) Sync() {
 	}
 }
 
-// Quiet reports whether every listener of the line is quiet for n more
-// rising edges in the given direction (see Quieter).
-func (l *Line) Quiet(n int, negative bool) bool {
+// Quiet reports whether every listener of the line is quiet (see
+// Quieter).
+func (l *Line) Quiet() bool {
 	for _, s := range l.listeners {
-		if q, ok := s.(Quieter); ok && !q.Quiet(n, negative) {
+		if q, ok := s.(Quieter); ok && !q.Quiet() {
 			return false
 		}
 	}
@@ -170,7 +170,7 @@ type watchFunc Listener
 
 func (f watchFunc) Edge(at sim.Time, level Level) { f(at, level) }
 
-func (watchFunc) Quiet(int, bool) bool { return false }
+func (watchFunc) Quiet() bool { return false }
 
 // Set drives the line to level at the current simulation time. Setting the
 // line to its current level is a no-op (no edge, no listener calls),

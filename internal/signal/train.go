@@ -15,11 +15,10 @@ type Rises interface {
 // hands a move's trains to the bus's TrainSink instead of scheduling
 // the edges, so a clean MITM path applies them without engine events.
 type Train struct {
-	Axis     Axis
-	Rises    Rises
-	N        int
-	Width    sim.Time
-	Negative bool // DIR is High (toward MIN) for the whole train
+	Axis  Axis
+	Rises Rises
+	N     int
+	Width sim.Time
 	// Issued is the instant the move was planned: pulse 0's scheduling
 	// instant, and the tie-breaker behind every later one.
 	Issued sim.Time

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"offramps/internal/flaw3d"
 	"offramps/internal/fpga"
 	"offramps/internal/gcode"
 	"offramps/internal/signal"
@@ -163,10 +164,11 @@ func TestLazyStepsMatchEagerMoves(t *testing.T) {
 	}
 }
 
-// mixedMoves puts an axis that must run eagerly beside E in one move:
-// X0 crosses the X switch mid-train, and a probe on the X STEP line
-// alone keeps X eager in every move. E steps deposit at the current
-// XYZ, so the board must run the whole move eagerly, E included.
+// mixedMoves puts X beside E in one move, with X0 crossing the X
+// switch mid-train. E steps deposit at the current XYZ, so X and E run
+// lazily together, the crossing replayed; and a probe on the X STEP
+// line alone keeps X eager in every move, so the board must run the
+// whole move eagerly, E included.
 const mixedMoves = `G28
 G1 X10 Y10 Z1 F3000
 G92 E0
@@ -294,5 +296,46 @@ func TestLazyStepsReadsBetweenRuns(t *testing.T) {
 	lazy, eager := readAll(false), readAll(true)
 	if !reflect.DeepEqual(lazy, eager) {
 		t.Errorf("readings between Run chunks differ (lazy %d chunks, eager %d)", len(lazy), len(eager))
+	}
+}
+
+// TestRelocationPrintStaysLazy pins the lazy path through endstop
+// crossings: every dump trip of a Flaw3D relocation print presses and
+// releases the Y MIN switch, and those moves must still leave the
+// queue. Table II case 5 (a dump every 5 moves) must execute fewer
+// than 1.2× the golden print's events; run eagerly it executes ≈33×.
+func TestRelocationPrintStaysLazy(t *testing.T) {
+	golden, err := TestPart()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reloc, err := flaw3d.TableII()[4].Apply(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(prog gcode.Program) (events, yPresses uint64) {
+		tb, err := NewTestbed(WithSeed(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := tb.Run(context.Background(), prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Completed {
+			t.Fatal(res.HaltError)
+		}
+		return tb.Engine.Executed(), tb.RAMPS.MinEndstop(signal.AxisY).Edges() / 2
+	}
+	goldenEvents, goldenPresses := run(golden)
+	relocEvents, relocPresses := run(reloc)
+	// Each dump replaces one move with three.
+	dumps := uint64(len(reloc)-len(golden)) / 2
+	if dumps == 0 || relocPresses != goldenPresses+dumps {
+		t.Fatalf("Y switch pressed %d times in the relocation print against %d in the golden, want one more per dump (%d): the dump trips no longer cross it", relocPresses, goldenPresses, dumps)
+	}
+	if float64(relocEvents) >= 1.2*float64(goldenEvents) {
+		t.Errorf("relocation print executed %d events against the golden's %d (%.1f×), want under 1.2×",
+			relocEvents, goldenEvents, float64(relocEvents)/float64(goldenEvents))
 	}
 }
