@@ -1,8 +1,10 @@
 package offramps
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -292,6 +294,42 @@ func BenchmarkMonitorObserve(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(observed)/float64(b.N), "tx/op")
+}
+
+// BenchmarkStitchReport measures the merge's stitch step alone: the
+// Table II grid's rows, recorded once as the -jsonl stream a sweep
+// writes and read back through the resume index before the timer
+// starts, reassembled into the canonical report.
+func BenchmarkStitchReport(b *testing.B) {
+	suite, err := LoadSuiteOrGrid(filepath.Join("examples", "specs", "grid_tableii.json"), false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var stream bytes.Buffer
+	sink := NewJSONLSink(&stream)
+	sink.Label = suite.Name
+	rep, err := Campaign{Sinks: []ResultSink{sink}}.RunSuite(context.Background(), suite)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range rep.Comparisons {
+		if err := sink.EmitCompare(c); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ix, err := ReadResumeIndex(&stream, suite.Name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		raw, err := StitchReport(suite, ix.Scenarios, ix.Compares)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(len(raw.Results)+len(raw.Comparisons)), "rows/op")
+	}
 }
 
 // BenchmarkDetectorThroughput measures the pure detection algorithm on a

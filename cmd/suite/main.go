@@ -11,8 +11,7 @@
 //	suite -workers 4 -json report.json -csv rows.csv specs/*.json
 //	suite -seed 99 spec.json        # override the spec's base seed
 //	suite -grid grid.json           # expand a parameter-grid sweep first
-//	suite -grid -shard 2/4 -json shard2.json grid.json
-//	suite -grid -merge -json merged.json grid.json shard*.json
+//	suite -grid -shard 2/4 -jsonl shard2.jsonl grid.json
 //	suite -grid -merge -json merged.json grid.json shard*.jsonl
 //	suite -jsonl results.jsonl -progress big_sweep.json
 //	suite -golden-store .goldens spec.json  # reuse golden prints across runs
@@ -32,12 +31,15 @@
 // A grid file (-grid) is a compact sweep description — axes of programs,
 // trojans, detectors, taps, budgets, and seeds, cross-multiplied minus
 // include/exclude filters — expanded deterministically into a suite (see
-// cmd/gridgen to materialize the expansion). -shard i/N runs a disjoint,
-// stable slice of any suite: each scenario's shard is a hash of its
-// name, so CI matrices and remote runners can split a sweep and -merge
-// reassembles the per-shard JSON reports into one report byte-identical
-// to the unsharded run. -jsonl and -progress stream per-scenario rows as
-// prints complete, keeping memory bounded on huge sweeps.
+// cmd/gridgen to materialize the expansion). -shard i/N runs a stable
+// slice of any suite: each scenario's shard is a hash of its name, and
+// the slice also runs the golden scenarios its own scenarios need. A
+// shard writes every row it ran to its -jsonl stream, so CI matrices
+// and remote runners can split a sweep and -merge folds the streams
+// (first copy of a row wins; a repeat whose bytes differ is an error)
+// into one report byte-identical to the unsharded run. -jsonl and
+// -progress stream per-scenario rows as prints complete, keeping memory
+// bounded on huge sweeps.
 //
 // See examples/specs/ for committed spec files, including the RAMPS-side
 // tap scenario that detects a board-injected trojan the paper's
@@ -78,8 +80,8 @@ func run(args []string, stdout io.Writer) error {
 		jsonOut  = fs.String("json", "", "write the suite reports as JSON to `file` (\"-\" = stdout)")
 		csvOut   = fs.String("csv", "", "write per-scenario and per-comparison rows as CSV to `file` (\"-\" = stdout)")
 		grid     = fs.Bool("grid", false, "treat the spec files as parameter-grid sweeps and expand them first (grid_*.json files auto-detect)")
-		shard    = fs.String("shard", "", "run only shard `i/N` of each suite (stable per-scenario slices; merge with -merge)")
-		merge    = fs.Bool("merge", false, "merge shard outputs: first arg is the spec/grid file, the rest are per-shard -json reports or -jsonl streams")
+		shard    = fs.String("shard", "", "run only shard `i/N` of each suite (stable per-scenario slices; stream with -jsonl, merge with -merge)")
+		merge    = fs.Bool("merge", false, "merge shard streams: first arg is the spec/grid file, the rest are -jsonl streams or farm journals")
 		jsonlOut = fs.String("jsonl", "", "stream one JSON line per completed scenario to `file` (\"-\" = stdout)")
 		progress = fs.Bool("progress", false, "print a progress line as each scenario completes")
 		storeDir = fs.String("golden-store", "", "persist golden runs in `dir` across invocations (misses fill it; corrupt entries re-simulate)")
@@ -110,12 +112,15 @@ func run(args []string, stdout io.Writer) error {
 			return fmt.Errorf("-merge and -shard are mutually exclusive")
 		}
 		if *csvOut != "" || *jsonlOut != "" || *progress {
-			return fmt.Errorf("-csv, -jsonl, and -progress are not supported with -merge (it stitches existing -json reports)")
+			return fmt.Errorf("-csv, -jsonl, and -progress are not supported with -merge (it stitches existing -jsonl streams)")
 		}
 		return runMerge(*grid, *seed, paths, *jsonOut, stdout)
 	}
 	var shardIdx, shardCnt int
 	if *shard != "" {
+		if *jsonOut != "" || *csvOut != "" {
+			return fmt.Errorf("-json and -csv are not supported with -shard (it writes -jsonl streams for -merge)")
+		}
 		var err error
 		if shardIdx, shardCnt, err = offramps.ParseShard(*shard); err != nil {
 			return err
@@ -162,12 +167,10 @@ func run(args []string, stdout io.Writer) error {
 			spec.BaseSeed = *seed
 		}
 		runSpec := spec
-		var sh *offramps.SuiteShard
 		if *shard != "" {
-			if sh, err = spec.Shard(shardIdx, shardCnt); err != nil {
+			if runSpec, err = spec.Shard(shardIdx, shardCnt); err != nil {
 				return fmt.Errorf("%s: %w", path, err)
 			}
-			runSpec = sh.Spec
 		}
 
 		c := offramps.Campaign{Cache: cache}
@@ -180,14 +183,10 @@ func run(args []string, stdout io.Writer) error {
 		var perSuite []offramps.ResultSink
 		if jsonl != nil {
 			jsonl.Label = spec.Name
-			c.Sinks = append(c.Sinks, ownedOnly(sh, jsonl))
+			c.Sinks = append(c.Sinks, jsonl)
 		}
 		if *progress {
-			total := len(runSpec.Scenarios)
-			if sh != nil {
-				total = len(sh.Owned)
-			}
-			ps := ownedOnly(sh, &offramps.ProgressSink{W: stdout, Total: total, Cache: cache})
+			ps := &offramps.ProgressSink{W: stdout, Total: len(runSpec.Scenarios), Cache: cache}
 			c.Sinks = append(c.Sinks, ps)
 			perSuite = append(perSuite, ps)
 		}
@@ -220,17 +219,17 @@ func run(args []string, stdout io.Writer) error {
 				sinkFailure = fmt.Errorf("%s: result sink: %w", path, cerr)
 			}
 		}
-		if sh != nil {
-			// Helper goldens ran for the shard's compares but belong to
-			// another shard's report.
-			rep = sh.Filter(rep)
-			fmt.Fprintf(stdout, "shard %d/%d of %s: %d of %d scenarios\n",
+		if *shard != "" {
+			// The count includes helper goldens owned by other shards;
+			// their rows repeat byte for byte across streams.
+			fmt.Fprintf(stdout, "shard %d/%d of %s: ran %d of %d scenarios\n",
 				shardIdx, shardCnt, spec.Name, len(rep.Results), len(spec.Scenarios))
 		}
 		if jsonl != nil {
 			// Comparison rows ride the stream too (after the suite's
 			// scenario rows), so a -jsonl stream alone carries everything
-			// -merge needs to stitch the full report.
+			// -merge needs to stitch the full report. A shard's are the
+			// ones its owned scenarios draw as suspect.
 			for _, cmp := range rep.Comparisons {
 				if cerr := jsonl.EmitCompare(cmp); cerr != nil && sinkFailure == nil {
 					sinkFailure = fmt.Errorf("jsonl: %w", cerr)
@@ -287,31 +286,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	return sinkFailure
 }
-
-// ownedOnly filters streamed rows to the shard's owned scenarios:
-// helper goldens execute in every shard that needs them, but across a
-// sharded sweep's concatenated -jsonl streams each scenario must appear
-// exactly once, matching the merged -json report.
-func ownedOnly(sh *offramps.SuiteShard, inner offramps.ResultSink) offramps.ResultSink {
-	if sh == nil {
-		return inner
-	}
-	return &ownedSink{sh: sh, inner: inner}
-}
-
-type ownedSink struct {
-	sh    *offramps.SuiteShard
-	inner offramps.ResultSink
-}
-
-func (s *ownedSink) Emit(r offramps.ScenarioResult) error {
-	if !s.sh.Owned[r.Name] {
-		return nil
-	}
-	return s.inner.Emit(r)
-}
-
-func (s *ownedSink) Close() error { return s.inner.Close() }
 
 // loadSuite reads a suite spec — or a grid spec expanded into one. -grid
 // forces grid interpretation; without it, the committed grid_*.json

@@ -213,10 +213,37 @@ func TestGridTableIIExampleSpec(t *testing.T) {
 	}
 }
 
+// runShards runs spec as count hash-keyed shards, each streaming to
+// shardN.jsonl in dir, and returns the stream paths.
+func runShards(t *testing.T, dir string, count int, args ...string) []string {
+	t.Helper()
+	var streams []string
+	for i := 1; i <= count; i++ {
+		stream := filepath.Join(dir, fmt.Sprintf("shard%d.jsonl", i))
+		shardArgs := append([]string{"-shard", fmt.Sprintf("%d/%d", i, count), "-jsonl", stream}, args...)
+		var out strings.Builder
+		if err := run(shardArgs, &out); err != nil {
+			t.Fatalf("shard %d: %v", i, err)
+		}
+		streams = append(streams, stream)
+	}
+	return streams
+}
+
+// readFile returns a file's bytes or fails the test.
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 // TestShardMergeByteIdentical is the sharding acceptance test: for base
 // seeds 1 and 7, running the grid as four hash-keyed shards and merging
-// the per-shard JSON reports yields a file byte-identical to the
-// unsharded run's.
+// their -jsonl streams yields a file byte-identical to the unsharded
+// run's.
 func TestShardMergeByteIdentical(t *testing.T) {
 	grid := filepath.Join("testdata", "grid_shard.json")
 	for _, seed := range []string{"1", "7"} {
@@ -228,27 +255,14 @@ func TestShardMergeByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			const shards = 4
-			mergeArgs := []string{"-grid", "-merge", "-seed", seed, "-json", filepath.Join(dir, "merged.json"), grid}
-			for i := 1; i <= shards; i++ {
-				shardOut := filepath.Join(dir, fmt.Sprintf("shard%d.json", i))
-				if err := run([]string{"-grid", "-seed", seed, "-shard", fmt.Sprintf("%d/%d", i, shards), "-json", shardOut, grid}, &out); err != nil {
-					t.Fatalf("shard %d: %v", i, err)
-				}
-				mergeArgs = append(mergeArgs, shardOut)
-			}
+			streams := runShards(t, dir, 4, "-grid", "-seed", seed, grid)
+			merged := filepath.Join(dir, "merged.json")
+			mergeArgs := append([]string{"-grid", "-merge", "-seed", seed, "-json", merged, grid}, streams...)
 			if err := run(mergeArgs, &out); err != nil {
 				t.Fatalf("merge: %v", err)
 			}
 
-			want, err := os.ReadFile(full)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := os.ReadFile(filepath.Join(dir, "merged.json"))
-			if err != nil {
-				t.Fatal(err)
-			}
+			want, got := readFile(t, full), readFile(t, merged)
 			if !bytes.Equal(got, want) {
 				t.Errorf("merged report is not byte-identical to the unsharded run\nunsharded: %d bytes\nmerged:    %d bytes", len(want), len(got))
 			}
@@ -256,9 +270,10 @@ func TestShardMergeByteIdentical(t *testing.T) {
 	}
 }
 
-// TestMergeFromJSONLStreams: -merge stitches per-shard -jsonl streams —
-// no -json intermediate — into the same bytes as the unsharded run, and
-// mixed inputs (one shard as a report, one as a stream) merge too.
+// TestMergeFromJSONLStreams: -merge stitches per-shard -jsonl streams
+// into the same bytes as the unsharded run, whether they arrive as
+// separate files or as one concatenated stream (whose repeated helper
+// rows the resume index drops first-wins).
 func TestMergeFromJSONLStreams(t *testing.T) {
 	grid := filepath.Join("testdata", "grid_shard.json")
 	dir := t.TempDir()
@@ -267,62 +282,68 @@ func TestMergeFromJSONLStreams(t *testing.T) {
 	if err := run([]string{"-grid", "-json", full, grid}, &out); err != nil {
 		t.Fatal(err)
 	}
-	want, err := os.ReadFile(full)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := readFile(t, full)
 
-	for i := 1; i <= 2; i++ {
-		if err := run([]string{"-grid", "-shard", fmt.Sprintf("%d/2", i),
-			"-jsonl", filepath.Join(dir, fmt.Sprintf("shard%d.jsonl", i)),
-			"-json", filepath.Join(dir, fmt.Sprintf("shard%d.json", i)), grid}, &out); err != nil {
-			t.Fatalf("shard %d: %v", i, err)
-		}
-	}
-
+	streams := runShards(t, dir, 2, "-grid", grid)
 	merged := filepath.Join(dir, "merged.json")
-	if err := run([]string{"-grid", "-merge", "-json", merged, grid,
-		filepath.Join(dir, "shard1.jsonl"), filepath.Join(dir, "shard2.jsonl")}, &out); err != nil {
+	if err := run(append([]string{"-grid", "-merge", "-json", merged, grid}, streams...), &out); err != nil {
 		t.Fatalf("stream merge: %v", err)
 	}
-	got, err := os.ReadFile(merged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
+	if !bytes.Equal(readFile(t, merged), want) {
 		t.Error("stream-merged report is not byte-identical to the unsharded run")
 	}
 
-	if err := run([]string{"-grid", "-merge", "-json", merged, grid,
-		filepath.Join(dir, "shard1.json"), filepath.Join(dir, "shard2.jsonl")}, &out); err != nil {
-		t.Fatalf("mixed merge: %v", err)
-	}
-	if got, err = os.ReadFile(merged); err != nil {
+	all := filepath.Join(dir, "all.jsonl")
+	if err := os.WriteFile(all, append(readFile(t, streams[0]), readFile(t, streams[1])...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Error("mixed-input merge is not byte-identical to the unsharded run")
+	if err := run([]string{"-grid", "-merge", "-json", merged, grid, all}, &out); err != nil {
+		t.Fatalf("concatenated merge: %v", err)
+	}
+	if !bytes.Equal(readFile(t, merged), want) {
+		t.Error("concatenated-stream merge is not byte-identical to the unsharded run")
 	}
 }
 
 // TestMergeDetectsCoverageGap: merging fewer shards than the sweep needs
-// must fail loudly, not emit a silently incomplete report.
+// must fail loudly, not emit a silently incomplete report, and so must
+// two streams that disagree on a row.
 func TestMergeDetectsCoverageGap(t *testing.T) {
 	grid := filepath.Join("testdata", "grid_shard.json")
 	dir := t.TempDir()
+	merged := filepath.Join(dir, "merged.json")
+	shard1 := runShards(t, dir, 4, "-grid", grid)[0]
 	var out strings.Builder
-	shard1 := filepath.Join(dir, "shard1.json")
-	if err := run([]string{"-grid", "-shard", "1/4", "-json", shard1, grid}, &out); err != nil {
-		t.Fatal(err)
-	}
-	err := run([]string{"-grid", "-merge", "-json", filepath.Join(dir, "merged.json"), grid, shard1}, &out)
+	err := run([]string{"-grid", "-merge", "-json", merged, grid, shard1}, &out)
 	if err == nil || !strings.Contains(err.Error(), "coverage gap") {
 		t.Errorf("partial merge accepted: %v", err)
 	}
-	// Merging the same shard twice is an overlap, not coverage.
-	err = run([]string{"-grid", "-merge", "-json", filepath.Join(dir, "merged.json"), grid, shard1, shard1}, &out)
-	if err == nil || !strings.Contains(err.Error(), "more than one shard") {
-		t.Errorf("overlapping merge accepted: %v", err)
+	// The same stream twice repeats every row byte for byte: the first
+	// copy wins and the gap is still a gap.
+	err = run([]string{"-grid", "-merge", "-json", merged, grid, shard1, shard1}, &out)
+	if err == nil || !strings.Contains(err.Error(), "coverage gap") {
+		t.Errorf("doubled partial merge accepted: %v", err)
+	}
+
+	// A second stream whose copy of the golden row has edited bytes.
+	data := readFile(t, shard1)
+	var edited []string
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		if strings.Contains(line, `"name":"golden"`) {
+			line = strings.Replace(line, `"Completed":true`, `"Completed":false`, 1)
+		}
+		edited = append(edited, line)
+	}
+	tampered := filepath.Join(dir, "tampered.jsonl")
+	if err := os.WriteFile(tampered, []byte(strings.Join(edited, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(readFile(t, tampered), data) {
+		t.Fatal("edit did not change the stream")
+	}
+	err = run([]string{"-grid", "-merge", "-json", merged, grid, shard1, tampered}, &out)
+	if err == nil || !strings.Contains(err.Error(), `scenario "golden" differs`) {
+		t.Errorf("conflicting rows merged: %v", err)
 	}
 }
 
@@ -332,63 +353,74 @@ func TestShardFlagValidation(t *testing.T) {
 	if err := run([]string{"-shard", "9/4", filepath.Join("testdata", "grid_shard.json")}, &out); err == nil {
 		t.Error("out-of-range shard accepted")
 	}
-	if err := run([]string{"-shard", "1/4", "-merge", "x.json", "y.json"}, &out); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
+	if err := run([]string{"-shard", "1/4", "-merge", "x.json", "y.jsonl"}, &out); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
 		t.Errorf("-shard with -merge accepted: %v", err)
 	}
-	if err := run([]string{"-merge", "onlyspec.json"}, &out); err == nil {
-		t.Error("merge without shard reports accepted")
+	for _, flag := range []string{"-json", "-csv"} {
+		if err := run([]string{"-shard", "1/4", flag, "out", "x.json"}, &out); err == nil || !strings.Contains(err.Error(), "not supported with -shard") {
+			t.Errorf("-shard with %s accepted: %v", flag, err)
+		}
 	}
-	if err := run([]string{"-merge", "-csv", "rows.csv", "x.json", "y.json"}, &out); err == nil || !strings.Contains(err.Error(), "not supported with -merge") {
+	if err := run([]string{"-merge", "onlyspec.json"}, &out); err == nil {
+		t.Error("merge without shard streams accepted")
+	}
+	if err := run([]string{"-merge", "-csv", "rows.csv", "x.json", "y.jsonl"}, &out); err == nil || !strings.Contains(err.Error(), "not supported with -merge") {
 		t.Errorf("-merge with -csv accepted: %v", err)
 	}
-	if err := run([]string{"-merge", "-progress", "x.json", "y.json"}, &out); err == nil || !strings.Contains(err.Error(), "not supported with -merge") {
+	if err := run([]string{"-merge", "-progress", "x.json", "y.jsonl"}, &out); err == nil || !strings.Contains(err.Error(), "not supported with -merge") {
 		t.Errorf("-merge with -progress accepted: %v", err)
 	}
 }
 
-// TestShardedJSONLStreamsOwnedOnly: helper goldens execute in several
-// shards, but the concatenated per-shard JSONL streams must carry each
-// scenario — and each comparison — exactly once, matching the merged
-// report.
-func TestShardedJSONLStreamsOwnedOnly(t *testing.T) {
+// TestShardedJSONLStreamsCoverSuite: each shard streams every row it ran,
+// helper goldens included, so the concatenated streams cover every
+// scenario and comparison of the suite, and every row that repeats
+// across shards repeats byte for byte.
+func TestShardedJSONLStreamsCoverSuite(t *testing.T) {
 	grid := filepath.Join("testdata", "grid_shard.json")
-	dir := t.TempDir()
-	scenarios := map[string]int{}
-	compares := map[string]int{}
-	for i := 1; i <= 2; i++ {
-		rows := filepath.Join(dir, fmt.Sprintf("rows%d.jsonl", i))
-		var out strings.Builder
-		if err := run([]string{"-grid", "-shard", fmt.Sprintf("%d/2", i), "-jsonl", rows, grid}, &out); err != nil {
-			t.Fatalf("shard %d: %v", i, err)
-		}
-		data, err := os.ReadFile(rows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+	suite, err := offramps.LoadSuiteOrGrid(grid, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string][]byte{}
+	repeats := 0
+	for _, stream := range runShards(t, t.TempDir(), 4, "-grid", grid) {
+		for _, line := range strings.Split(strings.TrimSpace(string(readFile(t, stream))), "\n") {
+			if line == "" {
+				continue // a shard that owns no scenario streams nothing
+			}
 			row, err := offramps.ParseStreamRow([]byte(line))
 			if err != nil {
 				t.Fatalf("bad row %q: %v", line, err)
 			}
-			if row.Name != "" {
-				scenarios[row.Name]++
-			} else {
-				compares[row.Key]++
+			key := row.Name
+			if key == "" {
+				key = "compare " + row.Key
 			}
+			if first, ok := rows[key]; ok {
+				repeats++
+				if !bytes.Equal(first, row.Report) {
+					t.Errorf("%q streamed with different bytes by two shards", key)
+				}
+			}
+			rows[key] = row.Report
 		}
 	}
-	if len(scenarios) != 5 {
-		t.Errorf("distinct scenarios streamed = %d, want 5", len(scenarios))
-	}
-	for name, n := range scenarios {
-		if n != 1 {
-			t.Errorf("scenario %q streamed %d times across shards", name, n)
+	for _, sc := range suite.Scenarios {
+		if _, ok := rows[sc.Name]; !ok {
+			t.Errorf("scenario %q missing from every shard stream", sc.Name)
 		}
 	}
-	for key, n := range compares {
-		if n != 1 {
-			t.Errorf("comparison %q streamed %d times across shards", key, n)
+	for _, c := range suite.Compare {
+		if _, ok := rows["compare "+offramps.CompareKey(c.Golden, c.GoldenTap, c.Suspect, c.SuspectTap)]; !ok {
+			t.Errorf("comparison %s vs %s missing from every shard stream", c.Golden, c.Suspect)
 		}
+	}
+	if len(rows) != len(suite.Scenarios)+len(suite.Compare) {
+		t.Errorf("streams carry %d distinct rows, want %d", len(rows), len(suite.Scenarios)+len(suite.Compare))
+	}
+	if repeats == 0 {
+		t.Error("no helper golden repeated across shards; the test grid no longer exercises the closure")
 	}
 }
 
@@ -404,26 +436,13 @@ func TestMergePerTapComparisons(t *testing.T) {
 	if err := run([]string{"-json", full, spec}, &out); err != nil {
 		t.Fatal(err)
 	}
-	mergeArgs := []string{"-merge", "-json", filepath.Join(dir, "merged.json"), spec}
-	for i := 1; i <= 2; i++ {
-		shardOut := filepath.Join(dir, fmt.Sprintf("shard%d.json", i))
-		if err := run([]string{"-shard", fmt.Sprintf("%d/2", i), "-json", shardOut, spec}, &out); err != nil {
-			t.Fatalf("shard %d: %v", i, err)
-		}
-		mergeArgs = append(mergeArgs, shardOut)
-	}
+	merged := filepath.Join(dir, "merged.json")
+	mergeArgs := append([]string{"-merge", "-json", merged, spec}, runShards(t, dir, 2, spec)...)
 	if err := run(mergeArgs, &out); err != nil {
 		t.Fatalf("merge: %v", err)
 	}
-	want, err := os.ReadFile(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(filepath.Join(dir, "merged.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
+	want := readFile(t, full)
+	if !bytes.Equal(readFile(t, merged), want) {
 		t.Errorf("per-tap merged report differs from the unsharded run")
 	}
 	if !strings.Contains(string(want), `"suspectTap": "ramps"`) {

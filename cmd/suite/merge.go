@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,21 +11,21 @@ import (
 	"offramps"
 )
 
-// Shard merging. Each shard ran a disjoint, hash-keyed slice of one
-// suite and wrote either a normal -json report or a -jsonl stream
-// containing only its owned scenarios and comparisons. The merge
-// re-expands the suite (or grid) to recover the canonical scenario
-// order, stitches the shard rows back into that order (StitchReport),
-// and re-emits through the same JSON encoder the live path uses
-// (EncodeReport) — so the merged report is byte-identical to an
-// unsharded run of the same suite and seeds. Rows are carried as raw
-// JSON: the merge never re-simulates, re-parses floats, or reorders
-// keys. A farm coordinator's journal is a -jsonl stream too, so a
-// half-finished distributed sweep merges the same way once complete.
+// Shard merging. Each shard ran a hash-keyed slice of one suite plus
+// the helper goldens that slice needs, and wrote every row it executed
+// to a -jsonl stream; a farm coordinator's journal is the same kind of
+// stream. The merge re-expands the suite (or grid) to recover the
+// canonical scenario order, folds the streams with the coordinator's
+// rule — first copy of a row wins — stitches the rows back into that
+// order (StitchReport), and re-emits through the same JSON encoder the
+// live path uses (EncodeReport), so the merged report is byte-identical
+// to an unsharded run of the same suite and seeds. Rows are carried as
+// raw JSON: the merge never re-simulates, re-parses floats, or reorders
+// keys.
 
 func runMerge(grid bool, seed uint64, paths []string, jsonOut string, stdout io.Writer) error {
 	if len(paths) < 2 {
-		return fmt.Errorf("-merge needs the spec/grid file followed by at least one shard report or stream")
+		return fmt.Errorf("-merge needs the spec/grid file followed by at least one -jsonl stream")
 	}
 	suite, err := loadSuite(paths[0], grid)
 	if err != nil {
@@ -37,12 +38,7 @@ func runMerge(grid bool, seed uint64, paths []string, jsonOut string, stdout io.
 	results := make(map[string]json.RawMessage)
 	compares := make(map[string]json.RawMessage)
 	for _, p := range paths[1:] {
-		if strings.HasSuffix(p, ".jsonl") {
-			err = mergeStream(p, suite, results, compares, stdout)
-		} else {
-			err = mergeReport(p, suite, results, compares)
-		}
-		if err != nil {
+		if err := mergeStream(p, suite, results, compares, stdout); err != nil {
 			return err
 		}
 	}
@@ -51,7 +47,7 @@ func runMerge(grid bool, seed uint64, paths []string, jsonOut string, stdout io.
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "merged %d shard inputs of suite %s: %d scenarios, %d comparisons\n",
+	fmt.Fprintf(stdout, "merged %d streams of suite %s: %d scenarios, %d comparisons\n",
 		len(paths)-1, suite.Name, len(merged.Results), len(merged.Comparisons))
 	if jsonOut != "" {
 		if err := writeJSONDoc(jsonOut, stdout, offramps.RawReportDoc{Suites: []offramps.RawSuiteReport{*merged}}); err != nil {
@@ -61,22 +57,24 @@ func runMerge(grid bool, seed uint64, paths []string, jsonOut string, stdout io.
 	return merged.FirstError()
 }
 
-// mergeStream folds one -jsonl shard stream (or farm journal) into the
-// row maps. The resume index already drops in-stream duplicate rows
-// (deterministic repeats); across files an overlap is still an error —
-// two shards claiming one scenario means the shard math was wrong.
+// mergeStream folds one -jsonl stream (a shard's or a farm journal)
+// into the row maps. Within a stream the resume index keeps the first
+// copy of a row; across streams a repeat — a helper golden run by
+// several shards, or a shard merged twice — is dropped too, but only if
+// its bytes match: determinism makes every honest repeat identical, so
+// a difference means the streams disagree on a result.
 func mergeStream(path string, suite *offramps.SuiteSpec, results, compares map[string]json.RawMessage, stdout io.Writer) error {
 	f, err := os.Open(path)
 	if err != nil {
-		return fmt.Errorf("shard stream: %w", err)
+		return fmt.Errorf("stream: %w", err)
 	}
 	ix, err := offramps.ReadResumeIndex(f, suite.Name)
 	f.Close()
 	if err != nil {
-		return fmt.Errorf("shard stream %s: %w", path, err)
+		return fmt.Errorf("stream %s: %w", path, err)
 	}
 	if err := ix.Validate(suite); err != nil {
-		return fmt.Errorf("shard stream %s: %w", path, err)
+		return fmt.Errorf("stream %s: %w", path, err)
 	}
 	if ix.Torn {
 		// An interrupted run's tail; the dropped row surfaces as a
@@ -84,66 +82,19 @@ func mergeStream(path string, suite *offramps.SuiteSpec, results, compares map[s
 		fmt.Fprintf(stdout, "note: %s ends in a torn line (dropped)\n", path)
 	}
 	for name, raw := range ix.Scenarios {
-		if _, dup := results[name]; dup {
-			return fmt.Errorf("scenario %q appears in more than one shard input (overlapping shards?)", name)
+		if first, dup := results[name]; !dup {
+			results[name] = raw
+		} else if !bytes.Equal(first, raw) {
+			return fmt.Errorf("stream %s: scenario %q differs from an earlier stream's row", path, name)
 		}
-		results[name] = raw
 	}
 	for key, raw := range ix.Compares {
-		if _, dup := compares[key]; dup {
+		if first, dup := compares[key]; !dup {
+			compares[key] = raw
+		} else if !bytes.Equal(first, raw) {
 			parts := strings.Split(key, "\x00")
-			return fmt.Errorf("comparison %s vs %s appears in more than one shard input", parts[0], parts[2])
+			return fmt.Errorf("stream %s: comparison %s vs %s differs from an earlier stream's row", path, parts[0], parts[2])
 		}
-		compares[key] = raw
-	}
-	return nil
-}
-
-// mergeReport folds one -json shard report into the row maps.
-func mergeReport(path string, suite *offramps.SuiteSpec, results, compares map[string]json.RawMessage) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("shard report: %w", err)
-	}
-	var doc offramps.RawReportDoc
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return fmt.Errorf("shard report %s: %w", path, err)
-	}
-	if len(doc.Suites) != 1 {
-		return fmt.Errorf("shard report %s: want exactly one suite, got %d", path, len(doc.Suites))
-	}
-	rs := doc.Suites[0]
-	if rs.Suite != suite.Name {
-		return fmt.Errorf("shard report %s is for suite %q, not %q", path, rs.Suite, suite.Name)
-	}
-	if rs.BaseSeed != suite.BaseSeed {
-		return fmt.Errorf("shard report %s ran base seed %d, not %d (same -seed for every shard and the merge)", path, rs.BaseSeed, suite.BaseSeed)
-	}
-	for _, raw := range rs.Results {
-		var head struct{ Name string }
-		if err := json.Unmarshal(raw, &head); err != nil || head.Name == "" {
-			return fmt.Errorf("shard report %s: unreadable scenario row %s", path, raw)
-		}
-		if _, dup := results[head.Name]; dup {
-			return fmt.Errorf("scenario %q appears in more than one shard input (overlapping shards?)", head.Name)
-		}
-		results[head.Name] = raw
-	}
-	for _, raw := range rs.Comparisons {
-		var head struct {
-			Golden     string `json:"golden"`
-			Suspect    string `json:"suspect"`
-			GoldenTap  string `json:"goldenTap"`
-			SuspectTap string `json:"suspectTap"`
-		}
-		if err := json.Unmarshal(raw, &head); err != nil || head.Suspect == "" {
-			return fmt.Errorf("shard report %s: unreadable comparison row %s", path, raw)
-		}
-		key := offramps.CompareKey(head.Golden, head.GoldenTap, head.Suspect, head.SuspectTap)
-		if _, dup := compares[key]; dup {
-			return fmt.Errorf("comparison %s vs %s appears in more than one shard input", head.Golden, head.Suspect)
-		}
-		compares[key] = raw
 	}
 	return nil
 }

@@ -43,10 +43,11 @@
 // simulation is deterministic, so a scenario's result — and its
 // serialized report row — is a pure function of its spec and seed.
 // GridSpec expands compact axis sweeps into validated suites;
-// FNV-1a-per-name sharding (suite -shard/-merge) and the distributed
-// farm (internal/farm: HTTP lease queue, resumable JSONL journal,
-// StitchReport) both reassemble reports byte-identical to an
-// uninterrupted single-process run. Goldens are memoized in a layered
+// FNV-1a-per-name sharding (suite -shard/-merge over -jsonl streams)
+// and the distributed farm (internal/farm: HTTP lease queue, resumable
+// JSONL journal) both fold rows first-copy-wins and stitch them
+// (StitchReport) into reports byte-identical to an uninterrupted
+// single-process run. Goldens are memoized in a layered
 // repository — in-process LRU (GoldenCache) over a persistent
 // content-addressed disk store (internal/goldenstore) — and huge grids
 // run under the progressive scheduler (internal/sched, surfaced as

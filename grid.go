@@ -23,8 +23,8 @@ import (
 // suite, scenario for scenario, byte for byte. That determinism is what
 // makes the second half of this file sound: every expanded scenario has
 // a stable shard key (an FNV-1a hash of its name), so `suite -shard i/N`
-// runs a disjoint, reproducible slice of the sweep and a merged set of
-// shard reports is byte-identical to the unsharded run.
+// runs a reproducible slice of the sweep and the merged shard streams
+// are byte-identical to the unsharded run.
 
 // ProgramAxis is one value of the programs axis: a ProgramSpec plus an
 // optional display label overriding the derived one.
@@ -650,8 +650,8 @@ func LoadSuiteOrGridLayout(path string, forceGrid bool) (*SuiteSpec, *sched.Grid
 // two partitions of the same name space: `suite -shard i/N` fixes the
 // partition up front by this hash, while a farm coordinator hands out
 // the very same scenario names one lease at a time. Either way each
-// name runs exactly once, carries its golden closure (Subset), and the
-// stitched reports are byte-identical — `gridgen -names -shard i/N`
+// name is owned exactly once, runs with its golden closure (Subset),
+// and the stitched reports are byte-identical — `gridgen -names -shard i/N`
 // previews the static slices, `gridgen -names` lists the farm queue's
 // seed order.
 func ShardOf(name string, count int) int {
@@ -682,23 +682,15 @@ func ParseShard(s string) (index, count int, err error) {
 	return index, count, nil
 }
 
-// SuiteShard is one runnable slice of a suite. Spec contains the owned
-// scenarios plus any helper scenarios they depend on (golden references
-// of owned detectors and owned comparisons, transitively); Owned marks
-// the scenarios whose results belong in this shard's report — helpers
-// execute but are reported by the shard that owns them.
-type SuiteShard struct {
-	Spec  *SuiteSpec
-	Owned map[string]bool
-}
-
-// Shard slices the suite into shard index (1-based) of count. The owned
-// sets of the count shards partition the suite's scenarios exactly;
-// comparisons are owned by their suspect's shard. Helper goldens may run
-// in several shards — the golden cache makes the repeats cheap and
-// determinism makes them bit-identical — so merged shard reports equal
-// the unsharded run.
-func (s *SuiteSpec) Shard(index, count int) (*SuiteShard, error) {
+// Shard returns the runnable slice of the suite for shard index
+// (1-based) of count: the scenarios ShardOf assigns to it plus their
+// golden closure (Subset). The owned sets of the count shards partition
+// the suite's scenarios exactly; comparisons go with their suspect.
+// Helper goldens may run in several shards — the golden cache makes the
+// repeats cheap and determinism makes their rows bit-identical — so the
+// shards' concatenated streams merge (first copy wins) into the
+// unsharded run's report.
+func (s *SuiteSpec) Shard(index, count int) (*SuiteSpec, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -714,16 +706,15 @@ func (s *SuiteSpec) Shard(index, count int) (*SuiteShard, error) {
 	return s.Subset(names...)
 }
 
-// Subset returns the runnable slice of the suite owning exactly the
-// named scenarios: the sub-suite contains them plus their golden
-// closure (golden references of owned detectors and owned comparisons,
-// transitively) as helper runs, and the owned comparisons are the ones
-// whose suspect is named. This is the closure logic both distribution
-// mechanisms share: Shard calls it with a hash-keyed slice, and a farm
-// worker (internal/farm) calls it with the single scenario name it
-// leased, so a lease carries its helper golden runs the same way a
-// static shard does.
-func (s *SuiteSpec) Subset(names ...string) (*SuiteShard, error) {
+// Subset returns the runnable sub-suite for exactly the named
+// scenarios: them plus their golden closure (golden references of
+// named detectors and named comparisons, transitively) as helper runs,
+// and the comparisons whose suspect is named. This is the closure logic
+// both distribution mechanisms share: Shard calls it with a hash-keyed
+// slice, and a farm worker (internal/farm) calls it with the single
+// scenario name it leased, so a lease carries its helper golden runs
+// the same way a static shard does.
+func (s *SuiteSpec) Subset(names ...string) (*SuiteSpec, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -775,22 +766,5 @@ func (s *SuiteSpec) Subset(names ...string) (*SuiteShard, error) {
 			sub.Scenarios = append(sub.Scenarios, sc)
 		}
 	}
-	return &SuiteShard{Spec: sub, Owned: owned}, nil
-}
-
-// Filter reduces a report of the shard's Spec to the owned scenarios,
-// preserving order. Comparisons are already shard-local.
-func (sh *SuiteShard) Filter(rep *SuiteReport) *SuiteReport {
-	out := &SuiteReport{
-		Suite:       rep.Suite,
-		BaseSeed:    rep.BaseSeed,
-		Results:     make([]ScenarioResult, 0, len(sh.Owned)),
-		Comparisons: rep.Comparisons,
-	}
-	for _, r := range rep.Results {
-		if sh.Owned[r.Name] {
-			out.Results = append(out.Results, r)
-		}
-	}
-	return out
+	return sub, nil
 }

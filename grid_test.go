@@ -230,50 +230,49 @@ func TestParseGridSpecStrict(t *testing.T) {
 }
 
 // TestShardPartitionExact is the sharding property test: for every shard
-// count, the owned sets partition the suite's scenarios exactly — every
-// scenario in exactly one shard — and comparisons follow their suspect.
+// count, the owned sets (by ShardOf) partition the suite's scenarios
+// exactly — every scenario in exactly one shard, and in that shard's
+// sub-suite — and comparisons follow their suspect.
 func TestShardPartitionExact(t *testing.T) {
 	suite, err := testGrid().Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for count := 1; count <= 5; count++ {
-		ownedBy := make(map[string]int)
+		owners := 0
 		compareCount := 0
 		for index := 1; index <= count; index++ {
 			sh, err := suite.Shard(index, count)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for name := range sh.Owned {
-				if prev, dup := ownedBy[name]; dup {
-					t.Errorf("count=%d: %q owned by shards %d and %d", count, name, prev, index)
-				}
-				ownedBy[name] = index
-			}
+			owns := func(name string) bool { return ShardOf(name, count) == index-1 }
 			// Every owned scenario is in the shard's spec; every compare's
 			// suspect is owned and its golden is present.
 			inSpec := make(map[string]bool)
-			for _, sc := range sh.Spec.Scenarios {
+			for _, sc := range sh.Scenarios {
 				inSpec[sc.Name] = true
 			}
-			for name := range sh.Owned {
-				if !inSpec[name] {
-					t.Errorf("count=%d shard %d: owned %q missing from spec", count, index, name)
+			for _, sc := range suite.Scenarios {
+				if owns(sc.Name) {
+					owners++
+					if !inSpec[sc.Name] {
+						t.Errorf("count=%d shard %d: owned %q missing from spec", count, index, sc.Name)
+					}
 				}
 			}
-			for _, cmp := range sh.Spec.Compare {
-				if !sh.Owned[cmp.Suspect] {
+			for _, cmp := range sh.Compare {
+				if !owns(cmp.Suspect) {
 					t.Errorf("count=%d shard %d: compare suspect %q not owned", count, index, cmp.Suspect)
 				}
 				if !inSpec[cmp.Golden] {
 					t.Errorf("count=%d shard %d: compare golden %q not in spec", count, index, cmp.Golden)
 				}
 			}
-			compareCount += len(sh.Spec.Compare)
+			compareCount += len(sh.Compare)
 		}
-		if len(ownedBy) != len(suite.Scenarios) {
-			t.Errorf("count=%d: %d scenarios owned, want %d", count, len(ownedBy), len(suite.Scenarios))
+		if owners != len(suite.Scenarios) {
+			t.Errorf("count=%d: %d scenarios owned, want %d", count, owners, len(suite.Scenarios))
 		}
 		if compareCount != len(suite.Compare) {
 			t.Errorf("count=%d: %d compares across shards, want %d", count, compareCount, len(suite.Compare))
@@ -305,13 +304,14 @@ func TestShardGoldenClosure(t *testing.T) {
 				t.Fatal(err)
 			}
 			inSpec := make(map[string]bool)
-			for _, sc := range sh.Spec.Scenarios {
+			for _, sc := range sh.Scenarios {
 				inSpec[sc.Name] = true
 			}
-			if sh.Owned["leaf"] && (!inSpec["mid"] || !inSpec["root"]) {
+			owns := func(name string) bool { return ShardOf(name, count) == index-1 }
+			if owns("leaf") && (!inSpec["mid"] || !inSpec["root"]) {
 				t.Errorf("count=%d shard %d owns leaf but lacks its golden chain: %v", count, index, inSpec)
 			}
-			if sh.Owned["mid"] && !inSpec["root"] {
+			if owns("mid") && !inSpec["root"] {
 				t.Errorf("count=%d shard %d owns mid but lacks root", count, index)
 			}
 		}
@@ -334,22 +334,19 @@ func TestSubset(t *testing.T) {
 			{Golden: "root", Suspect: "mid"},
 		},
 	}
-	sh, err := suite.Subset("leaf")
+	sub, err := suite.Subset("leaf")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sh.Owned) != 1 || !sh.Owned["leaf"] {
-		t.Errorf("Owned = %v, want just leaf", sh.Owned)
-	}
 	inSpec := make(map[string]bool)
-	for _, sc := range sh.Spec.Scenarios {
+	for _, sc := range sub.Scenarios {
 		inSpec[sc.Name] = true
 	}
 	if !inSpec["leaf"] || !inSpec["mid"] || !inSpec["root"] {
 		t.Errorf("sub-suite lacks the golden chain: %v", inSpec)
 	}
-	if len(sh.Spec.Compare) != 1 || sh.Spec.Compare[0].Suspect != "leaf" {
-		t.Errorf("sub-suite compares = %v, want only leaf's", sh.Spec.Compare)
+	if len(sub.Compare) != 1 || sub.Compare[0].Suspect != "leaf" {
+		t.Errorf("sub-suite compares = %v, want only leaf's", sub.Compare)
 	}
 
 	if _, err := suite.Subset("no-such"); err == nil {
@@ -357,12 +354,12 @@ func TestSubset(t *testing.T) {
 	}
 	// An empty subset is a valid (empty) shard — Shard delegates here and
 	// a sweep can have more shards than scenarios.
-	if empty, err := suite.Subset(); err != nil || len(empty.Spec.Scenarios) != 0 {
+	if empty, err := suite.Subset(); err != nil || len(empty.Scenarios) != 0 {
 		t.Errorf("empty Subset = %v, %v; want an empty shard", empty, err)
 	}
 
-	// Subset and Shard agree: a shard's spec equals the Subset of its
-	// owned names (same closure, same canonical order).
+	// Subset and Shard agree: a shard's spec equals the Subset of the
+	// names ShardOf assigns it (same closure, same canonical order).
 	full, err := testGrid().Expand()
 	if err != nil {
 		t.Fatal(err)
@@ -373,7 +370,7 @@ func TestSubset(t *testing.T) {
 	}
 	var owned []string
 	for _, sc := range full.Scenarios {
-		if shard.Owned[sc.Name] {
+		if ShardOf(sc.Name, 3) == 0 {
 			owned = append(owned, sc.Name)
 		}
 	}
@@ -381,8 +378,8 @@ func TestSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(viaSubset.Spec.Scenarios) != len(shard.Spec.Scenarios) {
-		t.Errorf("Subset(%v) has %d scenarios, Shard has %d", owned, len(viaSubset.Spec.Scenarios), len(shard.Spec.Scenarios))
+	if !reflect.DeepEqual(viaSubset, shard) {
+		t.Errorf("Subset(%v) = %+v, Shard(1, 3) = %+v", owned, viaSubset, shard)
 	}
 }
 

@@ -249,8 +249,9 @@ func (w *Worker) fail(ctx context.Context, lease *LeaseReply, cause error) {
 }
 
 // runOne runs a single leased scenario end to end: sub-suite, campaign,
-// filter to owned rows, encode as JSONL, complete. A scenario that
-// cannot run is reported as failed and does not error the worker.
+// pick the leased row, encode it and its comparisons as JSONL,
+// complete. A scenario that cannot run is reported as failed and does
+// not error the worker.
 func (w *Worker) runOne(ctx context.Context, suite *offramps.SuiteSpec, cache *offramps.GoldenCache, lease *LeaseReply) error {
 	sub, err := suite.Subset(lease.Scenario)
 	if err != nil {
@@ -283,15 +284,23 @@ func (w *Worker) runOne(ctx context.Context, suite *offramps.SuiteSpec, cache *o
 		}
 	}()
 
-	w.logf("running %q (%d scenario(s) incl. goldens)", lease.Scenario, len(sub.Spec.Scenarios))
+	w.logf("running %q (%d scenario(s) incl. goldens)", lease.Scenario, len(sub.Scenarios))
 	camp := offramps.Campaign{Cache: cache}
-	rep, runErr := camp.RunSuite(runCtx, sub.Spec)
+	rep, runErr := camp.RunSuite(runCtx, sub)
 	cancel()
 	<-hbDone
+	// The sub-suite's other rows are helper goldens, reported by the
+	// leases that own them; its comparisons are all the leased
+	// scenario's.
+	var row *offramps.ScenarioResult
 	if runErr == nil {
-		rep = sub.Filter(rep)
-		if len(rep.Results) != 1 {
-			runErr = fmt.Errorf("filtered report has %d owned rows, want 1", len(rep.Results))
+		for i := range rep.Results {
+			if rep.Results[i].Name == lease.Scenario {
+				row = &rep.Results[i]
+			}
+		}
+		if row == nil {
+			runErr = fmt.Errorf("sub-suite report has no row for %q", lease.Scenario)
 		}
 	}
 	if runErr != nil {
@@ -320,7 +329,7 @@ func (w *Worker) runOne(ctx context.Context, suite *offramps.SuiteSpec, cache *o
 		req.Compares = append(req.Compares, append([]byte(nil), bytes.TrimRight(buf.Bytes(), "\n")...))
 	}
 	buf.Reset()
-	if err := sink.Emit(rep.Results[0]); err != nil {
+	if err := sink.Emit(*row); err != nil {
 		w.fail(ctx, lease, fmt.Errorf("encoding %q: %w", lease.Scenario, err))
 		return errScenarioFailed
 	}

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # bench.sh runs the key perf benchmarks (GoldenPrint and its eager-rig
 # twin GoldenPrintEager, RelocationPrint, Campaign, CampaignWide,
-# MonitorObserve, plus the engine microbenchmarks) and writes their results to
+# MonitorObserve, StitchReport, plus the engine microbenchmarks) and writes their results to
 # BENCH_<label>.json so the perf trajectory is tracked across PRs. The label defaults to the repo's commit count.
 #
 # Each benchmark runs `-count 5`; benchjson collapses the repetitions to
@@ -19,7 +19,7 @@ tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
 go test -run NONE \
-  -bench 'BenchmarkGoldenPrint$|BenchmarkGoldenPrintEager$|BenchmarkRelocationPrint$|BenchmarkCampaign$|BenchmarkCampaignWide$|BenchmarkMonitorObserve$' \
+  -bench 'BenchmarkGoldenPrint$|BenchmarkGoldenPrintEager$|BenchmarkRelocationPrint$|BenchmarkCampaign$|BenchmarkCampaignWide$|BenchmarkMonitorObserve$|BenchmarkStitchReport$' \
   -benchtime "$benchtime" -count 5 . | tee "$tmp"
 go test -run NONE \
   -bench 'BenchmarkEngineSchedule$|BenchmarkEngineScheduleEdge$|BenchmarkEngineTicker$|BenchmarkEngineMixedHorizon$|BenchmarkEngineSparse$' \

@@ -217,9 +217,9 @@ func (s *ProgressSink) Close() error { return nil }
 // -jsonl output, a farm coordinator's journal) is a durable record of
 // which scenarios already ran. The resume index parses one, tolerating
 // the torn trailing line a crash leaves behind, so a restarted sweep
-// enqueues exactly the complement. StitchReport then reassembles rows —
-// from streams or from -json shard reports — into a report
-// byte-identical to an uninterrupted run.
+// enqueues exactly the complement. StitchReport then reassembles the
+// rows of one or more streams into a report byte-identical to an
+// uninterrupted run.
 
 // CompareKey canonically keys one comparison by its scenario pair and
 // taps (per-tap comparisons of the same pair are distinct rows).

@@ -110,7 +110,7 @@ func FuzzRowVerdict(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	rep, err := Campaign{}.RunSuite(context.Background(), sub.Spec)
+	rep, err := Campaign{}.RunSuite(context.Background(), sub)
 	if err != nil {
 		f.Fatal(err)
 	}
