@@ -25,13 +25,10 @@ type Scenario struct {
 	Name string
 	// Program is the G-code to print.
 	Program gcode.Program
-	// Seed is the time-noise seed, used verbatim — unless the campaign
-	// sets a non-zero BaseSeed, in which case a zero Seed is derived
-	// deterministically from BaseSeed and the scenario's position.
+	// Seed is the time-noise seed, used verbatim.
 	Seed uint64
 	// Trojan, when non-nil, builds a fresh trojan for the run; it receives
-	// the scenario's effective seed so randomized trojans stay
-	// reproducible.
+	// the scenario's seed so randomized trojans stay reproducible.
 	Trojan func(seed uint64) fpga.Trojan
 	// Detector, when non-nil, builds a fresh live detector attached to the
 	// run under Policy.
@@ -42,17 +39,23 @@ type Scenario struct {
 	// BindPrimary, feeds it from the board's primary tap — the paper's
 	// rig and the behaviour of every pre-binding scenario.
 	DetectorBind TapBinding
-	// Options are extra testbed construction options (settle time, plant
-	// config, ...), applied after the campaign's own seed/trojan options.
-	Options []Option
-	// RunOptions are extra run options, applied after the campaign's own
-	// limit/detector options.
-	RunOptions []RunOption
+	// Bypass removes the OFFRAMPS board (the jumper rig, Figure 3a): no
+	// capture, trojans or detectors.
+	Bypass bool
+	// Tap places the board's monitoring tap; the zero value is the
+	// paper's Arduino-side tap (see WithTapSide).
+	Tap fpga.TapSide
+	// Settle overrides how long the simulation keeps running after the
+	// firmware stops; 0 keeps the testbed default (see WithSettle).
+	Settle sim.Time
+	// Budget overrides the campaign's simulated-time limit for this
+	// scenario; 0 keeps Campaign.Budget.
+	Budget sim.Time
 }
 
 // ScenarioResult pairs one scenario with its outcome.
 type ScenarioResult struct {
-	// Name and Seed echo the scenario (Seed is the effective seed).
+	// Name and Seed echo the scenario.
 	Name string
 	Seed uint64
 	// Result is the run's outcome (nil when Err is set).
@@ -70,19 +73,14 @@ type ScenarioResult struct {
 type Campaign struct {
 	// Workers is the pool size; ≤ 0 means runtime.GOMAXPROCS(0).
 	Workers int
-	// Budget is the per-scenario simulated-time limit; 0 means
-	// DefaultRunBudget.
+	// Budget is the per-scenario simulated-time limit, unless the
+	// scenario sets its own; 0 means DefaultRunBudget.
 	Budget sim.Time
-	// BaseSeed, when non-zero, seeds scenarios whose own Seed is zero:
-	// scenario i gets BaseSeed + i·31 + 1. When BaseSeed is zero, every
-	// scenario's Seed is used verbatim (including zero), so experiment
-	// suites that pair same-seed runs stay paired for any caller seed.
-	BaseSeed uint64
-	// Cache, when non-nil, memoizes golden (trojan-free, unmodified)
+	// Cache, when non-nil, memoizes golden (trojan-free, default-rig)
 	// scenario results by (program hash, seed, budget) so repeated golden
 	// prints across campaigns simulate exactly once. Determinism makes a
-	// hit bit-identical to a fresh run. Scenarios with trojans, detectors,
-	// or any extra options are never cached.
+	// hit bit-identical to a fresh run. Scenarios with a trojan, a
+	// detector, or a non-default tap, settle or bypass are never cached.
 	Cache *GoldenCache
 	// Sinks receive each ScenarioResult as it completes (completion
 	// order, Emit calls serialized across workers), so huge campaigns
@@ -95,51 +93,90 @@ type Campaign struct {
 	Sinks []ResultSink
 	// CaptureMode selects full-trace or fingerprint-only capture for
 	// every run (default CaptureFull). In fingerprint mode no scenario
-	// materializes a Recording, and same-(program, seed, budget)
-	// scenarios that differ only in their FlagOnly detector are fused
-	// into one simulation observing all the detectors at once — the N-
-	// detectors-per-print sweep costs one print instead of N.
+	// materializes a Recording, and same-simKey scenarios that differ
+	// only in their FlagOnly detector are fused into one simulation
+	// observing all the detectors at once — the N-detectors-per-print
+	// sweep costs one print instead of N.
 	CaptureMode CaptureMode
 }
 
-// planEntry lazily compiles one program's shared move plan. Compilation
-// failures are swallowed — the member runs fall back to the live
-// interpreter, which accepts anything the planner would reject.
+// simKey is everything one simulation depends on besides its trojan
+// and detectors: the program's content hash, the seed, the effective
+// budget and the rig fields. Scenarios with equal keys simulate the same
+// print, so the campaign's three sharing decisions are projections of
+// it: the program hash picks the compiled plan, the full key (plus the
+// detector's binding) picks the fused simulation, and a default-rig key
+// is the golden cache's goldenKey.
+type simKey struct {
+	program [sha256.Size]byte
+	seed    uint64
+	budget  sim.Time
+	tap     fpga.TapSide
+	settle  sim.Time
+	bypass  bool
+}
+
+// key derives the scenario's simKey under the campaign's budget.
+func (s *Scenario) key(budget sim.Time) simKey {
+	if s.Budget != 0 {
+		budget = s.Budget
+	}
+	return simKey{
+		program: hashProgram(s.Program),
+		seed:    s.Seed,
+		budget:  budget,
+		tap:     s.Tap,
+		settle:  s.Settle,
+		bypass:  s.Bypass,
+	}
+}
+
+// planEntry lazily compiles one program's shared move plan.
 type planEntry struct {
 	once sync.Once
 	c    *firmware.Compiled
+	err  error
 }
 
-func (pe *planEntry) compiled(prog gcode.Program) *firmware.Compiled {
-	pe.once.Do(func() { pe.c, _ = firmware.Compile(prog, firmware.DefaultConfig()) })
-	return pe.c
+func (pe *planEntry) compiled(prog gcode.Program) (*firmware.Compiled, error) {
+	pe.once.Do(func() { pe.c, pe.err = firmware.Compile(prog, firmware.DefaultConfig()) })
+	return pe.c, pe.err
 }
-
-// planEligible reports whether a scenario may run from a plan compiled
-// under the default firmware configuration: any extra Options could
-// carry WithFirmwareConfig, whose effect on planning is opaque, so only
-// option-free scenarios share plans. Seed and time noise never affect
-// planning (see firmware.Compile).
-func planEligible(s *Scenario) bool { return len(s.Options) == 0 }
 
 // fusible reports whether a scenario can join a fused fingerprint-mode
-// run: the simulation must be fully determined by (program, seed,
-// budget) — no trojans or opaque options — and the detector must be a
-// passive FlagOnly observer of the primary/Arduino feed, so attaching N
-// of them to one print is observationally identical to N separate
-// prints.
+// run: no trojan, and a passive FlagOnly detector on the primary/Arduino
+// feed, so attaching N of them to one print of the same simKey is
+// observationally identical to N separate prints.
 func fusible(s *Scenario) bool {
-	return s.Trojan == nil &&
-		len(s.Options) == 0 && len(s.RunOptions) == 0 &&
-		s.Detector != nil && s.Policy == FlagOnly &&
+	return s.Trojan == nil && s.Detector != nil && s.Policy == FlagOnly &&
 		(s.DetectorBind == BindPrimary || s.DetectorBind == BindArduino)
 }
 
-// fuseKey identifies one shared simulation of a fused unit.
-type fuseKey struct {
-	program [sha256.Size]byte
-	seed    uint64
-	bind    TapBinding
+// units groups scenario indices into worker tasks: a single scenario,
+// or — in fingerprint mode — fusible scenarios sharing a simKey and
+// binding, fused onto one simulation.
+func (c Campaign) units(scenarios []Scenario, keys []simKey) [][]int {
+	units := make([][]int, 0, len(scenarios))
+	type fusion struct {
+		key  simKey
+		bind TapBinding
+	}
+	fused := make(map[fusion]int) // → index into units
+	for i := range scenarios {
+		s := &scenarios[i]
+		if c.CaptureMode != CaptureFingerprint || !fusible(s) {
+			units = append(units, []int{i})
+			continue
+		}
+		f := fusion{keys[i], s.DetectorBind}
+		if u, ok := fused[f]; ok {
+			units[u] = append(units[u], i)
+		} else {
+			fused[f] = len(units)
+			units = append(units, []int{i})
+		}
+	}
+	return units
 }
 
 // Run executes every scenario and returns the results in scenario order.
@@ -162,59 +199,19 @@ func (c Campaign) Run(ctx context.Context, scenarios []Scenario) ([]ScenarioResu
 	if budget == 0 {
 		budget = DefaultRunBudget
 	}
-
-	// Precompute effective seeds, shared-plan groups, and — in
-	// fingerprint mode — fusion units. A unit is one worker task: a
-	// single scenario, or several fused onto one simulation.
-	effSeed := make([]uint64, len(scenarios))
+	keys := make([]simKey, len(scenarios))
 	plans := make(map[[sha256.Size]byte]*planEntry)
 	planOf := make([]*planEntry, len(scenarios))
-	hashes := make([][sha256.Size]byte, len(scenarios))
-	hashed := make([]bool, len(scenarios))
-	hashOf := func(i int) [sha256.Size]byte {
-		if !hashed[i] {
-			hashes[i] = hashProgram(scenarios[i].Program)
-			hashed[i] = true
-		}
-		return hashes[i]
-	}
 	for i := range scenarios {
-		effSeed[i] = scenarios[i].Seed
-		if effSeed[i] == 0 && c.BaseSeed != 0 {
-			effSeed[i] = c.BaseSeed + uint64(i)*31 + 1
+		keys[i] = scenarios[i].key(budget)
+		pe, ok := plans[keys[i].program]
+		if !ok {
+			pe = &planEntry{}
+			plans[keys[i].program] = pe
 		}
-		if planEligible(&scenarios[i]) {
-			h := hashOf(i)
-			pe, ok := plans[h]
-			if !ok {
-				pe = &planEntry{}
-				plans[h] = pe
-			}
-			planOf[i] = pe
-		}
+		planOf[i] = pe
 	}
-	var units [][]int
-	if c.CaptureMode == CaptureFingerprint {
-		fused := make(map[fuseKey]int) // key → index into units
-		for i := range scenarios {
-			if !fusible(&scenarios[i]) {
-				units = append(units, []int{i})
-				continue
-			}
-			key := fuseKey{program: hashOf(i), seed: effSeed[i], bind: scenarios[i].DetectorBind}
-			if u, ok := fused[key]; ok {
-				units[u] = append(units[u], i)
-			} else {
-				fused[key] = len(units)
-				units = append(units, []int{i})
-			}
-		}
-	} else {
-		units = make([][]int, len(scenarios))
-		for i := range scenarios {
-			units[i] = []int{i}
-		}
-	}
+	units := c.units(scenarios, keys)
 
 	workers := c.Workers
 	if workers <= 0 {
@@ -250,11 +247,11 @@ func (c Campaign) Run(ctx context.Context, scenarios []Scenario) ([]ScenarioResu
 			for unit := range unitCh {
 				if len(unit) == 1 {
 					i := unit[0]
-					results[i] = c.runScenario(ctx, scenarios[i], effSeed[i], budget, planOf[i], core)
+					results[i] = c.runScenario(ctx, &scenarios[i], keys[i], planOf[i], core)
 					emit(results[i])
 					continue
 				}
-				for i, r := range c.runFused(ctx, scenarios, unit, effSeed[unit[0]], budget, planOf[unit[0]], core) {
+				for i, r := range c.runFused(ctx, scenarios, unit, keys[unit[0]], planOf[unit[0]], core) {
 					results[unit[i]] = r
 					emit(r)
 				}
@@ -287,18 +284,16 @@ feed:
 
 // runScenario builds and runs one scenario end to end, consulting the
 // golden cache for memoizable scenarios.
-func (c Campaign) runScenario(ctx context.Context, s Scenario, seed uint64, budget sim.Time, plan *planEntry, core *TestbedCore) ScenarioResult {
-	out := ScenarioResult{Name: s.Name, Seed: seed}
+func (c Campaign) runScenario(ctx context.Context, s *Scenario, k simKey, plan *planEntry, core *TestbedCore) ScenarioResult {
+	out := ScenarioResult{Name: s.Name, Seed: k.seed}
+	run := func() (*Result, error) { return c.runFresh(ctx, s, k, plan, core) }
 
 	var res *Result
 	var err error
 	if c.Cache != nil && s.goldenCacheable() {
-		key := goldenKey{program: hashProgram(s.Program), seed: seed, budget: budget, mode: c.CaptureMode}
-		res, err = c.Cache.run(key, func() (*Result, error) {
-			return c.runFresh(ctx, s, seed, budget, plan, core)
-		})
+		res, err = c.Cache.run(goldenKey{program: k.program, seed: k.seed, budget: k.budget, mode: c.CaptureMode}, run)
 	} else {
-		res, err = c.runFresh(ctx, s, seed, budget, plan, core)
+		res, err = run()
 	}
 	if err != nil {
 		out.Err = fmt.Errorf("offramps: scenario %q: %w", s.Name, err)
@@ -309,29 +304,16 @@ func (c Campaign) runScenario(ctx context.Context, s Scenario, seed uint64, budg
 }
 
 // runFresh builds a testbed for the scenario and simulates it.
-func (c Campaign) runFresh(ctx context.Context, s Scenario, seed uint64, budget sim.Time, plan *planEntry, core *TestbedCore) (*Result, error) {
-	opts := []Option{WithSeed(seed)}
-	if core != nil {
-		opts = append(opts, WithCore(core))
-	}
+func (c Campaign) runFresh(ctx context.Context, s *Scenario, k simKey, plan *planEntry, core *TestbedCore) (*Result, error) {
+	var tr fpga.Trojan
 	if s.Trojan != nil {
-		tr := s.Trojan(seed)
-		if tr == nil {
+		if tr = s.Trojan(k.seed); tr == nil {
 			return nil, fmt.Errorf("trojan factory returned nil")
 		}
-		opts = append(opts, WithTrojan(tr))
 	}
-	opts = append(opts, s.Options...)
-	tb, err := NewTestbed(opts...)
+	tb, ropts, err := c.rig(k, s.Program, plan, tr, core)
 	if err != nil {
 		return nil, err
-	}
-
-	ropts := []RunOption{WithLimit(budget), WithCaptureMode(c.CaptureMode)}
-	if plan != nil {
-		if compiled := plan.compiled(s.Program); compiled != nil {
-			ropts = append(ropts, withCompiled(compiled))
-		}
 	}
 	if s.Detector != nil {
 		d, err := s.Detector()
@@ -340,24 +322,52 @@ func (c Campaign) runFresh(ctx context.Context, s Scenario, seed uint64, budget 
 		}
 		ropts = append(ropts, WithDetectorAt(s.DetectorBind, d, s.Policy))
 	}
-	ropts = append(ropts, s.RunOptions...)
-
 	return tb.Run(ctx, s.Program, ropts...)
 }
 
+// rig builds the testbed for one simulation of key k, with the trojan
+// (if any) installed, and the run options every scenario observing that
+// simulation shares: the budget, the capture mode and the program's
+// compiled plan. The solo and fused paths both start here and add only
+// their detectors.
+func (c Campaign) rig(k simKey, prog gcode.Program, plan *planEntry, tr fpga.Trojan, core *TestbedCore) (*Testbed, []RunOption, error) {
+	compiled, err := plan.compiled(prog)
+	if err != nil {
+		return nil, nil, fmt.Errorf("compiling move plan: %w", err)
+	}
+	opts := []Option{WithSeed(k.seed), WithCore(core)}
+	if k.bypass {
+		opts = append(opts, WithoutMITM())
+	}
+	if k.tap != fpga.TapArduino {
+		opts = append(opts, WithTapSide(k.tap))
+	}
+	if k.settle != 0 {
+		opts = append(opts, WithSettle(k.settle))
+	}
+	if tr != nil {
+		opts = append(opts, WithTrojan(tr))
+	}
+	tb, err := NewTestbed(opts...)
+	if err != nil {
+		return nil, nil, err
+	}
+	return tb, []RunOption{WithLimit(k.budget), WithCaptureMode(c.CaptureMode), withCompiled(compiled)}, nil
+}
+
 // runFused executes one fused unit: a single simulation of the unit's
-// shared (program, seed, budget) observed by every member's detector at
-// once. Member k's result is the shared outcome narrowed to its own
-// detector's report. Fusion is only attempted for fusible scenarios
-// (passive FlagOnly detectors on the same feed), so the stream each
-// detector observes — and hence its verdict — is identical to a solo
-// run; if the fused simulation fails for any reason, every member falls
-// back to an independent solo run so error semantics stay per-scenario.
-func (c Campaign) runFused(ctx context.Context, scenarios []Scenario, unit []int, seed uint64, budget sim.Time, plan *planEntry, core *TestbedCore) []ScenarioResult {
+// shared simKey observed by every member's detector at once. Member j's
+// result is the shared outcome narrowed to its own detector's report.
+// Fusion is only attempted for fusible scenarios (passive FlagOnly
+// detectors on the same feed), so the stream each detector observes —
+// and hence its verdict — is identical to a solo run; if the fused
+// simulation fails for any reason, every member falls back to an
+// independent solo run so error semantics stay per-scenario.
+func (c Campaign) runFused(ctx context.Context, scenarios []Scenario, unit []int, k simKey, plan *planEntry, core *TestbedCore) []ScenarioResult {
 	out := make([]ScenarioResult, len(unit))
 	solo := func() []ScenarioResult {
-		for k, i := range unit {
-			out[k] = c.runScenario(ctx, scenarios[i], seed, budget, plan, core)
+		for j, i := range unit {
+			out[j] = c.runScenario(ctx, &scenarios[i], k, plan, core)
 		}
 		return out
 	}
@@ -366,49 +376,40 @@ func (c Campaign) runFused(ctx context.Context, scenarios []Scenario, unit []int
 	// member's own error and must not poison the shared run.
 	detectors := make([]detect.Detector, len(unit))
 	attached := make([]int, 0, len(unit)) // unit positions with a live detector
-	for k, i := range unit {
+	for j, i := range unit {
 		s := &scenarios[i]
-		out[k] = ScenarioResult{Name: s.Name, Seed: seed}
+		out[j] = ScenarioResult{Name: s.Name, Seed: k.seed}
 		d, err := s.Detector()
 		if err != nil {
-			out[k].Err = fmt.Errorf("offramps: scenario %q: detector: %w", s.Name, err)
+			out[j].Err = fmt.Errorf("offramps: scenario %q: detector: %w", s.Name, err)
 			continue
 		}
-		detectors[k] = d
-		attached = append(attached, k)
+		detectors[j] = d
+		attached = append(attached, j)
 	}
 	if len(attached) == 0 {
 		return out
 	}
 
-	opts := []Option{WithSeed(seed)}
-	if core != nil {
-		opts = append(opts, WithCore(core))
-	}
-	tb, err := NewTestbed(opts...)
+	prog := scenarios[unit[0]].Program
+	tb, ropts, err := c.rig(k, prog, plan, nil, core)
 	if err != nil {
 		return solo()
 	}
-	ropts := []RunOption{WithLimit(budget), WithCaptureMode(CaptureFingerprint)}
-	if plan != nil {
-		if compiled := plan.compiled(scenarios[unit[0]].Program); compiled != nil {
-			ropts = append(ropts, withCompiled(compiled))
-		}
+	for _, j := range attached {
+		s := &scenarios[unit[j]]
+		ropts = append(ropts, WithDetectorAt(s.DetectorBind, detectors[j], s.Policy))
 	}
-	for _, k := range attached {
-		i := unit[k]
-		ropts = append(ropts, WithDetectorAt(scenarios[i].DetectorBind, detectors[k], scenarios[i].Policy))
-	}
-	res, err := tb.Run(ctx, scenarios[unit[0]].Program, ropts...)
+	res, err := tb.Run(ctx, prog, ropts...)
 	if err != nil {
 		return solo()
 	}
-	for slot, k := range attached {
+	for slot, j := range attached {
 		rep := res.Detections[slot]
 		narrowed := *res
 		narrowed.Detections = []*detect.Report{rep}
 		narrowed.TrojanLikely = rep.TrojanLikely
-		out[k].Result = &narrowed
+		out[j].Result = &narrowed
 	}
 	return out
 }

@@ -90,18 +90,6 @@ func TestCampaignDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-func TestCampaignDerivesSeedsDeterministically(t *testing.T) {
-	prog := mustTestPart(t)
-	scens := []Scenario{{Name: "a", Program: prog}, {Name: "b", Program: prog}}
-	results, err := Campaign{BaseSeed: 10, Workers: 2}.Run(context.Background(), scens)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results[0].Seed != 11 || results[1].Seed != 42 {
-		t.Errorf("derived seeds = %d, %d, want 11, 42", results[0].Seed, results[1].Seed)
-	}
-}
-
 func TestCampaignReportsScenarioErrors(t *testing.T) {
 	prog := mustTestPart(t)
 	scens := []Scenario{

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"offramps/internal/capture"
 	"offramps/internal/detect"
 	"offramps/internal/firmware"
 	"offramps/internal/fpga"
+	"offramps/internal/sim"
 	"offramps/internal/trojan"
 )
 
@@ -132,40 +134,80 @@ func TestFingerprintEquivalence(t *testing.T) {
 
 // TestCompiledPlanIdentity: simulating from a pre-compiled move plan
 // must be byte-identical to the live interpreter — same transactions,
-// same report JSON.
+// same report JSON — on every rig a campaign runs from a plan: the
+// default tap, a RAMPS and a dual tap, T7 with its 60 s settle, and the
+// bypassed board.
 func TestCompiledPlanIdentity(t *testing.T) {
 	prog := mustTestPart(t)
 	compiled, err := firmware.Compile(prog, firmware.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(extra ...RunOption) *Result {
-		tb, err := NewTestbed(WithSeed(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := tb.Run(context.Background(), prog, extra...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	// opts is a factory: trojans are stateful, so each run needs its own.
+	cases := []struct {
+		name string
+		opts func() []Option
+	}{
+		{"arduino-tap", func() []Option { return nil }},
+		{"ramps-tap", func() []Option { return []Option{WithTapSide(fpga.TapRAMPS)} }},
+		{"dual-tap", func() []Option { return []Option{WithTapSide(fpga.TapDual)} }},
+		{"t7-settle", func() []Option {
+			t7, err := trojan.Build("T7", nil, 5)
+			if err != nil {
+				panic(err)
+			}
+			return []Option{WithTrojan(t7), WithSettle(60 * sim.Second)}
+		}},
+		{"bypass", func() []Option { return []Option{WithoutMITM()} }},
 	}
-	interp := run()
-	planned := run(withCompiled(compiled))
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			run := func(extra ...RunOption) *Result {
+				tb, err := NewTestbed(append([]Option{WithSeed(5)}, tc.opts()...)...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := tb.Run(context.Background(), prog, extra...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			interp := run()
+			planned := run(withCompiled(compiled))
 
-	if len(interp.Recording.Transactions) != len(planned.Recording.Transactions) {
-		t.Fatalf("window counts differ: %d vs %d", interp.Recording.Len(), planned.Recording.Len())
-	}
-	for i := range interp.Recording.Transactions {
-		if interp.Recording.Transactions[i] != planned.Recording.Transactions[i] {
-			t.Fatalf("window %d differs: %+v vs %+v", i,
-				interp.Recording.Transactions[i], planned.Recording.Transactions[i])
-		}
-	}
-	ij, _ := json.Marshal(interp)
-	pj, _ := json.Marshal(planned)
-	if !bytes.Equal(ij, pj) {
-		t.Errorf("report JSON differs between interpreter and plan:\ninterp: %s\nplan:   %s", ij, pj)
+			for _, side := range []struct {
+				name    string
+				interp  *capture.Recording
+				planned *capture.Recording
+			}{
+				{"arduino", interp.ArduinoRecording, planned.ArduinoRecording},
+				{"ramps", interp.RAMPSRecording, planned.RAMPSRecording},
+			} {
+				if (side.interp == nil) != (side.planned == nil) {
+					t.Fatalf("%s capture present in one run only", side.name)
+				}
+				if side.interp == nil {
+					continue
+				}
+				if side.interp.Len() != side.planned.Len() {
+					t.Fatalf("%s window counts differ: %d vs %d", side.name, side.interp.Len(), side.planned.Len())
+				}
+				for i := range side.interp.Transactions {
+					if side.interp.Transactions[i] != side.planned.Transactions[i] {
+						t.Fatalf("%s window %d differs: %+v vs %+v", side.name, i,
+							side.interp.Transactions[i], side.planned.Transactions[i])
+					}
+				}
+			}
+			ij, _ := json.Marshal(interp)
+			pj, _ := json.Marshal(planned)
+			if !bytes.Equal(ij, pj) {
+				t.Errorf("report JSON differs between interpreter and plan:\ninterp: %s\nplan:   %s", ij, pj)
+			}
+		})
 	}
 }
 
@@ -211,26 +253,64 @@ func TestCoreReuseIdentity(t *testing.T) {
 
 // TestCampaignFusionEquivalence: a fingerprint-mode campaign (fused
 // shared simulations, shared plans, pooled cores) must reach the same
-// per-scenario verdicts as the full-mode campaign running every
-// scenario solo.
+// per-scenario rows as the full-mode campaign running every scenario
+// solo. Detector scenarios that share program and seed but differ in
+// settle, budget or tap simulate different prints, so they must not
+// fuse with each other.
 func TestCampaignFusionEquivalence(t *testing.T) {
 	prog := mustTestPart(t)
+	ruleEngine := func(lim detect.Limits) func() (detect.Detector, error) {
+		return func() (detect.Detector, error) { return detect.NewRuleEngine(lim) }
+	}
 	var scens []Scenario
 	for v := 0; v < 3; v++ {
 		lim := detect.DefaultLimits()
 		lim.MaxStepsPerWindow += int32(v) * 96
 		for seed := uint64(1); seed <= 3; seed++ {
 			scens = append(scens, Scenario{
-				Name:    string(rune('a'+v)) + "-" + string(rune('0'+seed)),
-				Program: prog,
-				Seed:    seed,
-				Detector: func() (detect.Detector, error) {
-					return detect.NewRuleEngine(lim)
-				},
-				Policy: FlagOnly,
+				Name:     string(rune('a'+v)) + "-" + string(rune('0'+seed)),
+				Program:  prog,
+				Seed:     seed,
+				Detector: ruleEngine(lim),
+				Policy:   FlagOnly,
 			})
 		}
 	}
+	// Rig variants of a-1's simulation, two detectors each: every pair
+	// fuses with itself and with nothing else.
+	rigs := []Scenario{
+		{Name: "settle", Settle: 5 * sim.Second},
+		{Name: "budget", Budget: 40 * 60 * sim.Second},
+		{Name: "ramps", Tap: fpga.TapRAMPS},
+	}
+	for _, rig := range rigs {
+		for v := 0; v < 2; v++ {
+			lim := detect.DefaultLimits()
+			lim.MaxStepsPerWindow += int32(v) * 96
+			sc := rig
+			sc.Name = rig.Name + "-" + string(rune('a'+v))
+			sc.Program, sc.Seed, sc.Detector, sc.Policy = prog, 1, ruleEngine(lim), FlagOnly
+			scens = append(scens, sc)
+		}
+	}
+
+	units := Campaign{CaptureMode: CaptureFingerprint}.units(scens, campaignKeys(scens))
+	var got [][]string
+	for _, u := range units {
+		var names []string
+		for _, i := range u {
+			names = append(names, scens[i].Name)
+		}
+		got = append(got, names)
+	}
+	want := [][]string{
+		{"a-1", "b-1", "c-1"}, {"a-2", "b-2", "c-2"}, {"a-3", "b-3", "c-3"},
+		{"settle-a", "settle-b"}, {"budget-a", "budget-b"}, {"ramps-a", "ramps-b"},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("fused units = %v, want %v", got, want)
+	}
+
 	run := func(mode CaptureMode) []ScenarioResult {
 		results, err := Campaign{CaptureMode: mode}.Run(context.Background(), scens)
 		if err != nil {
@@ -245,16 +325,24 @@ func TestCampaignFusionEquivalence(t *testing.T) {
 	fused := run(CaptureFingerprint)
 	for i := range scens {
 		f, u := full[i], fused[i]
-		if f.Name != u.Name || f.Seed != u.Seed {
-			t.Fatalf("scenario %d: row mismatch: %q/%d vs %q/%d", i, f.Name, f.Seed, u.Name, u.Seed)
-		}
-		if f.Result.TrojanLikely != u.Result.TrojanLikely {
-			t.Errorf("scenario %q: verdicts differ: full=%v fused=%v", f.Name, f.Result.TrojanLikely, u.Result.TrojanLikely)
-		}
-		fj, _ := json.Marshal(f.Result.Detections)
-		uj, _ := json.Marshal(u.Result.Detections)
+		fj, _ := json.Marshal(f)
+		uj, _ := json.Marshal(u)
 		if !bytes.Equal(fj, uj) {
-			t.Errorf("scenario %q: detector reports differ:\nfull:  %s\nfused: %s", f.Name, fj, uj)
+			t.Errorf("scenario %q: rows differ:\nfull:  %s\nfused: %s", scens[i].Name, fj, uj)
 		}
 	}
+	// The settle variant observes 30 more windows than a-1, so a wrong
+	// fusion would show in its row too.
+	if full[0].Result.Fingerprint.Windows == full[9].Result.Fingerprint.Windows {
+		t.Error("settle variant observed as many windows as the default rig")
+	}
+}
+
+// campaignKeys derives every scenario's simKey under the default budget.
+func campaignKeys(scens []Scenario) []simKey {
+	keys := make([]simKey, len(scens))
+	for i := range scens {
+		keys[i] = scens[i].key(DefaultRunBudget)
+	}
+	return keys
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"offramps/internal/capture"
+	"offramps/internal/fpga"
 	"offramps/internal/gcode"
 	"offramps/internal/goldenstore"
 	"offramps/internal/sim"
@@ -14,11 +15,12 @@ import (
 
 // goldenKey content-addresses one golden print: the exact program (hashed
 // over raw float bits, finer than the 5-decimal G-code serialization), the
-// time-noise seed, and the run budget. Everything else that shapes a
-// cacheable scenario's capture is the testbed's compiled-in default
-// configuration, which is constant for a build: scenarios carrying any
-// opaque knob that could change the capture — a trojan or detector
-// factory, extra Options or RunOptions — are never cached (see
+// time-noise seed, and the effective run budget (the scenario's own, else
+// the campaign's). It is the simKey of a default-rig scenario plus the
+// capture mode. Everything else that shapes a cacheable scenario's
+// capture is the testbed's compiled-in default configuration, which is
+// constant for a build: scenarios with a trojan or detector factory, or
+// a non-default tap, settle or bypass, are never cached (see
 // Scenario.goldenCacheable and DESIGN.md §6).
 type goldenKey struct {
 	program [sha256.Size]byte
@@ -352,12 +354,10 @@ func (gc *GoldenCache) UsedStoreKeys() []goldenstore.Key {
 }
 
 // goldenCacheable reports whether the scenario is a pure golden print the
-// cache may memoize: no trojan, no detector, and no opaque construction
-// or run options. Options and RunOptions are funcs — their effect on the
-// capture cannot be content-addressed, so any non-empty slice
-// disqualifies the scenario (the conservative reading of "the key must
-// cover every option that affects the capture").
+// cache may memoize: no trojan, no detector, and the default tap, settle
+// and board. Those are exactly the rig fields goldenKey leaves out, so
+// the key covers everything that shapes a cacheable scenario's capture.
 func (s *Scenario) goldenCacheable() bool {
 	return s.Trojan == nil && s.Detector == nil &&
-		len(s.Options) == 0 && len(s.RunOptions) == 0
+		s.Tap == fpga.TapArduino && s.Settle == 0 && !s.Bypass
 }

@@ -176,8 +176,10 @@ func TestGoldenCacheModeSeparation(t *testing.T) {
 	}
 }
 
-// TestGoldenCacheSkipsNonGoldenScenarios verifies scenarios carrying
-// trojans or opaque options bypass the cache entirely.
+// TestGoldenCacheSkipsNonGoldenScenarios verifies scenarios carrying a
+// trojan or a non-default rig (settle, tap) bypass the cache entirely,
+// while a golden with its own Budget is cached under the effective budget:
+// a campaign whose Budget equals it hits the same entry.
 func TestGoldenCacheSkipsNonGoldenScenarios(t *testing.T) {
 	prog := mustTestPart(t)
 	cache := NewGoldenCache()
@@ -185,7 +187,8 @@ func TestGoldenCacheSkipsNonGoldenScenarios(t *testing.T) {
 		{Name: "t2", Program: prog, Seed: 1, Trojan: func(uint64) fpga.Trojan {
 			return trojan.NewT2ExtrusionReduction(trojan.T2Params{KeepRatio: 0.5})
 		}},
-		{Name: "opts", Program: prog, Seed: 1, Options: []Option{WithSettle(3 * sim.Second)}},
+		{Name: "settle", Program: prog, Seed: 1, Settle: 3 * sim.Second},
+		{Name: "ramps-tap", Program: prog, Seed: 1, Tap: fpga.TapRAMPS},
 	}
 	results, err := Campaign{Workers: 1, Cache: cache}.Run(context.Background(), scens)
 	if err != nil {
@@ -199,6 +202,33 @@ func TestGoldenCacheSkipsNonGoldenScenarios(t *testing.T) {
 	}
 	if hits, misses := cache.Stats(); hits != 0 || misses != 0 {
 		t.Errorf("cache consulted for non-golden scenarios: %d hits / %d misses", hits, misses)
+	}
+
+	const budget = 40 * 60 * sim.Second
+	own, err := Campaign{Workers: 1, Cache: cache}.Run(context.Background(),
+		[]Scenario{{Name: "own-budget", Program: prog, Seed: 1, Budget: budget}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := firstScenarioErr(own); err != nil {
+		t.Fatal(err)
+	}
+	if cache.Len() != 1 {
+		t.Fatalf("golden with its own budget: %d cache entries, want 1", cache.Len())
+	}
+	shared, err := Campaign{Workers: 1, Cache: cache, Budget: budget}.Run(context.Background(),
+		[]Scenario{{Name: "campaign-budget", Program: prog, Seed: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := firstScenarioErr(shared); err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := cache.Stats(); hits != 1 || misses != 1 {
+		t.Errorf("campaign budget equal to the scenario's: %d hits / %d misses, want 1 / 1", hits, misses)
+	}
+	if own[0].Result != shared[0].Result {
+		t.Error("equal effective budgets did not share the memoized result")
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 const GoldenCodecVersion uint32 = 1
 
 // A golden result is the restricted Result shape the cache memoizes:
-// trojan-free, detector-free, option-free (see Scenario.goldenCacheable).
+// trojan-free, detector-free, default-rig (see Scenario.goldenCacheable).
 // The codec leans on that: it refuses anything carrying detector
 // reports, an abort, or a firmware halt, so the encoded form only ever
 // has to cover captures, fingerprints, the deposited part, quality, and

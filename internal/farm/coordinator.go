@@ -147,10 +147,9 @@ func NewCoordinator(suite *offramps.SuiteSpec, cfg Config) (*Coordinator, error)
 	if c.sched, err = sched.New(layout, schedCfg); err != nil {
 		return nil, err
 	}
+	// The queue starts with nothing pending; rounds are Released as
+	// the scheduler deals them.
 	c.outstanding = make(map[string]bool)
-	// The suite-order queue is held; rounds are Released as the
-	// scheduler deals them.
-	c.queue.Hold()
 
 	if cfg.Journal != "" {
 		if f, err := os.Open(cfg.Journal); err == nil {

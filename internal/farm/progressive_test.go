@@ -157,9 +157,8 @@ func TestFarmProgressiveResume(t *testing.T) {
 // progressive coordinator drives the queue with.
 func TestQueueHoldRelease(t *testing.T) {
 	q := NewQueue([]string{"a", "b", "c"}, time.Minute)
-	q.Hold()
 	if r := q.Lease("w"); r.Status != StatusWait {
-		t.Fatalf("held queue dealt %+v, want wait", r)
+		t.Fatalf("unreleased queue dealt %+v, want wait", r)
 	}
 
 	q.Release("b", "nope", "b", "a")

@@ -55,12 +55,14 @@ type lease struct {
 	deadline time.Time
 }
 
-// NewQueue builds a queue over the scenario names in their given
-// (canonical) order. ttl is the heartbeat window granted to each lease.
+// NewQueue builds a queue that knows the scenario names but has
+// nothing pending: work arrives only through Release, one scheduler
+// round at a time. With nothing pending and the sweep not settled,
+// Lease answers StatusWait — the natural barrier workers already poll
+// at between rounds. ttl is the heartbeat window granted to each lease.
 func NewQueue(names []string, ttl time.Duration) *Queue {
 	q := &Queue{
 		ttl:        ttl,
-		pending:    append([]string(nil), names...),
 		leases:     make(map[string]*lease),
 		byName:     make(map[string]string),
 		done:       make(map[string]bool),
@@ -273,17 +275,6 @@ func (q *Queue) failLocked(token, scenario, reason string) string {
 	}
 	q.pending = append(q.pending, scenario)
 	return FailAccepted
-}
-
-// Hold clears the pending queue without touching leases, completions,
-// or quarantine. A progressive coordinator holds the naive-seeded queue
-// at construction and then Releases one scheduler round at a time: with
-// nothing pending and the sweep not settled, Lease answers StatusWait —
-// the natural barrier workers already poll at between rounds.
-func (q *Queue) Hold() {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.pending = nil
 }
 
 // Release appends scenarios to the back of the pending queue, in the

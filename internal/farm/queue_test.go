@@ -15,6 +15,7 @@ func newClockQueue(names []string, ttl time.Duration) (*Queue, *fakeClock) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
 	q := NewQueue(names, ttl)
 	q.Now = clk.now
+	q.Release(names...)
 	return q, clk
 }
 

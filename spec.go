@@ -259,9 +259,9 @@ func (s ScenarioSpec) EffectiveSeed(baseSeed uint64) uint64 {
 
 // Compile resolves the spec into a runnable Scenario: the program is
 // materialized, trojan and detector names are bound to their registry
-// factories, and topology knobs become testbed options. Compilation
-// validates eagerly — unknown registry names, bad params, and invalid
-// tap/policy vocabulary fail here, not mid-campaign.
+// factories, and topology knobs become the scenario's rig fields.
+// Compilation validates eagerly — unknown registry names, bad params,
+// and invalid tap/policy vocabulary fail here, not mid-campaign.
 func (s ScenarioSpec) Compile(ctx SpecContext) (Scenario, error) {
 	if s.Name == "" {
 		return Scenario{}, fmt.Errorf("offramps: scenario spec needs a name")
@@ -378,22 +378,12 @@ func (s ScenarioSpec) Compile(ctx SpecContext) (Scenario, error) {
 		if s.Tap != "" {
 			return fail(fmt.Errorf("config error: tap placement requires the MITM path"))
 		}
-		out.Options = append(out.Options, WithoutMITM())
-	}
-	// The default Arduino tap adds no option, keeping the compiled
-	// scenario golden-cacheable and byte-identical to the closure path.
-	if tap != fpga.TapArduino {
-		out.Options = append(out.Options, WithTapSide(tap))
+		out.Bypass = true
 	}
 	if s.Settle < 0 || s.Budget < 0 {
 		return fail(fmt.Errorf("settle and budget must be non-negative"))
 	}
-	if s.Settle > 0 {
-		out.Options = append(out.Options, WithSettle(s.Settle))
-	}
-	if s.Budget > 0 {
-		out.RunOptions = append(out.RunOptions, WithLimit(s.Budget))
-	}
+	out.Tap, out.Settle, out.Budget = tap, s.Settle, s.Budget
 	return out, nil
 }
 

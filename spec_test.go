@@ -53,9 +53,18 @@ func TestScenarioSpecCompile(t *testing.T) {
 	if sc.Policy != AbortOnTrip {
 		t.Errorf("policy = %v, want AbortOnTrip", sc.Policy)
 	}
-	// dual tap + settle → two construction options; budget → one run option.
-	if len(sc.Options) != 2 || len(sc.RunOptions) != 1 {
-		t.Errorf("options = %d, run options = %d", len(sc.Options), len(sc.RunOptions))
+	if sc.Bypass || sc.Tap != fpga.TapDual || sc.Settle != 5*sim.Second || sc.Budget != 10*sim.Second {
+		t.Errorf("rig = bypass %v, tap %v, settle %v, budget %v; want false, dual, 5s, 10s",
+			sc.Bypass, sc.Tap, sc.Settle, sc.Budget)
+	}
+	off := false
+	sc, err = ScenarioSpec{Name: "jumpers", MITM: &off}.Compile(SpecContext{BaseSeed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sc.Bypass || sc.Tap != fpga.TapArduino || sc.Settle != 0 || sc.Budget != 0 {
+		t.Errorf("mitm=false rig = bypass %v, tap %v, settle %v, budget %v; want true, arduino, 0, 0",
+			sc.Bypass, sc.Tap, sc.Settle, sc.Budget)
 	}
 }
 
@@ -69,7 +78,7 @@ func TestScenarioSpecCompilePreservesCacheability(t *testing.T) {
 	if !sc.goldenCacheable() {
 		t.Error("plain compiled spec is not golden-cacheable")
 	}
-	// An explicit default tap must not add an option either.
+	// An explicit default tap leaves the rig at its default too.
 	sc, err = ScenarioSpec{Name: "golden", Tap: "arduino"}.Compile(SpecContext{BaseSeed: 1})
 	if err != nil {
 		t.Fatal(err)
