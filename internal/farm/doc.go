@@ -1,5 +1,5 @@
 // Package farm is the distributed campaign service: a small HTTP
-// coordinator owning a work queue of scenario names, and stateless
+// coordinator owning one record per scenario name, and stateless
 // workers that lease scenarios, run them through the normal
 // campaign/testbed path, and stream the resulting rows back.
 //
@@ -10,9 +10,16 @@
 // payload. Results travel as the same JSONL rows `suite -jsonl` writes,
 // the coordinator journals them verbatim, and the final report is
 // stitched from raw rows — byte-identical to an uninterrupted local
-// run. Leases expire on missed heartbeats and return to the queue;
-// duplicate completions (an expired lease finishing anyway) are
+// run. Leases expire on missed heartbeats and their scenarios are dealt
+// again; duplicate completions (an expired lease finishing anyway) are
 // deterministic repeats and are dropped, first completion wins.
+//
+// Every scenario moves through one state machine — held, pending,
+// leased, done, quarantined — under the coordinator's one lock; the
+// transition table is documented on the coordinator's state type. A
+// scenario is done only once its rows are validated and journaled, so
+// a completion the coordinator cannot record leaves the lease live,
+// and the worker's fail report strikes it.
 //
 // Failure handling is graceful degradation: transport faults retry
 // under jittered backoff, a scenario failed or abandoned by MaxStrikes
@@ -21,13 +28,13 @@
 // append-only with torn-tail-tolerant resume and atomic compaction
 // (DESIGN.md §10–§11).
 //
-// The coordinator always feeds its lease queue from the progressive
-// scheduler (internal/sched). Without Config.Progressive it schedules
+// The coordinator always deals scenarios from the progressive scheduler
+// (internal/sched). Without Config.Progressive it schedules
 // offramps.PlainLayout, one round of every scenario in suite order.
 // With it, scenarios are dealt in rounds — one seed per grid cell
 // first, then refinement around detection-boundary cells — and
 // scenarios the scheduler retires are journaled as synthesized
-// "skipped (...)" rows. The queue is reordered, never re-keyed, so
+// "skipped (...)" rows. Scenarios are reordered, never re-keyed, so
 // leases, journals, resume, quarantine, and stitching all work
 // unchanged; a resumed progressive sweep must be restarted with the
 // same Progressive settings it began with (DESIGN.md §14).

@@ -333,57 +333,3 @@ func TestFarmDuplicateCompletion(t *testing.T) {
 		}
 	}
 }
-
-// TestDoneWaitsForEveryRow: the queue marks a completion done before the
-// coordinator stores its rows, so Done must not follow the queue. Here x
-// is marked done in the queue but its rows are not accepted yet when y
-// completes through the handler; Done must stay open until x's rows
-// land, and Report must then succeed.
-func TestDoneWaitsForEveryRow(t *testing.T) {
-	spec := &offramps.SuiteSpec{Name: "done-race", BaseSeed: 1, Scenarios: []offramps.ScenarioSpec{{Name: "x"}, {Name: "y"}}}
-	co, err := NewCoordinator(spec, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer co.Close()
-	srv := httptest.NewServer(co.Handler())
-	defer srv.Close()
-	row := func(name string) json.RawMessage {
-		sc, _ := spec.FindScenario(name)
-		var buf bytes.Buffer
-		sink := offramps.NewJSONLSink(&buf)
-		sink.Label = spec.Name
-		if err := sink.Emit(offramps.ScenarioResult{Name: name, Seed: sc.EffectiveSeed(spec.BaseSeed), Result: &offramps.Result{Completed: true}}); err != nil {
-			t.Fatal(err)
-		}
-		return bytes.TrimSpace(buf.Bytes())
-	}
-	isDone := func() bool {
-		select {
-		case <-co.Done():
-			return true
-		default:
-			return false
-		}
-	}
-
-	if status := co.queue.Complete("", "x"); status != CompleteAccepted {
-		t.Fatalf("queue completion of x = %q", status)
-	}
-	status, err := (&Client{Base: srv.URL}).Complete(context.Background(), CompleteRequest{Scenario: "y", Row: row("y")})
-	if err != nil || status != CompleteAccepted {
-		t.Fatalf("completing y = %q, %v", status, err)
-	}
-	if isDone() {
-		t.Fatal("Done closed while x's rows were still unrecorded")
-	}
-	if err := co.accept("x", nil, row("x")); err != nil {
-		t.Fatal(err)
-	}
-	if !isDone() {
-		t.Fatal("Done still open after every row was recorded")
-	}
-	if _, err := co.Report(); err != nil {
-		t.Fatalf("Report after Done: %v", err)
-	}
-}

@@ -152,27 +152,3 @@ func TestFarmProgressiveResume(t *testing.T) {
 		t.Error("resumed progressive farm report differs from uninterrupted local progressive run")
 	}
 }
-
-// TestQueueHoldRelease covers the round-barrier primitives the
-// progressive coordinator drives the queue with.
-func TestQueueHoldRelease(t *testing.T) {
-	q := NewQueue([]string{"a", "b", "c"}, time.Minute)
-	if r := q.Lease("w"); r.Status != StatusWait {
-		t.Fatalf("unreleased queue dealt %+v, want wait", r)
-	}
-
-	q.Release("b", "nope", "b", "a")
-	r1 := q.Lease("w")
-	r2 := q.Lease("w")
-	if r1.Scenario != "b" || r2.Scenario != "a" {
-		t.Fatalf("released order = %s, %s; want b, a", r1.Scenario, r2.Scenario)
-	}
-	// Releasing a leased or done scenario is a no-op.
-	if st := q.Complete(r1.Token, "b"); st != CompleteAccepted {
-		t.Fatalf("complete b = %s", st)
-	}
-	q.Release("b", "a", "c")
-	if r := q.Lease("w"); r.Scenario != "c" {
-		t.Fatalf("lease after re-release = %+v, want c", r)
-	}
-}
