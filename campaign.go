@@ -89,7 +89,7 @@ type Campaign struct {
 	// scenario finished. The campaign never closes a sink — one sink
 	// commonly spans several Run calls (a suite's waves, a multi-suite
 	// sweep), so the owner must call Close after the last campaign or
-	// buffered sinks (e.g. CSVSink) lose their tail.
+	// buffered sinks lose their tail.
 	Sinks []ResultSink
 	// CaptureMode selects full-trace or fingerprint-only capture for
 	// every run (default CaptureFull). In fingerprint mode no scenario

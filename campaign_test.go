@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -28,65 +27,6 @@ func campaignScenarios(t *testing.T) []Scenario {
 		{Name: "golden-free", Program: prog, Seed: 2,
 			Detector: func() (detect.Detector, error) { return detect.NewRuleEngine(detect.DefaultLimits()) },
 			Policy:   FlagOnly},
-	}
-}
-
-func TestCampaignDeterministicAcrossWorkerCounts(t *testing.T) {
-	scens := campaignScenarios(t)
-	run := func(workers int) []ScenarioResult {
-		results, err := Campaign{Workers: workers}.Run(context.Background(), scens)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := firstScenarioErr(results); err != nil {
-			t.Fatal(err)
-		}
-		return results
-	}
-	serial := run(1)
-	parallel := run(4)
-
-	if len(serial) != len(scens) || len(parallel) != len(scens) {
-		t.Fatalf("result counts: %d, %d, want %d", len(serial), len(parallel), len(scens))
-	}
-	for i := range serial {
-		a, b := serial[i], parallel[i]
-		if a.Name != scens[i].Name || b.Name != scens[i].Name {
-			t.Fatalf("result %d out of order: %q vs %q", i, a.Name, b.Name)
-		}
-		if a.Seed != b.Seed {
-			t.Errorf("%s: seeds differ: %d vs %d", a.Name, a.Seed, b.Seed)
-		}
-		if a.Result.Duration != b.Result.Duration {
-			t.Errorf("%s: durations differ: %v vs %v", a.Name, a.Result.Duration, b.Result.Duration)
-		}
-		if a.Result.Quality != b.Result.Quality {
-			t.Errorf("%s: quality differs: %v vs %v", a.Name, a.Result.Quality, b.Result.Quality)
-		}
-		ra, rb := a.Result.Recording, b.Result.Recording
-		if ra.Len() != rb.Len() {
-			t.Fatalf("%s: capture lengths differ: %d vs %d", a.Name, ra.Len(), rb.Len())
-		}
-		for j := range ra.Transactions {
-			if ra.Transactions[j] != rb.Transactions[j] {
-				t.Fatalf("%s: transaction %d differs", a.Name, j)
-			}
-		}
-		if !reflect.DeepEqual(a.Result.Detections, b.Result.Detections) {
-			t.Errorf("%s: detection reports differ", a.Name)
-		}
-	}
-	// The trojaned scenario must actually differ from the clean one —
-	// determinism must not come from scenarios collapsing together.
-	if serial[0].Result.Quality.TotalFilament <= serial[1].Result.Quality.TotalFilament {
-		t.Error("T2 scenario extruded at least as much as the clean print")
-	}
-	// And the detector-attached scenario must carry its report.
-	if len(serial[2].Result.Detections) != 1 {
-		t.Fatalf("golden-free scenario has %d reports", len(serial[2].Result.Detections))
-	}
-	if serial[2].Result.Detections[0].TrojanLikely {
-		t.Error("clean print flagged by the rule engine")
 	}
 }
 

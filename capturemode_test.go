@@ -15,120 +15,40 @@ import (
 	"offramps/internal/trojan"
 )
 
-// The capture-mode, shared-plan, and pooled-core fast paths all make the
-// same promise: bit-identical outcomes to the naive path. These tests
-// are the promise's enforcement — each one runs both paths and compares
-// the observable results byte for byte.
+// The shared-plan and pooled-core fast paths promise bit-identical
+// outcomes to the naive path: each test here runs both and compares the
+// results byte for byte. The capture modes and fusion are held to the
+// reference report by TestExecutionPathsAgree (paths_test.go).
 
-// TestFingerprintEquivalence runs representative scenarios — a clean
-// golden-free sweep, a Table II-style trojan print, and a dual-tap
-// attestation run — in full and fingerprint mode across ten seeds. The
-// two modes must produce identical detector verdicts, identical
-// fingerprints (the streaming digest must match the one recomputed from
-// the full recording), and identical report JSON.
-func TestFingerprintEquivalence(t *testing.T) {
-	prog := mustTestPart(t)
-	ruleEngine := func(t *testing.T) RunOption {
-		re, err := detect.NewRuleEngine(detect.DefaultLimits())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return WithDetectorAt(BindPrimary, re, FlagOnly)
+// TestFingerprintMatchesRecording: on every tap of a dual-tap print, the
+// fingerprint streamed during a full-capture run equals the one
+// recomputed from the recorded windows. TestExecutionPathsAgree holds
+// the fingerprint-mode digests equal to the full-mode ones, so this
+// anchors both to the capture itself.
+func TestFingerprintMatchesRecording(t *testing.T) {
+	tb, err := NewTestbed(WithSeed(3), WithTapSide(fpga.TapDual))
+	if err != nil {
+		t.Fatal(err)
 	}
-	attestor := func(t *testing.T) RunOption {
-		att, err := detect.NewAttestation(detect.DefaultAttestationConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return WithDetectorAt(BindDual, att, FlagOnly)
+	res, err := tb.Run(context.Background(), mustTestPart(t))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// opts is a factory: trojans are stateful, so each run needs its own.
-	cases := []struct {
-		name     string
-		opts     func() []Option
-		detector func(t *testing.T) RunOption
+	for _, tap := range []struct {
+		name string
+		rec  *capture.Recording
+		fp   *capture.Fingerprint
 	}{
-		{"clean-ruleengine", func() []Option { return nil }, ruleEngine},
-		{"t2-ruleengine", func() []Option {
-			return []Option{WithTrojan(trojan.NewT2ExtrusionReduction(trojan.T2Params{KeepRatio: 0.5}))}
-		}, ruleEngine},
-		{"dual-attestation", func() []Option { return []Option{WithTapSide(fpga.TapDual)} }, attestor},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			t.Parallel()
-			for seed := uint64(1); seed <= 10; seed++ {
-				run := func(mode CaptureMode) *Result {
-					tb, err := NewTestbed(append([]Option{WithSeed(seed)}, tc.opts()...)...)
-					if err != nil {
-						t.Fatal(err)
-					}
-					res, err := tb.Run(context.Background(), prog, WithCaptureMode(mode), tc.detector(t))
-					if err != nil {
-						t.Fatalf("seed %d %v: %v", seed, mode, err)
-					}
-					return res
-				}
-				full := run(CaptureFull)
-				fp := run(CaptureFingerprint)
-
-				if full.Recording == nil || full.Recording.Len() == 0 {
-					t.Fatalf("seed %d: full mode produced no recording", seed)
-				}
-				if fp.Recording != nil || fp.ArduinoRecording != nil || fp.RAMPSRecording != nil {
-					t.Fatalf("seed %d: fingerprint mode materialized a recording", seed)
-				}
-
-				if len(full.Detections) != len(fp.Detections) {
-					t.Fatalf("seed %d: detection counts differ: %d vs %d", seed, len(full.Detections), len(fp.Detections))
-				}
-				for i := range full.Detections {
-					fj, _ := json.Marshal(full.Detections[i])
-					pj, _ := json.Marshal(fp.Detections[i])
-					if !bytes.Equal(fj, pj) {
-						t.Errorf("seed %d detector %d: reports differ:\nfull: %s\nfp:   %s", seed, i, fj, pj)
-					}
-				}
-				if full.TrojanLikely != fp.TrojanLikely {
-					t.Errorf("seed %d: verdicts differ: full=%v fp=%v", seed, full.TrojanLikely, fp.TrojanLikely)
-				}
-
-				pairs := []struct {
-					rec *capture.Recording
-					fpr *capture.Fingerprint
-				}{
-					{full.Recording, fp.Fingerprint},
-					{full.ArduinoRecording, fp.ArduinoFingerprint},
-					{full.RAMPSRecording, fp.RAMPSFingerprint},
-				}
-				for i, p := range pairs {
-					if (p.rec == nil) != (p.fpr == nil) {
-						t.Fatalf("seed %d tap %d: recording/fingerprint presence mismatch", seed, i)
-					}
-					if p.rec == nil {
-						continue
-					}
-					want := capture.FingerprintOf(p.rec)
-					if !p.fpr.Equal(&want) {
-						t.Errorf("seed %d tap %d: streamed fingerprint differs from recomputed:\nstreamed: %v\nrecorded: %v",
-							seed, i, p.fpr, want)
-					}
-				}
-
-				fj, err := json.Marshal(full)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pj, err := json.Marshal(fp)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(fj, pj) {
-					t.Errorf("seed %d: report JSON differs between modes:\nfull: %s\nfp:   %s", seed, fj, pj)
-				}
-			}
-		})
+		{"primary", res.Recording, res.Fingerprint},
+		{"arduino", res.ArduinoRecording, res.ArduinoFingerprint},
+		{"ramps", res.RAMPSRecording, res.RAMPSFingerprint},
+	} {
+		if tap.rec == nil || tap.rec.Len() == 0 || tap.fp == nil {
+			t.Fatalf("%s tap: recording or fingerprint missing", tap.name)
+		}
+		if want := capture.FingerprintOf(tap.rec); !tap.fp.Equal(&want) {
+			t.Errorf("%s tap: streamed fingerprint differs from recomputed:\nstreamed: %v\nrecorded: %v", tap.name, tap.fp, want)
+		}
 	}
 }
 
@@ -177,30 +97,9 @@ func TestCompiledPlanIdentity(t *testing.T) {
 			}
 			interp := run()
 			planned := run(withCompiled(compiled))
-
-			for _, side := range []struct {
-				name    string
-				interp  *capture.Recording
-				planned *capture.Recording
-			}{
-				{"arduino", interp.ArduinoRecording, planned.ArduinoRecording},
-				{"ramps", interp.RAMPSRecording, planned.RAMPSRecording},
-			} {
-				if (side.interp == nil) != (side.planned == nil) {
-					t.Fatalf("%s capture present in one run only", side.name)
-				}
-				if side.interp == nil {
-					continue
-				}
-				if side.interp.Len() != side.planned.Len() {
-					t.Fatalf("%s window counts differ: %d vs %d", side.name, side.interp.Len(), side.planned.Len())
-				}
-				for i := range side.interp.Transactions {
-					if side.interp.Transactions[i] != side.planned.Transactions[i] {
-						t.Fatalf("%s window %d differs: %+v vs %+v", side.name, i,
-							side.interp.Transactions[i], side.planned.Transactions[i])
-					}
-				}
+			if !reflect.DeepEqual(interp.ArduinoRecording, planned.ArduinoRecording) ||
+				!reflect.DeepEqual(interp.RAMPSRecording, planned.RAMPSRecording) {
+				t.Fatal("captures differ between interpreter and plan")
 			}
 			ij, _ := json.Marshal(interp)
 			pj, _ := json.Marshal(planned)
@@ -235,14 +134,8 @@ func TestCoreReuseIdentity(t *testing.T) {
 	}
 	reused := run(7, WithCore(core))
 
-	if len(fresh.Recording.Transactions) != len(reused.Recording.Transactions) {
-		t.Fatalf("window counts differ: %d vs %d", fresh.Recording.Len(), reused.Recording.Len())
-	}
-	for i := range fresh.Recording.Transactions {
-		if fresh.Recording.Transactions[i] != reused.Recording.Transactions[i] {
-			t.Fatalf("window %d differs: %+v vs %+v", i,
-				fresh.Recording.Transactions[i], reused.Recording.Transactions[i])
-		}
+	if !reflect.DeepEqual(fresh.Recording, reused.Recording) {
+		t.Fatal("captures differ between fresh and core-reused runs")
 	}
 	fj, _ := json.Marshal(fresh)
 	rj, _ := json.Marshal(reused)
@@ -251,12 +144,11 @@ func TestCoreReuseIdentity(t *testing.T) {
 	}
 }
 
-// TestCampaignFusionEquivalence: a fingerprint-mode campaign (fused
-// shared simulations, shared plans, pooled cores) must reach the same
-// per-scenario rows as the full-mode campaign running every scenario
-// solo. Detector scenarios that share program and seed but differ in
-// settle, budget or tap simulate different prints, so they must not
-// fuse with each other.
+// TestCampaignFusionEquivalence: in fingerprint mode, detector
+// scenarios that share program and seed fuse into one unit, while
+// variants that differ in settle, budget or tap simulate different
+// prints and must stay in units of their own. That fused rows equal
+// solo rows byte for byte is TestExecutionPathsAgree's fingerprint rows.
 func TestCampaignFusionEquivalence(t *testing.T) {
 	prog := mustTestPart(t)
 	ruleEngine := func(lim detect.Limits) func() (detect.Detector, error) {
@@ -311,31 +203,6 @@ func TestCampaignFusionEquivalence(t *testing.T) {
 		t.Errorf("fused units = %v, want %v", got, want)
 	}
 
-	run := func(mode CaptureMode) []ScenarioResult {
-		results, err := Campaign{CaptureMode: mode}.Run(context.Background(), scens)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := firstScenarioErr(results); err != nil {
-			t.Fatal(err)
-		}
-		return results
-	}
-	full := run(CaptureFull)
-	fused := run(CaptureFingerprint)
-	for i := range scens {
-		f, u := full[i], fused[i]
-		fj, _ := json.Marshal(f)
-		uj, _ := json.Marshal(u)
-		if !bytes.Equal(fj, uj) {
-			t.Errorf("scenario %q: rows differ:\nfull:  %s\nfused: %s", scens[i].Name, fj, uj)
-		}
-	}
-	// The settle variant observes 30 more windows than a-1, so a wrong
-	// fusion would show in its row too.
-	if full[0].Result.Fingerprint.Windows == full[9].Result.Fingerprint.Windows {
-		t.Error("settle variant observed as many windows as the default rig")
-	}
 }
 
 // campaignKeys derives every scenario's simKey under the default budget.

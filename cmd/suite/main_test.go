@@ -240,36 +240,6 @@ func readFile(t *testing.T, path string) []byte {
 	return data
 }
 
-// TestShardMergeByteIdentical is the sharding acceptance test: for base
-// seeds 1 and 7, running the grid as four hash-keyed shards and merging
-// their -jsonl streams yields a file byte-identical to the unsharded
-// run's.
-func TestShardMergeByteIdentical(t *testing.T) {
-	grid := filepath.Join("testdata", "grid_shard.json")
-	for _, seed := range []string{"1", "7"} {
-		t.Run("seed"+seed, func(t *testing.T) {
-			dir := t.TempDir()
-			full := filepath.Join(dir, "full.json")
-			var out strings.Builder
-			if err := run([]string{"-grid", "-seed", seed, "-json", full, grid}, &out); err != nil {
-				t.Fatal(err)
-			}
-
-			streams := runShards(t, dir, 4, "-grid", "-seed", seed, grid)
-			merged := filepath.Join(dir, "merged.json")
-			mergeArgs := append([]string{"-grid", "-merge", "-seed", seed, "-json", merged, grid}, streams...)
-			if err := run(mergeArgs, &out); err != nil {
-				t.Fatalf("merge: %v", err)
-			}
-
-			want, got := readFile(t, full), readFile(t, merged)
-			if !bytes.Equal(got, want) {
-				t.Errorf("merged report is not byte-identical to the unsharded run\nunsharded: %d bytes\nmerged:    %d bytes", len(want), len(got))
-			}
-		})
-	}
-}
-
 // TestMergeFromJSONLStreams: -merge stitches per-shard -jsonl streams
 // into the same bytes as the unsharded run, whether they arrive as
 // separate files or as one concatenated stream (whose repeated helper

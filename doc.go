@@ -48,7 +48,7 @@
 // JSONL journal) both fold rows first-copy-wins and stitch them
 // (StitchReport) into reports byte-identical to an uninterrupted
 // single-process run. Goldens are memoized in a layered
-// repository — in-process LRU (GoldenCache) over a persistent
+// repository — an in-process cache (GoldenCache) over a persistent
 // content-addressed disk store (internal/goldenstore) — and huge grids
 // run under the progressive scheduler (internal/sched, surfaced as
 // RunSuiteProgressive and `suite -progressive`): coverage first, then

@@ -8,7 +8,6 @@ import (
 	"offramps/internal/capture"
 	"offramps/internal/detect"
 	"offramps/internal/flaw3d"
-	"offramps/internal/gcode"
 	"offramps/internal/printer"
 	"offramps/internal/signal"
 	"offramps/internal/sim"
@@ -216,23 +215,6 @@ func (r *TableIIReport) Format() string {
 	fmt.Fprintf(&sb, "clean control: %s (%d mismatches, largest %.2f%%)\n",
 		fp, r.CleanControl.NumMismatches, r.CleanControl.LargestPercent)
 	return sb.String()
-}
-
-// captureRun prints prog on a fresh testbed and returns its capture — the
-// single-print convenience used by benches and extension tests.
-func captureRun(prog gcode.Program, seed uint64) (*capture.Recording, error) {
-	tb, err := NewTestbed(WithSeed(seed))
-	if err != nil {
-		return nil, err
-	}
-	res, err := tb.Run(context.Background(), prog)
-	if err != nil {
-		return nil, err
-	}
-	if res.Recording == nil || res.Recording.Len() == 0 {
-		return nil, fmt.Errorf("offramps: print produced no capture")
-	}
-	return res.Recording, nil
 }
 
 // TableIISuite returns the paper's Table II as a declarative suite: the

@@ -75,12 +75,6 @@ type goldenEntry struct {
 	done chan struct{} // closed once res/err are final
 	res  *Result
 	err  error
-	// lastUsed and bytes are owned by the cache mutex: the LRU clock at
-	// the entry's most recent lookup, and the entry's retained-size
-	// estimate (0 until the result materializes and is counted).
-	lastUsed uint64
-	bytes    int64
-	counted  bool
 }
 
 // GoldenCache memoizes golden (trojan-free, detector-free, unmodified)
@@ -88,8 +82,9 @@ type goldenEntry struct {
 // bit-identical goldens — TableII, Figure4, and Drift all print the same
 // program with overlapping seeds — so a shared cache lets each golden be
 // simulated exactly once per process. Determinism makes this sound: a
-// cached Result is bit-identical to a fresh run with the same key (tested
-// by TestGoldenCacheBitIdentical).
+// cached Result is bit-identical to a fresh run with the same key (the
+// store row of TestExecutionPathsAgree). The cache is unbounded: it
+// holds every golden a process asks for.
 //
 // Cached Results (including Part and Recording) are shared read-only;
 // everything downstream of a campaign treats results as immutable.
@@ -98,13 +93,8 @@ type GoldenCache struct {
 	entries map[goldenKey]*goldenEntry
 	hits    uint64
 	misses  uint64
-	// limit caps len(entries); 0 means unbounded. When an insert pushes
-	// the cache over the cap, the least-recently-used settled entry is
-	// evicted (callers already holding the evicted *goldenEntry keep
-	// their result — eviction only forgets, it never invalidates).
-	limit int
+	// bytes is the retained-size estimate of every settled entry.
 	bytes int64
-	clock uint64
 
 	// store is the optional persistent tier (AttachStore). A memory miss
 	// consults it before simulating; a fresh simulation is written back
@@ -121,20 +111,9 @@ type GoldenCache struct {
 	used map[goldenstore.Key]bool
 }
 
-// NewGoldenCache returns an empty, unbounded cache.
+// NewGoldenCache returns an empty cache.
 func NewGoldenCache() *GoldenCache {
 	return &GoldenCache{entries: make(map[goldenKey]*goldenEntry)}
-}
-
-// NewGoldenCacheWithLimit returns a cache holding at most maxEntries
-// memoized goldens, evicting the least recently used beyond that. A
-// non-positive limit means unbounded (same as NewGoldenCache).
-func NewGoldenCacheWithLimit(maxEntries int) *GoldenCache {
-	gc := NewGoldenCache()
-	if maxEntries > 0 {
-		gc.limit = maxEntries
-	}
-	return gc
 }
 
 // AttachStore wires a persistent golden store behind the in-memory tier.
@@ -215,32 +194,6 @@ func resultBytes(res *Result) int64 {
 	return size
 }
 
-// evictLocked drops least-recently-used settled entries until the cache
-// fits its limit. keep is the entry that triggered the insert and must
-// survive. Callers hold gc.mu.
-func (gc *GoldenCache) evictLocked(keep *goldenEntry) {
-	if gc.limit <= 0 {
-		return
-	}
-	for len(gc.entries) > gc.limit {
-		var oldestKey goldenKey
-		var oldest *goldenEntry
-		for k, e := range gc.entries {
-			if e == keep || !e.counted {
-				continue
-			}
-			if oldest == nil || e.lastUsed < oldest.lastUsed {
-				oldestKey, oldest = k, e
-			}
-		}
-		if oldest == nil {
-			return // everything else is still in flight; over-cap is transient
-		}
-		delete(gc.entries, oldestKey)
-		gc.bytes -= oldest.bytes
-	}
-}
-
 // run returns the memoized result for key. Concurrent callers for the
 // same key block on the first caller's computation; if that owner fails,
 // its waiters re-attempt the key themselves instead of inheriting an
@@ -260,8 +213,6 @@ func (gc *GoldenCache) run(key goldenKey, fresh func() (*Result, error)) (*Resul
 			gc.used[key.storeKey()] = true
 		}
 		if e, ok := gc.entries[key]; ok {
-			gc.clock++
-			e.lastUsed = gc.clock
 			gc.mu.Unlock()
 			<-e.done
 			if e.err != nil {
@@ -275,8 +226,6 @@ func (gc *GoldenCache) run(key goldenKey, fresh func() (*Result, error)) (*Resul
 		e := &goldenEntry{done: make(chan struct{})}
 		gc.entries[key] = e
 		gc.misses++
-		gc.clock++
-		e.lastUsed = gc.clock
 		gc.mu.Unlock()
 
 		res, err := gc.fill(key, fresh)
@@ -292,10 +241,7 @@ func (gc *GoldenCache) run(key goldenKey, fresh func() (*Result, error)) (*Resul
 			return nil, err
 		}
 		e.res = res
-		e.counted = true
-		e.bytes = resultBytes(res)
-		gc.bytes += e.bytes
-		gc.evictLocked(e)
+		gc.bytes += resultBytes(res)
 		gc.mu.Unlock()
 		close(e.done)
 		return res, nil

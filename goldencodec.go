@@ -166,8 +166,10 @@ func encodeGoldenResult(res *Result) ([]byte, error) {
 }
 
 // goldenDecoder is a bounds-checked little-endian reader; any overrun
-// poisons it, and the caller reports one error at the end. That keeps
-// the decode loop linear instead of nested error plumbing.
+// or non-canonical value poisons it, and the caller reports one error
+// at the end. That keeps the decode loop linear instead of nested error
+// plumbing. Decoding accepts only the bytes encodeGoldenResult writes,
+// so a decoded result always re-encodes to its payload.
 type goldenDecoder struct {
 	b   []byte
 	off int
@@ -192,9 +194,16 @@ func (d *goldenDecoder) u64() uint64 {
 	return binary.LittleEndian.Uint64(s)
 }
 
-func (d *goldenDecoder) i64() int64     { return int64(d.u64()) }
-func (d *goldenDecoder) f64() float64   { return math.Float64frombits(d.u64()) }
-func (d *goldenDecoder) boolByte() bool { return d.byte() != 0 }
+func (d *goldenDecoder) i64() int64   { return int64(d.u64()) }
+func (d *goldenDecoder) f64() float64 { return math.Float64frombits(d.u64()) }
+
+func (d *goldenDecoder) boolByte() bool {
+	v := d.byte()
+	if v > 1 {
+		d.bad = true
+	}
+	return v == 1
+}
 
 func (d *goldenDecoder) u32() uint32 {
 	s := d.take(4)
@@ -212,14 +221,12 @@ func (d *goldenDecoder) byte() byte {
 	return s[0]
 }
 
-// maxGoldenSlice bounds decoded element counts before allocation, so a
-// corrupt length prefix cannot ask for gigabytes. Real captures are
-// thousands of windows; deposits a few hundred thousand.
-const maxGoldenSlice = 1 << 26
-
-func (d *goldenDecoder) count() int {
+// count reads an element count and bounds it by the bytes left, at
+// size bytes per element, so a corrupt length prefix cannot allocate
+// beyond the input.
+func (d *goldenDecoder) count(size int) int {
 	n := d.u64()
-	if n > maxGoldenSlice {
+	if d.bad || n > uint64((len(d.b)-d.off)/size) {
 		d.bad = true
 		return 0
 	}
@@ -256,15 +263,27 @@ func decodeGoldenResult(payload []byte) (*Result, error) {
 			return nil, fmt.Errorf("offramps: golden codec: %d step-loss axes", n)
 		}
 		res.StepsLost = make(map[signal.Axis]uint64, n)
-		for i := 0; i < n; i++ {
+		next := 0 // axes are encoded once each, in signal.Axes order
+		for i := 0; i < n && !d.bad; i++ {
 			axis := signal.Axis(d.byte())
+			for next < len(signal.Axes) && signal.Axes[next] != axis {
+				next++
+			}
+			if next == len(signal.Axes) {
+				return nil, fmt.Errorf("offramps: golden codec: step-loss axis %d out of order", axis)
+			}
+			next++
 			res.StepsLost[axis] = d.u64()
 		}
 	}
 
 	if d.boolByte() {
-		part := printer.NewPart(d.f64())
-		n := d.count()
+		quantum := d.f64()
+		if quantum <= 0 {
+			return nil, fmt.Errorf("offramps: golden codec: layer quantum %v", quantum)
+		}
+		part := printer.NewPart(quantum)
+		n := d.count(32)
 		for i := 0; i < n && !d.bad; i++ {
 			part.Add(printer.Deposit{X: d.f64(), Y: d.f64(), Z: d.f64(), Filament: d.f64()})
 		}
@@ -285,8 +304,8 @@ func decodeGoldenResult(payload []byte) (*Result, error) {
 				Period:    sim.Time(d.i64()),
 				StartedAt: sim.Time(d.i64()),
 			}
-			n := d.count()
-			if !d.bad && n > 0 {
+			n := d.count(20)
+			if n > 0 {
 				rec.Transactions = make([]capture.Transaction, n)
 				for i := range rec.Transactions {
 					rec.Transactions[i] = capture.Transaction{
@@ -355,7 +374,7 @@ func decodeGoldenResult(payload []byte) (*Result, error) {
 	}
 
 	if d.bad {
-		return nil, fmt.Errorf("offramps: golden codec: truncated payload")
+		return nil, fmt.Errorf("offramps: golden codec: truncated or malformed payload")
 	}
 	if d.off != len(payload) {
 		return nil, fmt.Errorf("offramps: golden codec: %d trailing bytes", len(payload)-d.off)

@@ -366,49 +366,3 @@ func TestFarmPoisonQuarantine(t *testing.T) {
 		t.Errorf("FirstError() = %v, want it to name %q", err, poison)
 	}
 }
-
-// TestFarmDrainStopsLeasing: drain mode turns lease replies into
-// "drain" (workers exit cleanly) while an in-flight completion is still
-// honoured, and the journal resumes the remainder.
-func TestFarmDrainStopsLeasing(t *testing.T) {
-	journal := filepath.Join(t.TempDir(), "sweep.jsonl")
-	co, err := NewCoordinator(loadFarmSuite(t, 1), Config{TTL: 30 * time.Second, Journal: journal})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(co.Handler())
-
-	// One scenario lands before the drain.
-	w := &Worker{Client: &Client{Base: srv.URL}, Name: "pre", Poll: 2 * time.Millisecond, Max: 1}
-	if n, err := w.Run(context.Background()); err != nil || n != 1 {
-		t.Fatalf("pre-drain worker: n=%d err=%v", n, err)
-	}
-
-	co.Drain()
-	// A worker joining a draining coordinator exits with zero scenarios.
-	w2 := &Worker{Client: &Client{Base: srv.URL}, Name: "late", Poll: 2 * time.Millisecond}
-	if n, err := w2.Run(context.Background()); err != nil || n != 0 {
-		t.Fatalf("post-drain worker: n=%d err=%v (want a clean zero-scenario exit)", n, err)
-	}
-	srv.Close()
-	if err := co.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The journal resumes the undrained remainder.
-	co2, err := NewCoordinator(loadFarmSuite(t, 1), Config{TTL: 30 * time.Second, Journal: journal})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer co2.Close()
-	if co2.Resumed() != 1 {
-		t.Errorf("Resumed() = %d, want 1", co2.Resumed())
-	}
-	srv2 := httptest.NewServer(co2.Handler())
-	defer srv2.Close()
-	runWorkers(t, co2, srv2.URL, 2)
-	want := localDoc(t, loadFarmSuite(t, 1))
-	if got := stitchDoc(t, co2); !bytes.Equal(got, want) {
-		t.Error("drained-then-resumed sweep differs from the local run")
-	}
-}

@@ -3,12 +3,10 @@ package farm
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -54,11 +52,16 @@ func loadFarmSuite(t *testing.T, seed uint64) *offramps.SuiteSpec {
 // serialized exactly as `suite -json` writes it.
 func localDoc(t *testing.T, spec *offramps.SuiteSpec) []byte {
 	t.Helper()
-	c := offramps.Campaign{Cache: offramps.NewGoldenCache()}
-	rep, err := c.RunSuite(context.Background(), spec)
+	rep, err := offramps.Campaign{Cache: offramps.NewGoldenCache()}.RunSuite(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return suiteDoc(t, rep)
+}
+
+// suiteDoc serializes a report exactly as `suite -json` writes it.
+func suiteDoc(t testing.TB, rep *offramps.SuiteReport) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	doc := struct {
 		Suites []*offramps.SuiteReport `json:"suites"`
@@ -107,63 +110,7 @@ func stitchDoc(t *testing.T, co *Coordinator) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := offramps.EncodeReport(&buf, offramps.RawReportDoc{Suites: []offramps.RawSuiteReport{*rep}}); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestFarmByteIdentity: a two-worker distributed sweep must produce the
-// exact bytes of an uninterrupted local run — for more than one base
-// seed, so nothing is accidentally anchored to seed 1.
-func TestFarmByteIdentity(t *testing.T) {
-	for _, seed := range []uint64{1, 7} {
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			want := localDoc(t, loadFarmSuite(t, seed))
-
-			journal := filepath.Join(t.TempDir(), "sweep.jsonl")
-			co, err := NewCoordinator(loadFarmSuite(t, seed), Config{TTL: 30 * time.Second, Journal: journal})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer co.Close()
-			srv := httptest.NewServer(co.Handler())
-			defer srv.Close()
-
-			runWorkers(t, co, srv.URL, 2)
-			if got := stitchDoc(t, co); !bytes.Equal(got, want) {
-				t.Errorf("farm report differs from local run\nlocal: %d bytes\nfarm:  %d bytes", len(want), len(got))
-			}
-
-			// The journal alone re-stitches the same report: it is a
-			// complete -jsonl stream of the sweep.
-			f, err := os.Open(journal)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ix, err := offramps.ReadResumeIndex(f, "farm-grid")
-			f.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			spec := loadFarmSuite(t, seed)
-			if missing := ix.Missing(spec); len(missing) != 0 {
-				t.Errorf("journal is missing scenarios %v", missing)
-			}
-			rep, err := offramps.StitchReport(spec, ix.Scenarios, ix.Compares)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			if err := offramps.EncodeReport(&buf, offramps.RawReportDoc{Suites: []offramps.RawSuiteReport{*rep}}); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(buf.Bytes(), want) {
-				t.Error("journal-stitched report differs from local run")
-			}
-		})
-	}
+	return encodeRaw(t, rep)
 }
 
 // TestFarmResume kills a sweep twice — a worker abandoned mid-scenario
@@ -267,69 +214,5 @@ func TestFarmResumeTornJournal(t *testing.T) {
 	runWorkers(t, co2, srv2.URL, 2)
 	if got := stitchDoc(t, co2); !bytes.Equal(got, want) {
 		t.Error("torn-journal resume differs from uninterrupted local run")
-	}
-}
-
-// TestFarmDuplicateCompletion: a completion for an already-done scenario
-// is acknowledged as a duplicate and its rows are dropped, not recorded
-// twice.
-func TestFarmDuplicateCompletion(t *testing.T) {
-	journal := filepath.Join(t.TempDir(), "sweep.jsonl")
-	spec := loadFarmSuite(t, 1)
-	co, err := NewCoordinator(spec, Config{TTL: 30 * time.Second, Journal: journal})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer co.Close()
-	srv := httptest.NewServer(co.Handler())
-	defer srv.Close()
-	runWorkers(t, co, srv.URL, 2)
-
-	cl := &Client{Base: srv.URL}
-	status, err := cl.Complete(context.Background(), CompleteRequest{
-		Token:    "L9999",
-		Scenario: spec.Scenarios[0].Name,
-		Row:      json.RawMessage(`{"bogus": true}`),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if status != CompleteDuplicate {
-		t.Fatalf("late completion = %q, want duplicate", status)
-	}
-	status, err = cl.Complete(context.Background(), CompleteRequest{
-		Token:    "L9999",
-		Scenario: "no-such-scenario",
-		Row:      json.RawMessage(`{}`),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if status != CompleteUnknown {
-		t.Fatalf("unknown completion = %q, want unknown", status)
-	}
-
-	// The journal carries each scenario exactly once despite the replay.
-	data, err := os.ReadFile(journal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := map[string]int{}
-	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-		row, err := offramps.ParseStreamRow([]byte(line))
-		if err != nil {
-			t.Fatalf("journal row %q: %v", line, err)
-		}
-		if row.Name != "" {
-			counts[row.Name]++
-		}
-	}
-	if len(counts) != len(spec.Scenarios) {
-		t.Errorf("journal has %d scenarios, want %d", len(counts), len(spec.Scenarios))
-	}
-	for name, n := range counts {
-		if n != 1 {
-			t.Errorf("journal row for %q appears %d times", name, n)
-		}
 	}
 }

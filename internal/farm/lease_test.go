@@ -515,7 +515,8 @@ func TestQueueCompleteRescuesQuarantined(t *testing.T) {
 	}
 }
 
-// In-flight work still heartbeats and completes while draining.
+// In-flight work still heartbeats and completes while draining, and a
+// worker joining a draining coordinator exits cleanly having run nothing.
 func TestQueueDrainStopsLeasingOnly(t *testing.T) {
 	h := newLeaseHarness(t, leaseSuite("a", "b"), Config{TTL: time.Minute}, nil)
 	h.run(
@@ -527,6 +528,10 @@ func TestQueueDrainStopsLeasingOnly(t *testing.T) {
 	)
 	if !h.status().Draining {
 		t.Error("status does not report draining")
+	}
+	w := &Worker{Client: h.cl, Name: "late"}
+	if n, err := w.Run(context.Background()); err != nil || n != 0 {
+		t.Errorf("worker joining a draining coordinator: n=%d err=%v, want a clean exit with 0 scenarios", n, err)
 	}
 }
 

@@ -47,54 +47,11 @@ func loadSweep(t *testing.T) (*offramps.SuiteSpec, *sched.Grid) {
 func localProgressiveDoc(t *testing.T, cfg sched.Config) []byte {
 	t.Helper()
 	suite, layout := loadSweep(t)
-	c := offramps.Campaign{Cache: offramps.NewGoldenCache()}
-	rep, _, err := c.RunSuiteProgressive(context.Background(), suite, layout, cfg)
+	rep, _, err := offramps.Campaign{Cache: offramps.NewGoldenCache()}.RunSuiteProgressive(context.Background(), suite, layout, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	doc := struct {
-		Suites []*offramps.SuiteReport `json:"suites"`
-	}{[]*offramps.SuiteReport{rep}}
-	if err := offramps.EncodeReport(&buf, doc); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestFarmProgressiveByteIdentity: a distributed progressive sweep —
-// rounds dealt through the lease queue, skips synthesized by the
-// coordinator — must stitch to the exact bytes of a single-process
-// RunSuiteProgressive with the same budget and early-stop settings.
-func TestFarmProgressiveByteIdentity(t *testing.T) {
-	for _, cfg := range []sched.Config{
-		{}, // unlimited: also byte-identical to the naive full run
-		{Budget: 5, EarlyStopK: 2},
-	} {
-		want := localProgressiveDoc(t, cfg)
-
-		suite, layout := loadSweep(t)
-		journal := filepath.Join(t.TempDir(), "sweep.jsonl")
-		co, err := NewCoordinator(suite, Config{
-			TTL:         30 * time.Second,
-			Journal:     journal,
-			Progressive: &Progressive{Layout: layout, Sched: cfg},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer co.Close()
-		srv := httptest.NewServer(co.Handler())
-		defer srv.Close()
-
-		runWorkers(t, co, srv.URL, 2)
-		if got := stitchDoc(t, co); !bytes.Equal(got, want) {
-			t.Errorf("cfg %+v: farm progressive report differs from local progressive run\nlocal: %d bytes\nfarm:  %d bytes", cfg, len(want), len(got))
-		}
-		if st := co.SweepStats(); st.Covered != st.Cells {
-			t.Errorf("cfg %+v: covered %d of %d cells", cfg, st.Covered, st.Cells)
-		}
-	}
+	return suiteDoc(t, rep)
 }
 
 // TestFarmProgressiveResume: a progressive sweep killed after a partial

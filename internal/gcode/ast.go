@@ -43,6 +43,11 @@ func formatNumber(v float64) string {
 	s := strconv.FormatFloat(v, 'f', 5, 64)
 	s = strings.TrimRight(s, "0")
 	s = strings.TrimRight(s, ".")
+	if s == "-0" {
+		// A negative value that rounds to zero renders as the zero it
+		// re-parses to, so the canonical form is a fixed point.
+		return "0"
+	}
 	return s
 }
 

@@ -1,7 +1,7 @@
 // Package goldenstore is the persistent tier of the layered golden
 // repository (DESIGN.md §13): an on-disk, content-addressed store of
 // encoded golden results keyed by (program hash, seed, budget, capture
-// mode), sitting below the in-memory LRU of offramps.GoldenCache and
+// mode), sitting below the in-memory tier of offramps.GoldenCache and
 // behind a Bloom existence filter, modeled on the cache → bloom → store
 // lookup pipeline of the rr-dns blocklist repository (SNIPPETS.md).
 //

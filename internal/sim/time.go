@@ -41,9 +41,6 @@ func (t Time) Milliseconds() float64 { return float64(t) / float64(Millisecond) 
 
 // String formats the timestamp using Go duration notation.
 func (t Time) String() string {
-	if t < 0 {
-		return fmt.Sprintf("-%v", time.Duration(-t))
-	}
 	return time.Duration(t).String()
 }
 

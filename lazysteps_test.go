@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -25,61 +24,6 @@ func withEagerSteps(fn func()) {
 	eagerSteps = true
 	defer func() { eagerSteps = false }()
 	fn()
-}
-
-// TestLazyStepsMatchEagerSpecs is the eager oracle for every committed
-// spec: at seeds 1–10 the lazy and eager sweeps must write the same
-// report bytes and produce the same captures, fingerprints and parts.
-// Under -short or the race detector it keeps seeds 1 and 7.
-func TestLazyStepsMatchEagerSpecs(t *testing.T) {
-	paths, err := filepath.Glob("examples/specs/*.json")
-	if err != nil || len(paths) == 0 {
-		t.Fatalf("no committed specs: %v", err)
-	}
-	seeds := []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if testing.Short() || raceDetector {
-		seeds = []uint64{1, 7}
-	}
-	// One golden cache per rig serves the prints the specs share.
-	lazyCache, eagerCache := NewGoldenCache(), NewGoldenCache()
-	sweep := func(path string, seed uint64, cache *GoldenCache) ([]byte, *SuiteReport) {
-		suite, err := LoadSuiteOrGrid(path, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		suite.BaseSeed = seed
-		rep, err := Campaign{Cache: cache}.RunSuite(context.Background(), suite)
-		if err != nil {
-			t.Fatalf("%s seed %d: %v", path, seed, err)
-		}
-		var buf bytes.Buffer
-		if err := EncodeReport(&buf, rep); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes(), rep
-	}
-	for _, path := range paths {
-		for _, seed := range seeds {
-			lazyBytes, lazy := sweep(path, seed, lazyCache)
-			var eagerBytes []byte
-			var eager *SuiteReport
-			withEagerSteps(func() { eagerBytes, eager = sweep(path, seed, eagerCache) })
-			if !bytes.Equal(lazyBytes, eagerBytes) {
-				t.Errorf("%s seed %d: report bytes differ between lazy and eager runs", path, seed)
-				continue
-			}
-			for i, lr := range lazy.Results {
-				er := eager.Results[i]
-				if (lr.Result == nil) != (er.Result == nil) {
-					t.Errorf("%s seed %d %s: result presence differs", path, seed, lr.Name)
-					continue
-				}
-				if lr.Result != nil && !sameSimulation(lr.Result, er.Result) {
-					t.Errorf("%s seed %d %s: captures, fingerprints or part differ", path, seed, lr.Name)
-				}
-			}
-		}
-	}
 }
 
 // sameSimulation compares what the report JSON leaves out: the raw

@@ -37,7 +37,6 @@ type options struct {
 	mitm        bool
 	tap         fpga.TapSide
 	tapSet      bool
-	propDelay   sim.Time
 	exportEvery sim.Time
 	settle      sim.Time
 	trojans     []fpga.Trojan
@@ -53,7 +52,6 @@ func defaultOptions() options {
 		timeNoise:   200 * sim.Microsecond,
 		mitm:        true,
 		tap:         fpga.TapArduino,
-		propDelay:   13 * sim.Nanosecond,
 		exportEvery: 100 * sim.Millisecond,
 		settle:      2 * sim.Second,
 	}
@@ -96,10 +94,6 @@ func WithoutMITM() Option { return func(o *options) { o.mitm = false } }
 func WithTapSide(side fpga.TapSide) Option {
 	return func(o *options) { o.tap = side; o.tapSet = true }
 }
-
-// WithPropagationDelay overrides the FPGA through-path delay (the paper
-// measured ≤ 12.923 ns; the overhead experiment sweeps this).
-func WithPropagationDelay(d sim.Time) Option { return func(o *options) { o.propDelay = d } }
 
 // WithExportPeriod overrides the capture window (paper: 0.1 s).
 func WithExportPeriod(d sim.Time) Option { return func(o *options) { o.exportEvery = d } }
@@ -154,7 +148,6 @@ func NewTestbed(opts ...Option) (*Testbed, error) {
 
 	if o.mitm {
 		bcfg := fpga.DefaultConfig()
-		bcfg.PropagationDelay = o.propDelay
 		bcfg.ExportPeriod = o.exportEvery
 		bcfg.Tap = o.tap
 		board, err := fpga.NewBoard(engine, arduino, ramps, bcfg)

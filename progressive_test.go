@@ -178,41 +178,6 @@ func TestProgressiveSweep(t *testing.T) {
 	})
 }
 
-// TestProgressiveSingleSeedGrid: on the committed single-seed Table II
-// grid every cell is mandatory coverage, so any budget — even one far
-// below the scenario count — degenerates to the full run, byte for
-// byte. This is the invariant the CI progressive job pins against the
-// committed report checksum.
-func TestProgressiveSingleSeedGrid(t *testing.T) {
-	ctx := context.Background()
-	cache := NewGoldenCache()
-	path := filepath.Join("examples", "specs", "grid_tableii.json")
-
-	suite, _, err := LoadSuiteOrGridLayout(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := Campaign{Cache: cache}.RunSuite(ctx, suite)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	suite2, layout, err := LoadSuiteOrGridLayout(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, st, err := Campaign{Cache: cache}.RunSuiteProgressive(ctx, suite2, layout, sched.Config{Budget: 5, EarlyStopK: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Skipped != 0 {
-		t.Errorf("skipped %d scenarios; single-seed cells are all mandatory", st.Skipped)
-	}
-	if !bytes.Equal(suiteDoc(t, rep), suiteDoc(t, full)) {
-		t.Error("progressive run of the single-seed grid differs from the naive run")
-	}
-}
-
 // TestValidateProgressive rejects suites whose golden references point
 // at skippable cell scenarios.
 func TestValidateProgressiveRejectsCellGoldens(t *testing.T) {

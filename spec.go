@@ -463,10 +463,38 @@ func ParseSuiteSpec(data []byte, dir string) (*SuiteSpec, error) {
 		return nil, fmt.Errorf("offramps: parsing suite spec: trailing content after the suite object")
 	}
 	s.dir = dir
+	// Params keep the form json.Marshal writes them in, so a spec
+	// survives the farm's coordinator → worker transfer unchanged.
+	for i := range s.Scenarios {
+		if t := s.Scenarios[i].Trojan; t != nil {
+			t.Params = canonicalJSON(t.Params)
+		}
+		if d := s.Scenarios[i].Detector; d != nil {
+			d.Params = canonicalJSON(d.Params)
+		}
+	}
+	for i := range s.Compare {
+		if d := s.Compare[i].Detector; d != nil {
+			d.Params = canonicalJSON(d.Params)
+		}
+	}
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	return &s, nil
+}
+
+// canonicalJSON re-encodes raw JSON (already validated by the decoder)
+// as json.Marshal emits it: compact, with HTML characters escaped.
+func canonicalJSON(raw json.RawMessage) json.RawMessage {
+	if raw == nil {
+		return nil
+	}
+	out, err := json.Marshal(raw)
+	if err != nil {
+		return raw
+	}
+	return out
 }
 
 // LoadSuiteSpec reads a suite spec file; relative program references

@@ -3,10 +3,12 @@ package offramps
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
+	"offramps/internal/capture"
 	"offramps/internal/firmware"
 	"offramps/internal/fpga"
 	"offramps/internal/gcode"
@@ -23,6 +25,23 @@ func mustTestPart(t *testing.T) gcode.Program {
 		t.Fatal(err)
 	}
 	return prog
+}
+
+// captureRun prints prog on a fresh testbed and returns its capture — the
+// single-print convenience used by benches and extension tests.
+func captureRun(prog gcode.Program, seed uint64) (*capture.Recording, error) {
+	tb, err := NewTestbed(WithSeed(seed))
+	if err != nil {
+		return nil, err
+	}
+	res, err := tb.Run(context.Background(), prog)
+	if err != nil {
+		return nil, err
+	}
+	if res.Recording == nil || res.Recording.Len() == 0 {
+		return nil, fmt.Errorf("offramps: print produced no capture")
+	}
+	return res.Recording, nil
 }
 
 func TestGoldenPrintEndToEnd(t *testing.T) {
