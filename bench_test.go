@@ -141,6 +141,43 @@ func BenchmarkRelocationPrint(b *testing.B) {
 	benchPrint(b, prog, false)
 }
 
+// BenchmarkGoldenCodec measures the golden store's payload codec on the
+// Table II golden (the test part at seed 1, full capture): encode is
+// what a cold sweep pays per store Put, decode what a warm sweep pays
+// per store hit.
+func BenchmarkGoldenCodec(b *testing.B) {
+	results, err := Campaign{Workers: 1}.Run(context.Background(), []Scenario{{Name: "golden", Program: goldenPart(b), Seed: 1}})
+	if err == nil {
+		err = firstScenarioErr(results)
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	res := results[0].Result
+	enc, err := encodeGoldenResult(res)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("encode", func(b *testing.B) {
+		b.SetBytes(int64(len(enc)))
+		b.ReportAllocs()
+		for range b.N {
+			if _, err := encodeGoldenResult(res); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.SetBytes(int64(len(enc)))
+		b.ReportAllocs()
+		for range b.N {
+			if _, err := decodeGoldenResult(enc); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // goldenPart returns the golden test part's program.
 func goldenPart(b *testing.B) gcode.Program {
 	prog, err := TestPart()

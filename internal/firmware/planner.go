@@ -109,15 +109,6 @@ func planMove(deltas [4]int, distance, feedrate, accel, maxStepRate float64) pla
 	return pm
 }
 
-// stepTime returns the simulation-time offset of pulse k (0-based) of an
-// axis with n total pulses, spread evenly over the move's distance.
-// The +0.5 centres pulses within their distance slot so the first pulse is
-// not at t=0 (which would collide with DIR setup).
-func (pm plannedMove) stepTime(k, n int) sim.Time {
-	frac := (float64(k) + 0.5) / float64(n)
-	return sim.FromSeconds(pm.prof.timeAt(frac * pm.prof.dist))
-}
-
 // minGap bounds from below the interval between consecutive rises of
 // an axis with n pulses: a pulse slot of dist/n mm takes at least
 // slot/vPeak, and truncating each rise to the nanosecond can shave

@@ -108,9 +108,10 @@ func TestPlanMoveZeroDistance(t *testing.T) {
 
 func TestStepTimesOrderedWithinMove(t *testing.T) {
 	pm := planMove([4]int{800, 0, 0, 0}, 10, 50, 1200, 18_000)
+	tr := &stepTrain{prof: pm.prof, n: 800}
 	var prev sim.Time = -1
 	for k := 0; k < 800; k++ {
-		at := pm.stepTime(k, 800)
+		at := tr.RiseAt(k)
 		if at <= prev {
 			t.Fatalf("step %d at %v not after previous %v", k, at, prev)
 		}

@@ -31,8 +31,13 @@ type stepTrain struct {
 	k, n  int
 }
 
-// RiseAt returns the absolute time of pulse k's rising edge — the same
-// arithmetic as plannedMove.stepTime, anchored at base.
+// RiseAt returns the absolute time of pulse k's rising edge: pulses
+// spread evenly over the move's distance, anchored at base. The +0.5
+// centres each pulse within its distance slot so the first is not at
+// the move's start (which would collide with DIR setup). It is the one
+// closed form of a rise time: the eager train schedules its rises with
+// it and the FPGA board replays lazy ones with it, so both land on the
+// same nanosecond.
 func (t *stepTrain) RiseAt(k int) sim.Time {
 	frac := (float64(k) + 0.5) / float64(t.n)
 	return t.base + sim.FromSeconds(t.prof.timeAt(frac*t.prof.dist))

@@ -152,12 +152,10 @@ type Board struct {
 
 	// Lazy step trains (see lazy.go): the live trains, retired records
 	// for reuse, Arduino-side endstop copies a replayed step has yet to
-	// land, whether an Arduino-side edge is being replayed (its path
-	// forward then stays silent), and a re-entry guard for Advance.
+	// land, and a re-entry guard for Advance.
 	lazy        []*lazyTrain
 	spareTrains []*lazyTrain
 	held        []heldEdge
-	replaying   bool
 	advancing   bool
 }
 
@@ -401,9 +399,10 @@ func (b *Board) Trojans() []Trojan {
 //   - InjectPulse: synthesize pulses the source never sent (T1/T3/T4/T5).
 //
 // A STEP path that none of these has touched, on a board without
-// trojans, is clean: the board may carry its step trains lazily, and
-// the forward then stays silent while the board replays a source edge,
-// because the board applies the output copy itself (see lazy.go).
+// trojans, is clean: the board may carry its step trains lazily. Its
+// replay kernel then applies each source edge and its output copy
+// itself, through the consumers it resolved when it took the move, so
+// the forward never sees a replayed edge (see lazy.go).
 type PinPath struct {
 	board *Board
 	src   *signal.Line
@@ -428,11 +427,10 @@ func newPinPath(b *Board, src, dst *signal.Line, delay sim.Time) *PinPath {
 type forward PinPath
 
 // Edge forwards a source edge to the output after the propagation
-// delay, unless the path is forced, a filter drops it, or the board is
-// replaying it lazily.
+// delay, unless the path is forced or a filter drops it.
 func (f *forward) Edge(at sim.Time, level signal.Level) {
 	p := (*PinPath)(f)
-	if p.forced || p.board.replaying {
+	if p.forced {
 		return
 	}
 	for _, fn := range p.filters {

@@ -12,13 +12,18 @@ import (
 //
 // A STEP pulse that crosses the board eagerly costs four engine events:
 // the Arduino-side rise and fall, and their RAMPS-side copies one
-// propagation delay later. On a clean path the only consumers of those
+// propagation delay later. On a clean path the consumers of those
 // edges are fixed — the path forward, the tap EdgeDetectors with their
 // AxisTrackers, and the RAMPS driver feeding the plant — so the board
-// takes the firmware's train descriptors instead (Accept) and applies
-// the edges itself, pulse by pulse, at the next advance point: an
-// exporter tick, the firmware's next command, a kill, or any reader of
-// tracker, line, driver, endstop or plant state.
+// takes the firmware's train descriptors instead (Accept), resolves
+// each train's consumers once, and applies the edges itself at the next
+// advance point: an exporter tick, the firmware's next command, a kill,
+// or any reader of tracker, line, driver, endstop or plant state.
+//
+// The replay kernel applies an edge without Line.SetAt's fan-out: it
+// stamps the line, counts the edge on the tap detector and tracker that
+// sit on it, and hands it to the line's other sinks. The path forward
+// is left out: the kernel applies the RAMPS copy itself.
 //
 // A replayed RAMPS-side rise may move the carriage onto or off its MIN
 // switch. The plant drives the RAMPS-side MIN line with the step's own
@@ -40,10 +45,14 @@ const (
 	rFall        // its RAMPS-side copy at r+width+delay
 )
 
-// lazyTrain is one accepted train and how far it has been applied.
+// lazyTrain is one accepted train, the consumers of its two lines, and
+// how far it has been applied.
 type lazyTrain struct {
 	signal.Train
 	path *PinPath
+	// src and dst reach the consumers of the Arduino STEP line and of
+	// its RAMPS copy.
+	src, dst lineKernel
 	// seq lists a pulse's edges in firing order; done counts the edges
 	// of pulse k applied so far.
 	seq  [4]int
@@ -57,20 +66,78 @@ type lazyTrain struct {
 	rise, prev sim.Time
 }
 
-// edge returns the next edge of tr: its kind, time and the instant
-// the engine would have scheduled it.
-func (tr *lazyTrain) edge() (kind int, at, sched sim.Time) {
-	kind = tr.seq[tr.done]
+// edge returns edge kind of tr's current pulse: the line it lands on,
+// its level, its time, and the instant the engine would have scheduled
+// it.
+func (tr *lazyTrain) edge(kind int) (lk *lineKernel, level signal.Level, at, sched sim.Time) {
 	d, w := tr.path.delay, tr.Width
 	switch kind {
 	case aRise:
-		return kind, tr.rise, tr.prev
+		return &tr.src, signal.High, tr.rise, tr.prev
 	case rRise:
-		return kind, tr.rise + d, tr.rise
+		return &tr.dst, signal.High, tr.rise + d, tr.rise
 	case aFall:
-		return kind, tr.rise + w, tr.rise
+		return &tr.src, signal.Low, tr.rise + w, tr.rise
 	default:
-		return kind, tr.rise + w + d, tr.rise + w
+		return &tr.dst, signal.Low, tr.rise + w + d, tr.rise + w
+	}
+}
+
+// lineKernel is one STEP line's consumers, resolved when its train is
+// accepted: the tap tracker whose EdgeDetector sits on the line, if
+// any, and every other sink but the path forward, in registration
+// order. A tap detector's only hook is its tracker's step
+// (NewAxisTracker), so the kernel counts the edge on both itself.
+type lineKernel struct {
+	line    *signal.Line
+	tracker *AxisTracker
+	sinks   []signal.Sink
+}
+
+// resolve sorts the sinks of line, axis a's STEP line on either bus,
+// into lk.
+func (lk *lineKernel) resolve(b *Board, a signal.Axis, line *signal.Line) {
+	*lk = lineKernel{line: line, sinks: lk.sinks[:0]}
+	fwd := signal.Sink((*forward)(b.paths[a.StepPin()]))
+	for s := range line.Sinks() {
+		if s == fwd {
+			continue
+		}
+		if tk := b.tapTracker(a, s); tk != nil {
+			lk.tracker = tk
+			continue
+		}
+		lk.sinks = append(lk.sinks, s)
+	}
+}
+
+// tapTracker returns the tap tracker whose axis-a detector is s, or nil.
+func (b *Board) tapTracker(a signal.Axis, s signal.Sink) *AxisTracker {
+	for _, tp := range b.taps {
+		if s == signal.Sink((*detectorSink)(tp.tracker.edges[a])) {
+			return tp.tracker
+		}
+	}
+	return nil
+}
+
+// edge applies one edge of axis a to the line: it stamps the line and,
+// if the level changed, counts the edge on the tap detector and tracker
+// and hands it to the other sinks — what SetAt's fan-out would do.
+func (lk *lineKernel) edge(a signal.Axis, at sim.Time, level signal.Level) {
+	if !lk.line.Stamp(at, level) {
+		return
+	}
+	if tk := lk.tracker; tk != nil {
+		if level == signal.High {
+			tk.edges[a].rising++
+			tk.step(a, at)
+		} else {
+			tk.edges[a].falling++
+		}
+	}
+	for _, s := range lk.sinks {
+		s.Edge(at, level)
 	}
 }
 
@@ -83,10 +150,10 @@ func (tr *lazyTrain) edge() (kind int, at, sched sim.Time) {
 //   - the axis's STEP, DIR and EN paths were never filtered, forced or
 //     injected;
 //   - its STEP line and the RAMPS copy carry only quiet listeners: the
-//     path forward, the tap detectors, and a driver whose plant's MIN
-//     line for the axis carries only quiet listeners in turn — the
-//     endstop forward, and a homing detector that has seen homing
-//     (any Watch is never quiet);
+//     path forward, the tap detectors, any quiet sink, and a driver
+//     whose plant's MIN line for the axis carries only quiet listeners
+//     in turn — the endstop forward, and a homing detector that has
+//     seen homing (any Watch is never quiet);
 //   - no tap waits for its first step (that pulse starts the export
 //     ticker, which must see the real instant);
 //   - no edge ties an exporter tick or a kill tick in both time and
@@ -113,7 +180,9 @@ func (b *Board) Accept(move []signal.Train) bool {
 			tr = new(lazyTrain)
 		}
 		p := b.paths[t.Axis.StepPin()]
-		*tr = lazyTrain{Train: t, path: p, rise: t.Rises.RiseAt(0), prev: t.Issued}
+		*tr = lazyTrain{Train: t, path: p, src: tr.src, dst: tr.dst, rise: t.Rises.RiseAt(0), prev: t.Issued}
+		tr.src.resolve(b, t.Axis, p.src)
+		tr.dst.resolve(b, t.Axis, p.dst)
 		// A forwarded copy is scheduled inside the rise, before the
 		// fall, so at equal offsets the copy fires first.
 		tr.seq = [4]int{aRise, rRise, aFall, rFall}
@@ -174,6 +243,13 @@ func ties(t signal.Train, tk signal.Tick, delay sim.Time) bool {
 		m = (first - tk.Origin + p - 1) / p
 	}
 	for at := tk.Origin + m*p; at <= last; at += p {
+		if at-p < first {
+			// Only pulse 0 was scheduled before the first rise.
+			if at == first && t.Issued == at-p {
+				return true
+			}
+			continue
+		}
 		k := sort.Search(t.N, func(k int) bool { return t.Rises.RiseAt(k) >= at })
 		if k == t.N || t.Rises.RiseAt(k) != at {
 			continue
@@ -227,29 +303,31 @@ func (b *Board) Advance(now, sched sim.Time) {
 
 // applyPulse fires the remaining edges of tr's current pulse that
 // precede an event at now scheduled at sched, blocking tr at the first
-// that does not, and moves tr to its next pulse or retires it.
+// that does not, and moves tr to its next pulse or retires it. A pulse
+// whose last edge — the RAMPS fall — precedes the event is applied
+// whole, in firing order, without a per-edge test; only the pulse that
+// straddles the advance point walks seq.
 func (b *Board) applyPulse(tr *lazyTrain, now, sched sim.Time) {
-	for tr.done < len(tr.seq) {
-		kind, at, s := tr.edge()
-		if at > now || at == now && s >= sched {
-			tr.blocked = true
-			return
+	a, r, d, w := tr.Axis, tr.rise, tr.path.delay, tr.Width
+	if tr.done == 0 && (r+w+d < now || r+w+d == now && r+w < sched) {
+		tr.src.edge(a, r, signal.High)
+		if tr.seq[1] == rRise {
+			tr.dst.edge(a, r+d, signal.High)
+			tr.src.edge(a, r+w, signal.Low)
+		} else {
+			tr.src.edge(a, r+w, signal.Low)
+			tr.dst.edge(a, r+d, signal.High)
 		}
-		switch kind {
-		case aRise:
-			b.replaying = true
-			tr.path.src.SetAt(at, signal.High)
-			b.replaying = false
-		case aFall:
-			b.replaying = true
-			tr.path.src.SetAt(at, signal.Low)
-			b.replaying = false
-		case rRise:
-			tr.path.dst.SetAt(at, signal.High)
-		case rFall:
-			tr.path.dst.SetAt(at, signal.Low)
+		tr.dst.edge(a, r+w+d, signal.Low)
+	} else {
+		for ; tr.done < len(tr.seq); tr.done++ {
+			lk, level, at, s := tr.edge(tr.seq[tr.done])
+			if at > now || at == now && s >= sched {
+				tr.blocked = true
+				return
+			}
+			lk.edge(a, at, level)
 		}
-		tr.done++
 	}
 	tr.done = 0
 	tr.k++
@@ -267,10 +345,10 @@ func (b *Board) applyPulse(tr *lazyTrain, now, sched sim.Time) {
 }
 
 // retire hands a finished train back to its owner and keeps the
-// record for the next Accept.
+// record, with its sink lists' storage, for the next Accept.
 func (b *Board) retire(tr *lazyTrain) {
 	tr.Rises.Done()
-	*tr = lazyTrain{}
+	*tr = lazyTrain{src: tr.src, dst: tr.dst}
 	b.spareTrains = append(b.spareTrains, tr)
 }
 

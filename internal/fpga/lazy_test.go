@@ -191,6 +191,8 @@ type lazyState struct {
 	MinEdges      [6]uint64
 	MinLevels     [6]signal.Level
 	MinLastChange [6]sim.Time
+	// The tap detectors' edge counts, one row per tapped side.
+	Rising, Falling [][4]uint64
 }
 
 func (r *lazyRig) state() lazyState {
@@ -210,6 +212,12 @@ func (r *lazyRig) state() lazyState {
 			s.Fingerprints = append(s.Fingerprints, *r.board.FingerprintAt(side))
 			tk := r.board.TrackerAt(side)
 			s.Counts = append(s.Counts, [4]int64{tk.Count(signal.AxisX), tk.Count(signal.AxisY), tk.Count(signal.AxisZ), tk.Count(signal.AxisE)})
+			var rising, falling [4]uint64
+			for i, a := range signal.Axes {
+				rising[i], falling[i] = tk.edges[a].Rising(), tk.edges[a].Falling()
+			}
+			s.Rising = append(s.Rising, rising)
+			s.Falling = append(s.Falling, falling)
 		}
 	}
 	s.Deposits = r.plant.Part().Deposits()
@@ -339,16 +347,25 @@ func TestLazyHaltAtRise(t *testing.T) {
 
 func TestLazyTrainTiedWithTickRunsEagerly(t *testing.T) {
 	us, ms := sim.Microsecond, sim.Millisecond
-	r := runBoth(t, TapArduino, 500*ms, func(r *lazyRig) {
-		s0 := startExport(r)
+	s0 := lzFirstStep
+	for _, c := range []struct {
+		name   string
+		issued sim.Time
+		rises  []sim.Time
+	}{
 		// Pulse 1 rises on tick 2, scheduled exactly one export period
 		// earlier — at the tick's own scheduling instant.
-		r.move(s0+500*us, s0+3*ms, signal.Tick{}, map[signal.Axis][]sim.Time{
-			signal.AxisX: {s0 + 1000*us, s0 + 2000*us},
+		{"pulse 1", s0 + 500*us, []sim.Time{s0 + 1000*us, s0 + 2000*us}},
+		// Pulse 0 rises on tick 2, and the move was planned on tick 1.
+		{"pulse 0", s0 + ms, []sim.Time{s0 + 2*ms}},
+	} {
+		r := runBoth(t, TapArduino, 500*ms, func(r *lazyRig) {
+			startExport(r)
+			r.move(c.issued, s0+3*ms, signal.Tick{}, map[signal.Axis][]sim.Time{signal.AxisX: c.rises})
 		})
-	})
-	if r.accepted != 0 {
-		t.Errorf("a train tied with a tick was taken lazily")
+		if r.accepted != 0 {
+			t.Errorf("%s: a train tied with a tick was taken lazily", c.name)
+		}
 	}
 }
 
@@ -593,4 +610,90 @@ func TestLazyHaltMaterializesHeldEndstopCopy(t *testing.T) {
 	if !reflect.DeepEqual(got[0], got[1]) || !reflect.DeepEqual(states[0], states[1]) {
 		t.Errorf("lazy and eager runs differ:\nlazy  %+v %+v\neager %+v %+v", got[0], states[0], got[1], states[1])
 	}
+}
+
+// The tests below pin the replay kernel: the edges of one pulse reach
+// the lines, the tap detectors and trackers, the driver and any other
+// sink as they would eagerly, whichever edge an advance point cuts the
+// pulse after.
+
+// edgeLog is a plain signal.Sink — no Quieter, so quiet by contract —
+// that records every edge it is handed.
+type edgeLog []loggedEdge
+
+type loggedEdge struct {
+	at    sim.Time
+	level signal.Level
+}
+
+func (l *edgeLog) Edge(at sim.Time, level signal.Level) { *l = append(*l, loggedEdge{at, level}) }
+
+// kernelDelays are propagation delays below the pulse width (the RAMPS
+// rise lands before the Arduino fall), equal to it (the two land
+// together), and above it.
+var kernelDelays = []sim.Time{DefaultConfig().PropagationDelay, lzWidth, 5 * sim.Microsecond}
+
+func TestLazyKernelCutsEveryEdge(t *testing.T) {
+	for _, d := range kernelDelays {
+		stops, seq, _ := kernelCuts(t, d)
+		for k := range seq[0] {
+			if !reflect.DeepEqual(seq[0][k], seq[1][k]) {
+				t.Fatalf("delay %v: at %v lazy and eager rigs differ:\nlazy  %+v\neager %+v", d, stops[k], seq[0][k], seq[1][k])
+			}
+		}
+	}
+}
+
+func TestLazyKernelFeedsPlainSink(t *testing.T) {
+	for _, d := range kernelDelays {
+		_, _, logs := kernelCuts(t, d)
+		// The pulse that starts the export, and the move's ten.
+		if len(logs[1]) != 4*11 {
+			t.Fatalf("delay %v: eager sink saw %d edges, want 44", d, len(logs[1]))
+		}
+		if !slices.Equal(logs[0], logs[1]) {
+			t.Errorf("delay %v: plain sink on both X STEP lines saw\nlazy  %v\neager %v", d, logs[0], logs[1])
+		}
+	}
+}
+
+// kernelCuts runs a dual-tap rig with propagation delay d lazily and
+// eagerly: after the first step, X steps ten times with E alongside,
+// and an edgeLog sits on both X STEP lines. The runs stop just before,
+// at and just after every edge of every X pulse, so some advance point
+// cuts each pulse after each of its edges. It returns the stops, both
+// rigs' state at each, and both logs, lazy first.
+func kernelCuts(t *testing.T, d sim.Time) (stops []sim.Time, seq [2][]lazyState, logs [2]edgeLog) {
+	t.Helper()
+	ms := sim.Millisecond
+	s0 := lzFirstStep
+	xs, es := pulses(s0+ms, 10), pulses(s0+ms+35*sim.Microsecond, 5)
+	for _, r := range xs {
+		for _, e := range []sim.Time{r, r + d, r + lzWidth, r + lzWidth + d} {
+			stops = append(stops, e-1, e, e+1)
+		}
+	}
+	slices.Sort(stops)
+	stops = slices.Compact(stops)
+	for i, eager := range []bool{false, true} {
+		cfg := DefaultConfig()
+		cfg.Tap = TapDual
+		cfg.PropagationDelay = d
+		r := newUnhomedRig(t, cfg, eager, printer.DefaultConfig())
+		r.home(signal.AxisX, signal.AxisY, signal.AxisZ)
+		r.ard.Step(signal.AxisX).Attach(&logs[i])
+		r.ramps.Step(signal.AxisX).Attach(&logs[i])
+		startExport(r)
+		r.move(s0+500*sim.Microsecond, s0+3*ms, signal.Tick{}, map[signal.Axis][]sim.Time{signal.AxisX: xs, signal.AxisE: es})
+		for _, until := range stops {
+			if err := r.e.Run(until); err != nil {
+				t.Fatal(err)
+			}
+			seq[i] = append(seq[i], r.state())
+		}
+		if !eager && r.accepted != 2 {
+			t.Fatalf("delay %v: lazy rig accepted %d trains, want 2", d, r.accepted)
+		}
+	}
+	return stops, seq, logs
 }

@@ -11,6 +11,8 @@ package signal
 
 import (
 	"fmt"
+	"iter"
+	"slices"
 
 	"offramps/internal/sim"
 )
@@ -70,6 +72,14 @@ type Line struct {
 // change while it runs. Sinks are registered with Attach; a line whose
 // listeners are all sinks may have its edges applied late, in order,
 // with their true timestamps (see Train).
+//
+// Every sink sees a line's edges in order, but a deferrer need not
+// hand one edge to the line's sinks in registration order: the FPGA
+// board's replay kernel counts an edge on its tap detector before the
+// other sinks see it, whatever order they were attached in. That is
+// sound only because of the contract above — a sink's reaction depends
+// on the edge alone, never on what another sink of the line has or has
+// not done with it yet.
 type Sink interface {
 	Edge(at sim.Time, level Level)
 }
@@ -143,6 +153,11 @@ func (l *Line) Quiet() bool {
 	return true
 }
 
+// Sinks returns the line's listeners in registration order, Watch
+// functions included as sinks that are never quiet. A deferrer
+// resolves from it which consumers a lazily applied edge reaches.
+func (l *Line) Sinks() iter.Seq[Sink] { return slices.Values(l.listeners) }
+
 // Watch registers fn to be called on every level change. Listeners cannot
 // be removed; attach a guard inside fn if conditional delivery is needed.
 // (Module lifetimes in this system equal the simulation lifetime, matching
@@ -178,18 +193,30 @@ func (watchFunc) Quiet() bool { return false }
 func (l *Line) Set(level Level) { l.SetAt(l.engine.Now(), level) }
 
 // SetAt drives the line to level as of time at, which may lie before
-// Now: the lazy step path applies a deferred edge this way, with its
-// true timestamp. Like Set, driving the current level is a no-op.
+// Now: the lazy step path drives an endstop edge a replayed step
+// causes this way, with its true timestamp. Like Set, driving the
+// current level is a no-op.
 func (l *Line) SetAt(at sim.Time, level Level) {
-	if level == l.level {
+	if !l.Stamp(at, level) {
 		return
+	}
+	for _, s := range l.listeners {
+		s.Edge(at, level)
+	}
+}
+
+// Stamp records a transition to level as of time at — the level, the
+// edge count and the last change — without calling any listener, and
+// reports whether the level changed. It is SetAt for a deferrer that
+// delivers the edge itself, to consumers it resolved from Sinks.
+func (l *Line) Stamp(at sim.Time, level Level) bool {
+	if level == l.level {
+		return false
 	}
 	l.level = level
 	l.edges++
 	l.lastChange = at
-	for _, s := range l.listeners {
-		s.Edge(at, level)
-	}
+	return true
 }
 
 // FireEdge implements sim.EdgeTarget: it drives the line to Level(arg).

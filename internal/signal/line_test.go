@@ -27,6 +27,39 @@ func TestLineSetAndWatch(t *testing.T) {
 	}
 }
 
+// countSink counts the edges it is handed.
+type countSink struct{ n int }
+
+func (c *countSink) Edge(sim.Time, Level) { c.n++ }
+
+func TestLineStampCallsNoListener(t *testing.T) {
+	e := sim.NewEngine()
+	l := NewLine(e, "X_STEP")
+	var s countSink
+	l.Attach(&s)
+	watched := 0
+	l.Watch(func(sim.Time, Level) { watched++ })
+	if !l.Stamp(7, High) || l.Stamp(8, High) || !l.Stamp(9, Low) {
+		t.Error("Stamp must report exactly the level changes")
+	}
+	if l.Level() != Low || l.Edges() != 2 || l.LastChange() != 9 {
+		t.Errorf("after stamps: level %v, %d edges, last change %v; want 0, 2, 9", l.Level(), l.Edges(), l.LastChange())
+	}
+	if s.n != 0 || watched != 0 {
+		t.Errorf("Stamp reached listeners: sink %d, watch %d", s.n, watched)
+	}
+	var got []Sink
+	for x := range l.Sinks() {
+		got = append(got, x)
+	}
+	if len(got) != 2 || got[0] != Sink(&s) {
+		t.Errorf("Sinks() = %v, want the attached sink, then the watch", got)
+	}
+	if q, ok := got[1].(Quieter); !ok || q.Quiet() {
+		t.Error("a Watch listener must show as a sink that is never quiet")
+	}
+}
+
 func TestLineSetAfter(t *testing.T) {
 	e := sim.NewEngine()
 	l := NewLine(e, "p")

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # bench.sh runs the key perf benchmarks (GoldenPrint and its eager-rig
-# twin GoldenPrintEager, RelocationPrint, Campaign, CampaignWide,
-# MonitorObserve, StitchReport, plus the engine microbenchmarks) and writes their results to
+# twin GoldenPrintEager, RelocationPrint, TableII — the in-repo twin of
+# the sweep_cold workload — Campaign, CampaignWide, MonitorObserve,
+# StitchReport, the golden codec and golden store microbenchmarks, plus
+# the engine microbenchmarks) and writes their results to
 # BENCH_<label>.json so the perf trajectory is tracked across PRs. The label defaults to the repo's commit count.
 #
 # Each benchmark runs `-count 5`; benchjson collapses the repetitions to
@@ -19,8 +21,11 @@ tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
 go test -run NONE \
-  -bench 'BenchmarkGoldenPrint$|BenchmarkGoldenPrintEager$|BenchmarkRelocationPrint$|BenchmarkCampaign$|BenchmarkCampaignWide$|BenchmarkMonitorObserve$|BenchmarkStitchReport$' \
+  -bench 'BenchmarkGoldenPrint$|BenchmarkGoldenPrintEager$|BenchmarkRelocationPrint$|BenchmarkTableII$|BenchmarkCampaign$|BenchmarkCampaignWide$|BenchmarkMonitorObserve$|BenchmarkStitchReport$' \
   -benchtime "$benchtime" -count 5 . | tee "$tmp"
+go test -run NONE -bench 'BenchmarkGoldenCodec$' -benchtime 50x -count 5 . | tee -a "$tmp"
+go test -run NONE -bench 'BenchmarkStoreGet$' -benchtime 500x -count 5 ./internal/goldenstore | tee -a "$tmp"
+go test -run NONE -bench 'BenchmarkStorePut$' -benchtime 50x -count 5 ./internal/goldenstore | tee -a "$tmp"
 go test -run NONE \
   -bench 'BenchmarkEngineSchedule$|BenchmarkEngineScheduleEdge$|BenchmarkEngineTicker$|BenchmarkEngineMixedHorizon$|BenchmarkEngineSparse$' \
   -benchtime 100x -count 5 ./internal/sim | tee -a "$tmp"
