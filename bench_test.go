@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -366,6 +368,65 @@ func BenchmarkStitchReport(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(float64(len(raw.Results)+len(raw.Comparisons)), "rows/op")
+	}
+}
+
+// BenchmarkGridExpand measures GridSpec.Expand of the progressive
+// Table II sweep (9 cells × 3 seeds plus 2 extras), the expansion every
+// sweep, shard and coordinator pays before its first scenario.
+func BenchmarkGridExpand(b *testing.B) {
+	data, err := os.ReadFile(filepath.Join("examples", "specs", "grid_tableii_sweep.json"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := ParseGridSpec(data, "")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		suite, err := g.Expand()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(len(suite.Scenarios)), "scenarios/op")
+	}
+}
+
+// BenchmarkJSONLEmit measures JSONLSink.Emit of one Table II row — the
+// flaw3d-1 print's result, simulated once before the timer starts — to
+// a discarding writer: the per-scenario cost of every -jsonl stream and
+// farm journal line.
+func BenchmarkJSONLEmit(b *testing.B) {
+	suite, err := LoadSuiteOrGrid(filepath.Join("examples", "specs", "grid_tableii.json"), false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if suite, err = suite.Subset("flaw3d-1"); err != nil {
+		b.Fatal(err)
+	}
+	rep, err := Campaign{}.RunSuite(context.Background(), suite)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var row ScenarioResult
+	for _, r := range rep.Results {
+		if r.Name == "flaw3d-1" {
+			row = r
+		}
+	}
+	if row.Result == nil {
+		b.Fatal("flaw3d-1 did not run")
+	}
+	sink := NewJSONLSink(io.Discard)
+	sink.Label = suite.Name
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if err := sink.Emit(row); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -1,8 +1,9 @@
 // Command experiments regenerates every table and figure in the paper's
 // evaluation section (see DESIGN.md §3 for the experiment index), plus
 // the tap-side topology and self-attestation experiments this
-// reproduction adds. Every experiment but Overhead runs its suite
-// through one shared campaign: -workers bounds its pool, and one golden
+// reproduction adds. Every experiment but Overhead runs its suite — a
+// committed examples/specs file, or Drift's -runs prints — through one
+// shared campaign: -workers bounds its pool, and one golden
 // cache (backed by -golden-store when given) serves the goldens the
 // experiments have in common. -json writes the machine-readable reports
 // alongside the Format() text; with -json - the reports go to stdout

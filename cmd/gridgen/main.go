@@ -58,11 +58,7 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("-shard requires -names (use cmd/suite -shard to run a slice)")
 	}
 
-	g, err := offramps.LoadGridSpec(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	suite, err := g.Expand()
+	suite, err := offramps.LoadSuiteOrGrid(fs.Arg(0), true)
 	if err != nil {
 		return err
 	}

@@ -47,10 +47,10 @@ func TestTapsideExampleSpec(t *testing.T) {
 	}
 
 	text := out.String()
-	if !strings.Contains(text, "compare golden vs arduino-tap [golden-comparator]: no trojan suspected") {
+	if !strings.Contains(text, "compare golden vs trojaned@arduino [golden-comparator]: no trojan suspected") {
 		t.Errorf("arduino-side tap did not stay blind to the board's own trojan:\n%s", text)
 	}
-	if !strings.Contains(text, "compare golden vs ramps-tap [golden-comparator]: TROJAN LIKELY") {
+	if !strings.Contains(text, "compare golden vs trojaned@ramps [golden-comparator]: TROJAN LIKELY") {
 		t.Errorf("ramps-side tap did not detect the board-injected trojan:\n%s", text)
 	}
 
@@ -63,8 +63,8 @@ func TestTapsideExampleSpec(t *testing.T) {
 		Suites []struct {
 			Suite       string `json:"suite"`
 			Comparisons []struct {
-				Suspect string `json:"suspect"`
-				Report  struct {
+				SuspectTap string `json:"suspectTap"`
+				Report     struct {
 					TrojanLikely  bool
 					NumMismatches int
 				} `json:"report"`
@@ -77,15 +77,15 @@ func TestTapsideExampleSpec(t *testing.T) {
 	if len(doc.Suites) != 1 || len(doc.Suites[0].Comparisons) != 2 {
 		t.Fatalf("JSON sink shape: %+v", doc)
 	}
-	byName := map[string]bool{}
+	byTap := map[string]bool{}
 	for _, c := range doc.Suites[0].Comparisons {
-		byName[c.Suspect] = c.Report.TrojanLikely
+		byTap[c.SuspectTap] = c.Report.TrojanLikely
 	}
-	if byName["arduino-tap"] {
-		t.Error("JSON: arduino-tap flagged")
+	if byTap["arduino"] {
+		t.Error("JSON: arduino tap flagged")
 	}
-	if !byName["ramps-tap"] {
-		t.Error("JSON: ramps-tap not flagged")
+	if !byTap["ramps"] {
+		t.Error("JSON: ramps tap not flagged")
 	}
 
 	// The CSV sink has a header plus one row per scenario and comparison.
@@ -94,8 +94,8 @@ func TestTapsideExampleSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(string(csvData)), "\n")
-	if len(lines) != 1+3+2 {
-		t.Errorf("CSV rows = %d, want 6:\n%s", len(lines), csvData)
+	if len(lines) != 1+2+2 {
+		t.Errorf("CSV rows = %d, want 5:\n%s", len(lines), csvData)
 	}
 	if !strings.HasPrefix(lines[0], "kind,suite,name,seed") {
 		t.Errorf("CSV header = %q", lines[0])
@@ -176,7 +176,7 @@ func TestAttestationExampleSpec(t *testing.T) {
 	if l := scenarioVerdict("clean-attested"); strings.Contains(l, "TROJAN LIKELY") {
 		t.Errorf("clean dual-tap attestation false-positived: %q", l)
 	}
-	if !strings.Contains(text, "compare golden vs attested [golden-comparator]: no trojan suspected") {
+	if !strings.Contains(text, "compare golden vs attested@arduino [golden-comparator]: no trojan suspected") {
 		t.Errorf("the trojaned run's arduino-side capture did not pass the paper's golden workflow:\n%s", text)
 	}
 }

@@ -2,6 +2,7 @@ package offramps
 
 import (
 	"context"
+	"embed"
 	"fmt"
 	"strings"
 
@@ -14,12 +15,31 @@ import (
 	"offramps/internal/trojan"
 )
 
+// specFiles holds the committed spec files. Table I, Table II, Figure 4,
+// TapSides and SelfAttest are each one of them: the experiment is the
+// file, and its entry point only renders the report.
+//
+//go:embed examples/specs/*.json
+var specFiles embed.FS
+
 // runExperiment is the one way a paper experiment reaches the simulator:
-// its suite runs through the campaign's suite executor, and render — a
-// pure function of the suite report — turns the rows into the
-// experiment's report. A failed scenario or comparison fails the
-// experiment.
-func runExperiment[R any](c Campaign, suite *SuiteSpec, render func(*SuiteReport) (R, error)) (R, error) {
+// its committed spec file loads as cmd/suite loads it, runs at the given
+// base seed through the campaign's suite executor, and render — a pure
+// function of the suite report — turns the rows into the experiment's
+// report. A failed scenario or comparison fails the experiment.
+func runExperiment[R any](c Campaign, file string, seed uint64, render func(*SuiteReport) (R, error)) (R, error) {
+	suite, _, err := loadSuiteOrGrid(specFiles.ReadFile, "examples/specs/"+file, false, false)
+	if err != nil {
+		var zero R
+		return zero, err
+	}
+	suite.BaseSeed = seed
+	return runSuite(c, suite, render)
+}
+
+// runSuite executes suite and renders its report, failing on the first
+// scenario or comparison error.
+func runSuite[R any](c Campaign, suite *SuiteSpec, render func(*SuiteReport) (R, error)) (R, error) {
 	var zero R
 	rep, err := c.RunSuite(context.Background(), suite)
 	if err != nil {
@@ -34,6 +54,41 @@ func runExperiment[R any](c Campaign, suite *SuiteSpec, render func(*SuiteReport
 		}
 	}
 	return render(rep)
+}
+
+// results returns the named scenarios' results, in the order named.
+// Renderers look rows up by name, so the order of a spec file's
+// scenarios never matters, and a missing name is an error.
+func (r *SuiteReport) results(names ...string) ([]*Result, error) {
+	out := make([]*Result, len(names))
+	for i, name := range names {
+		for _, res := range r.Results {
+			if res.Name == name {
+				out[i] = res.Result
+			}
+		}
+		if out[i] == nil {
+			return nil, fmt.Errorf("offramps: suite %q has no result for scenario %q", r.Suite, name)
+		}
+	}
+	return out, nil
+}
+
+// reports returns the reports of the comparisons keyed by golden,
+// suspect and their taps, in the order asked.
+func (r *SuiteReport) reports(keys ...CompareSpec) ([]*detect.Report, error) {
+	out := make([]*detect.Report, len(keys))
+	for i, k := range keys {
+		for _, c := range r.Comparisons {
+			if c.Golden == k.Golden && c.GoldenTap == k.GoldenTap && c.Suspect == k.Suspect && c.SuspectTap == k.SuspectTap {
+				out[i] = c.Report
+			}
+		}
+		if out[i] == nil {
+			return nil, fmt.Errorf("offramps: suite %q has no comparison of %s (tap %q) against %s", r.Suite, k.Suspect, k.SuspectTap, k.Golden)
+		}
+	}
+	return out, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -86,51 +141,35 @@ var paperEffects = map[string]string{
 	"T9": "Arbitrarily reducing part fan speed mid-print",
 }
 
-// TableISuite returns the paper's Table I as a declarative suite: the
-// clean T0 print plus one scenario per registered Table I trojan, every
-// seed a zero delta from the base (the paper pairs all ten prints on one
-// seed).
-func TableISuite(seed uint64) *SuiteSpec {
-	s := &SuiteSpec{Name: "table1", BaseSeed: seed, Scenarios: []ScenarioSpec{{Name: "T0"}}}
-	for _, id := range trojan.SuiteIDs {
-		sc := ScenarioSpec{Name: id, Trojan: &TrojanSpec{Name: id}}
-		if id == "T7" {
-			// Observe the post-kill physics: the clamp keeps heating
-			// after the firmware panics.
-			sc.Settle = 60 * sim.Second
-		}
-		s.Scenarios = append(s.Scenarios, sc)
-	}
-	return s
-}
-
 // TableI reproduces the paper's Table I: print the test part once clean
-// (T0) and once under each trojan, by executing the declarative
-// TableISuite, and verify each trojan's physical effect on the part or
-// machine.
+// (T0) and once under each trojan, by executing examples/specs/table1.json,
+// and verify each trojan's physical effect on the part or machine.
 func TableI(c Campaign, seed uint64) (*TableIReport, error) {
-	return runExperiment(c, TableISuite(seed), renderTableI)
+	return runExperiment(c, "table1.json", seed, renderTableI)
 }
 
-// renderTableI judges each trojan's print of a TableISuite report
-// against the T0 golden.
+// renderTableI judges each trojan's print of a table1.json report
+// against the T0 golden, in Table I order.
 func renderTableI(rep *SuiteReport) (*TableIReport, error) {
-	golden := rep.Results[0].Result
+	res, err := rep.results(append([]string{"T0"}, trojan.SuiteIDs...)...)
+	if err != nil {
+		return nil, err
+	}
+	golden := res[0]
 	if !golden.Completed {
 		return nil, fmt.Errorf("offramps: golden print halted: %w", golden.HaltError)
 	}
 	report := &TableIReport{Golden: golden}
 	for i, tr := range trojan.Suite(rep.BaseSeed) {
-		res := rep.Results[i+1].Result
 		row := TableIRow{
 			ID:       tr.ID(),
 			Kind:     tr.Kind().String(),
 			Scenario: tr.Scenario(),
 			Effect:   paperEffects[tr.ID()],
-			Result:   res,
-			Diff:     res.Part.Compare(golden.Part, 1.0),
+			Result:   res[i+1],
+			Diff:     res[i+1].Part.Compare(golden.Part, 1.0),
 		}
-		row.Observed, row.Measured = judgeTrojan(tr.ID(), golden, res, row.Diff)
+		row.Observed, row.Measured = judgeTrojan(tr.ID(), golden, res[i+1], row.Diff)
 		report.Rows = append(report.Rows, row)
 	}
 	return report, nil
@@ -217,55 +256,32 @@ func (r *TableIIReport) Format() string {
 	return sb.String()
 }
 
-// TableIISuite returns the paper's Table II as a declarative suite: the
-// golden print, the eight Flaw3D-tampered prints on offset seeds
-// (modelling physically separate runs of the same job), a clean control
-// on its own seed, and one golden comparison per suspect.
-func TableIISuite(seed uint64) *SuiteSpec {
-	s := &SuiteSpec{
-		Name:      "table2",
-		BaseSeed:  seed,
-		Scenarios: []ScenarioSpec{{Name: "golden"}},
-	}
-	for i, tc := range flaw3d.TableII() {
-		name := fmt.Sprintf("flaw3d-%d", tc.Num)
-		s.Scenarios = append(s.Scenarios, ScenarioSpec{
-			Name:      name,
-			Program:   ProgramSpec{Flaw3D: tc.Num},
-			SeedDelta: uint64(i) + 100,
-		})
-		s.Compare = append(s.Compare, CompareSpec{Golden: "golden", Suspect: name})
-	}
-	s.Scenarios = append(s.Scenarios, ScenarioSpec{Name: "clean-control", SeedDelta: 999})
-	// Clean control: same G-code, different seed — must pass.
-	s.Compare = append(s.Compare, CompareSpec{Golden: "golden", Suspect: "clean-control"})
-	return s
-}
-
 // TableII reproduces the paper's Table II: emulate the eight Flaw3D
 // trojans by tampering the G-code (as the paper's Python script does),
 // print each on the OFFRAMPS testbed in parallel, capture the pulse
 // profiles, and replay each through the golden detector. The whole
-// experiment — prints and comparisons — executes the declarative
-// TableIISuite.
+// experiment — prints and comparisons — is the Table II grid,
+// examples/specs/grid_tableii.json.
 func TableII(c Campaign, seed uint64) (*TableIIReport, error) {
-	return runExperiment(c, TableIISuite(seed), renderTableII)
+	return runExperiment(c, "grid_tableii.json", seed, renderTableII)
 }
 
-// renderTableII reads one row per Flaw3D case and the clean control off
-// a TableIISuite report's comparisons.
+// renderTableII reads one row per Flaw3D case, in Table II order, and
+// the clean control off a grid_tableii.json report's comparisons.
 func renderTableII(rep *SuiteReport) (*TableIIReport, error) {
-	report := &TableIIReport{}
+	var keys []CompareSpec
 	cases := flaw3d.TableII()
-	for i, cmp := range rep.Comparisons {
-		if i < len(cases) {
-			report.Rows = append(report.Rows, TableIIRow{
-				Case: cases[i], Report: *cmp.Report, Detected: cmp.Report.TrojanLikely,
-			})
-		} else {
-			report.CleanControl = *cmp.Report
-			report.CleanFalsePositive = cmp.Report.TrojanLikely
-		}
+	for _, tc := range cases {
+		keys = append(keys, CompareSpec{Golden: "golden", Suspect: fmt.Sprintf("flaw3d-%d", tc.Num)})
+	}
+	cmps, err := rep.reports(append(keys, CompareSpec{Golden: "golden", Suspect: "clean-control"})...)
+	if err != nil {
+		return nil, err
+	}
+	ctl := cmps[len(cases)]
+	report := &TableIIReport{CleanControl: *ctl, CleanFalsePositive: ctl.TrojanLikely}
+	for i, tc := range cases {
+		report.Rows = append(report.Rows, TableIIRow{Case: tc, Report: *cmps[i], Detected: cmps[i].TrojanLikely})
 	}
 	return report, nil
 }
@@ -301,34 +317,26 @@ func (r *Figure4Report) Format() string {
 	return sb.String()
 }
 
-// Figure4Suite returns the paper's Figure 4 workload as a declarative
-// suite: a golden print, a Flaw3D relocation print (Table II test case 7,
-// the paper's "relocates material every 20 movements"), and their golden
-// comparison.
-func Figure4Suite(seed uint64) *SuiteSpec {
-	return &SuiteSpec{
-		Name:     "figure4",
-		BaseSeed: seed,
-		Scenarios: []ScenarioSpec{
-			{Name: "golden"},
-			{Name: "relocation", Program: ProgramSpec{Flaw3D: 7}, SeedDelta: 107},
-		},
-		Compare: []CompareSpec{{Golden: "golden", Suspect: "relocation"}},
-	}
-}
-
 // Figure4 reproduces the paper's Figure 4 using the same trojan the paper
-// shows, by executing the declarative Figure4Suite.
+// shows — Table II test case 7, which "relocates material every 20
+// movements" — by executing examples/specs/figure4.json.
 func Figure4(c Campaign, seed uint64) (*Figure4Report, error) {
-	return runExperiment(c, Figure4Suite(seed), renderFigure4)
+	return runExperiment(c, "figure4.json", seed, renderFigure4)
 }
 
-// renderFigure4 excerpts both captures of a Figure4Suite report around
+// renderFigure4 excerpts both captures of a figure4.json report around
 // the comparison's first mismatch (the comparison ran, so both captures
 // are non-empty).
 func renderFigure4(srep *SuiteReport) (*Figure4Report, error) {
-	golden, suspect := srep.Results[0].Result.Recording, srep.Results[1].Result.Recording
-	rep := *srep.Comparisons[0].Report
+	res, err := srep.results("golden", "relocation")
+	if err != nil {
+		return nil, err
+	}
+	cmps, err := srep.reports(CompareSpec{Golden: "golden", Suspect: "relocation"})
+	if err != nil {
+		return nil, err
+	}
+	golden, suspect, rep := res[0].Recording, res[1].Recording, *cmps[0]
 
 	out := &Figure4Report{Report: rep}
 	// Excerpt 6 transactions around the first mismatch, like the paper.
@@ -542,43 +550,36 @@ func (r *TapSideReport) Format() string {
 	return sb.String()
 }
 
-// TapSidesSuite returns the tap-placement experiment as a declarative
-// suite: a golden print, the same print with trojan T2 masking extruder
-// pulses on the board itself and both buses tapped, and one golden
-// comparison per tap side of the trojaned capture.
-func TapSidesSuite(seed uint64) *SuiteSpec {
-	return &SuiteSpec{
-		Name:     "tapsides",
-		BaseSeed: seed,
-		Scenarios: []ScenarioSpec{
-			{Name: "golden"},
-			{Name: "trojaned", Trojan: &TrojanSpec{Name: "T2"}, Tap: "dual"},
-		},
-		Compare: []CompareSpec{
-			{Golden: "golden", Suspect: "trojaned", SuspectTap: "arduino"},
-			{Golden: "golden", Suspect: "trojaned", SuspectTap: "ramps"},
-		},
-	}
-}
-
-// TapSides runs the declarative TapSidesSuite: the golden detector misses
+// TapSides runs examples/specs/tapside.json: the golden detector misses
 // a board-injected trojan when the capture taps the FPGA's input (the
 // co-location blind spot the paper reproduces faithfully), and catches
-// the very same print when the capture taps the FPGA's output.
+// the very same dual-tapped print when the capture taps the FPGA's
+// output.
 func TapSides(c Campaign, seed uint64) (*TapSideReport, error) {
-	return runExperiment(c, TapSidesSuite(seed), renderTapSides)
+	return runExperiment(c, "tapside.json", seed, renderTapSides)
 }
 
-// renderTapSides reads both tap sides' verdicts off a TapSidesSuite
+// renderTapSides reads both tap sides' verdicts off a tapside.json
 // report.
 func renderTapSides(srep *SuiteReport) (*TapSideReport, error) {
-	golden, trojaned := srep.Results[0].Result, srep.Results[1].Result
+	res, err := srep.results("golden", "trojaned")
+	if err != nil {
+		return nil, err
+	}
+	cmps, err := srep.reports(
+		CompareSpec{Golden: "golden", Suspect: "trojaned", SuspectTap: "arduino"},
+		CompareSpec{Golden: "golden", Suspect: "trojaned", SuspectTap: "ramps"},
+	)
+	if err != nil {
+		return nil, err
+	}
+	golden, trojaned, arduino, ramps := res[0], res[1], cmps[0], cmps[1]
 	return &TapSideReport{
 		TrojanID:        "T2",
-		ArduinoReport:   *srep.Comparisons[0].Report,
-		RAMPSReport:     *srep.Comparisons[1].Report,
-		ArduinoDetected: srep.Comparisons[0].Report.TrojanLikely,
-		RAMPSDetected:   srep.Comparisons[1].Report.TrojanLikely,
+		ArduinoReport:   *arduino,
+		RAMPSReport:     *ramps,
+		ArduinoDetected: arduino.TrojanLikely,
+		RAMPSDetected:   ramps.TrojanLikely,
 		Diff:            trojaned.Part.Compare(golden.Part, 1.0),
 	}, nil
 }
@@ -640,67 +641,45 @@ func (r *SelfAttestReport) Format() string {
 	return sb.String()
 }
 
-// SelfAttestSuite returns the board self-attestation experiment as a
-// declarative suite: a dual-tap board-T2 print carrying the attestation
-// detector, a clean dual-tap attestation control, and a golden print
-// used only for the contrast — the paper's golden comparison of the very
-// same trojaned run's Arduino-side capture, which must stay clean.
-func SelfAttestSuite(seed uint64) *SuiteSpec {
-	return &SuiteSpec{
-		Name:     "selfattest",
-		BaseSeed: seed,
-		Scenarios: []ScenarioSpec{
-			{
-				Name:     "attested",
-				Trojan:   &TrojanSpec{Name: "T2"},
-				Tap:      "dual",
-				Detector: &DetectorSpec{Name: "attestation", Tap: "dual"},
-			},
-			{
-				Name:     "clean-attested",
-				Tap:      "dual",
-				Detector: &DetectorSpec{Name: "attestation", Tap: "dual"},
-			},
-			{Name: "golden"},
-		},
-		Compare: []CompareSpec{
-			// The trojaned run's own upstream capture through the paper's
-			// two-print workflow: provably clean (§V-D).
-			{Golden: "golden", Suspect: "attested", SuspectTap: "arduino"},
-		},
-	}
-}
-
-// SelfAttest runs the declarative SelfAttestSuite: a board-run T2 is
+// SelfAttest runs examples/specs/attestation.json: a board-run T2 is
 // detected by dual-tap self-attestation in a single print with no golden
 // capture, while the paper's Arduino-side workflow reports the same
 // print clean.
 func SelfAttest(c Campaign, seed uint64) (*SelfAttestReport, error) {
-	return runExperiment(c, SelfAttestSuite(seed), renderSelfAttest)
+	return runExperiment(c, "attestation.json", seed, renderSelfAttest)
 }
 
 // renderSelfAttest reads the attestation verdicts and the Arduino-side
-// contrast off a SelfAttestSuite report.
+// contrast off an attestation.json report.
 func renderSelfAttest(srep *SuiteReport) (*SelfAttestReport, error) {
-	attested, clean, golden := srep.Results[0].Result, srep.Results[1].Result, srep.Results[2].Result
+	res, err := srep.results("attested", "clean-attested", "golden")
+	if err != nil {
+		return nil, err
+	}
+	cmps, err := srep.reports(CompareSpec{Golden: "golden", Suspect: "attested", SuspectTap: "arduino"})
+	if err != nil {
+		return nil, err
+	}
+	attested, clean, golden, cmp := res[0], res[1], res[2], cmps[0]
 	if len(attested.Detections) != 1 || len(clean.Detections) != 1 {
 		return nil, fmt.Errorf("offramps: selfattest: attestation reports missing")
 	}
-	cmp := srep.Comparisons[0]
 	return &SelfAttestReport{
 		TrojanID:           "T2",
 		Attestation:        *attested.Detections[0],
 		CleanControl:       *clean.Detections[0],
-		ArduinoView:        *cmp.Report,
+		ArduinoView:        *cmp,
 		Detected:           attested.Detections[0].TrojanLikely,
 		CleanFalsePositive: clean.Detections[0].TrojanLikely,
-		ArduinoDetected:    cmp.Report.TrojanLikely,
+		ArduinoDetected:    cmp.TrojanLikely,
 		Diff:               attested.Part.Compare(golden.Part, 1.0),
 	}, nil
 }
 
 // DriftSuite returns the §V-C workload as a declarative suite: `runs`
 // known-good prints of the same job on stepped seeds, compared pairwise.
+// It is the one experiment built in code, because its size is the runs
+// parameter.
 func DriftSuite(seed uint64, runs int) *SuiteSpec {
 	s := &SuiteSpec{Name: "drift", BaseSeed: seed}
 	for i := 0; i < runs; i++ {
@@ -729,7 +708,7 @@ func Drift(c Campaign, seed uint64, runs int) (*DriftReport, error) {
 	if runs < 2 {
 		return nil, fmt.Errorf("offramps: drift needs at least 2 runs, got %d", runs)
 	}
-	return runExperiment(c, DriftSuite(seed, runs), renderDrift)
+	return runSuite(c, DriftSuite(seed, runs), renderDrift)
 }
 
 // renderDrift folds a DriftSuite report's pairwise comparisons into the

@@ -1,7 +1,11 @@
 package offramps
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -202,6 +206,73 @@ func TestDriftReproduces(t *testing.T) {
 func TestDriftValidation(t *testing.T) {
 	if _, err := Drift(experimentCampaign, 1, 1); err == nil {
 		t.Error("Drift with 1 run accepted")
+	}
+	// DriftSuite is the one experiment built in code rather than loaded
+	// from a spec file, so TestCommittedSpecsCompile does not see it.
+	s := DriftSuite(1, 3)
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := CompileSpecs(SpecContext{BaseSeed: s.BaseSeed}, s.Scenarios); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRenderersIgnoreSpecOrder runs each paper experiment's spec file
+// with its scenarios and comparisons in reverse order: the renderers
+// look rows up by name, so the report must come out identical.
+func TestRenderersIgnoreSpecOrder(t *testing.T) {
+	t.Run("table1.json", func(t *testing.T) { sameReversed(t, "table1.json", TableI, renderTableI) })
+	t.Run("grid_tableii.json", func(t *testing.T) { sameReversed(t, "grid_tableii.json", TableII, renderTableII) })
+	t.Run("figure4.json", func(t *testing.T) { sameReversed(t, "figure4.json", Figure4, renderFigure4) })
+	t.Run("tapside.json", func(t *testing.T) { sameReversed(t, "tapside.json", TapSides, renderTapSides) })
+	t.Run("attestation.json", func(t *testing.T) { sameReversed(t, "attestation.json", SelfAttest, renderSelfAttest) })
+}
+
+// sameReversed runs experiment at seed 1, then file reversed through
+// render, and requires the two reports to marshal to the same bytes.
+func sameReversed[R any](t *testing.T, file string, experiment func(Campaign, uint64) (R, error), render func(*SuiteReport) (R, error)) {
+	t.Helper()
+	suite, err := LoadSuiteOrGrid(filepath.Join("examples", "specs", file), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	suite.BaseSeed = 1
+	slices.Reverse(suite.Scenarios)
+	slices.Reverse(suite.Compare)
+	forward, err := experiment(experimentCampaign, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backward, err := runSuite(experimentCampaign, suite, render)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := json.Marshal(forward)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(backward)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Errorf("%s with its scenarios reversed renders a different report", file)
+	}
+}
+
+// TestRenderersRejectMissingRows: a report that lacks a row the
+// renderer needs is an error naming it, never a mislabelled table.
+func TestRenderersRejectMissingRows(t *testing.T) {
+	rep := &SuiteReport{Suite: "figure4", Results: []ScenarioResult{{Name: "golden", Result: &Result{}}}}
+	if _, err := renderFigure4(rep); err == nil || !strings.Contains(err.Error(), `"relocation"`) {
+		t.Errorf("renderFigure4 without the relocation row: err = %v", err)
+	}
+	if _, err := renderTableII(rep); err == nil || !strings.Contains(err.Error(), "flaw3d-1") {
+		t.Errorf("renderTableII without comparisons: err = %v", err)
+	}
+	if _, err := renderTableI(rep); err == nil || !strings.Contains(err.Error(), `"T0"`) {
+		t.Errorf("renderTableI without T0: err = %v", err)
 	}
 }
 

@@ -2,9 +2,12 @@ package offramps
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"math"
+	"math/bits"
 	"os"
 	"path"
 	"path/filepath"
@@ -180,7 +183,7 @@ type GridSpec struct {
 	// Compare entries are appended verbatim after the generated ones.
 	Compare []CompareSpec `json:"compare,omitempty"`
 
-	// dir anchors relative program file references (set by LoadGridSpec).
+	// dir anchors relative program file references (set by ParseGridSpec).
 	dir string
 }
 
@@ -201,41 +204,46 @@ func ParseGridSpec(data []byte, dir string) (*GridSpec, error) {
 	return &g, nil
 }
 
-// LoadGridSpec reads a grid spec file; a missing name defaults to the
-// file's base name.
-func LoadGridSpec(path string) (*GridSpec, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("offramps: reading grid spec: %w", err)
+// maxGridScenarios is the most scenarios a grid may expand to.
+const maxGridScenarios = 1 << 20
+
+// gridProduct is an upper bound on the scenarios g expands to — the
+// axes' cross-product before filters, plus the extras — computed from
+// the axis sizes without materializing anything. It saturates at
+// math.MaxUint64.
+func gridProduct(g *GridSpec) uint64 {
+	a := g.Axes
+	sizes := []int{len(a.Programs), len(a.Trojans), len(a.Detectors), len(a.Taps), len(a.Budgets)}
+	n := uint64(1)
+	if s := a.Seeds; s != nil && len(s.Values) == 0 && s.To > s.From {
+		// (To-From)/step + 1 values, counted without overflow.
+		n = (s.To - s.From) / max(s.Step, 1)
+		if n == math.MaxUint64 {
+			return n
+		}
+		n++
+	} else if s != nil {
+		sizes = append(sizes, len(s.Values))
 	}
-	g, err := ParseGridSpec(data, filepath.Dir(path))
-	if err != nil {
-		return nil, fmt.Errorf("offramps: %s: %w", path, err)
+	for _, k := range sizes {
+		if hi, lo := bits.Mul64(n, uint64(max(k, 1))); hi == 0 {
+			n = lo
+		} else {
+			return math.MaxUint64
+		}
 	}
-	if g.Name == "" {
-		g.Name = strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
+	if n+uint64(len(g.Extra)) < n {
+		return math.MaxUint64
 	}
-	return g, nil
+	return n + uint64(len(g.Extra))
 }
 
 // LoadSuiteOrGrid loads a spec file as a plain suite, or as a grid
-// expanded into one. forceGrid forces grid interpretation; without it
-// the committed grid_*.json naming convention decides, so spec globs
-// with grids mixed in keep working. This is the one loading path shared
-// by cmd/suite, cmd/gridgen consumers, and the farm coordinator.
+// expanded into one; it is LoadSuiteOrGridLayout without the layout,
+// which it does not build.
 func LoadSuiteOrGrid(path string, forceGrid bool) (*SuiteSpec, error) {
-	if forceGrid || strings.HasPrefix(filepath.Base(path), "grid_") {
-		g, err := LoadGridSpec(path)
-		if err != nil {
-			return nil, err
-		}
-		s, err := g.Expand()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		return s, nil
-	}
-	return LoadSuiteSpec(path)
+	s, _, err := loadSuiteOrGrid(os.ReadFile, path, forceGrid, false)
+	return s, err
 }
 
 // programLabel derives a deterministic label for a program axis value.
@@ -444,6 +452,11 @@ func (g *GridSpec) expand(withLayout bool) (*SuiteSpec, *sched.Grid, error) {
 	if g.Name == "" {
 		return nil, nil, fmt.Errorf("offramps: grid spec needs a name")
 	}
+	// Checked before anything is materialized: a seed range alone can
+	// ask for 2^64 values.
+	if n := gridProduct(g); n > maxGridScenarios {
+		return nil, nil, fmt.Errorf("offramps: grid %q: expands to more than %d scenarios", g.Name, maxGridScenarios)
+	}
 	if g.SeedPolicy != nil && (g.Template.Seed != 0 || g.Template.SeedDelta != 0) {
 		return nil, nil, fmt.Errorf("offramps: grid %q: seedPolicy conflicts with template seed fields", g.Name)
 	}
@@ -614,23 +627,39 @@ func (g *GridSpec) expand(withLayout bool) (*SuiteSpec, *sched.Grid, error) {
 	return suite, layout, nil
 }
 
-// LoadSuiteOrGridLayout is LoadSuiteOrGrid's progressive twin: it loads
-// the file as LoadSuiteOrGrid does and also returns its sched layout —
-// the grid's cells and extras, or PlainLayout for a plain suite, whose
-// scenarios are all extras and so can never be skipped.
+// LoadSuiteOrGridLayout loads a spec file as a plain suite, or as a grid
+// expanded into one, and also returns its sched layout — the grid's
+// cells and extras, or PlainLayout for a plain suite, whose scenarios
+// are all extras and so can never be skipped. forceGrid forces grid
+// interpretation; without it the committed grid_*.json naming
+// convention decides, so spec globs with grids mixed in keep working.
+// This is the one loading path shared by cmd/suite, the farm
+// coordinator and the paper experiments.
 func LoadSuiteOrGridLayout(path string, forceGrid bool) (*SuiteSpec, *sched.Grid, error) {
-	if !forceGrid && !strings.HasPrefix(filepath.Base(path), "grid_") {
-		s, err := LoadSuiteSpec(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		return s, PlainLayout(s), nil
-	}
-	g, err := LoadGridSpec(path)
+	return loadSuiteOrGrid(os.ReadFile, path, forceGrid, true)
+}
+
+// loadSuiteOrGrid loads the spec file at path through read (os.ReadFile,
+// or the embedded specFiles' ReadFile) as LoadSuiteOrGridLayout
+// describes; a grid's layout is built only withLayout. A missing name
+// defaults to the file's base name.
+func loadSuiteOrGrid(read func(string) ([]byte, error), path string, forceGrid, withLayout bool) (s *SuiteSpec, layout *sched.Grid, err error) {
+	data, err := read(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("offramps: reading spec: %w", err)
 	}
-	s, layout, err := g.ExpandLayout()
+	base, dir := filepath.Base(path), filepath.Dir(path)
+	name := strings.TrimSuffix(base, filepath.Ext(base))
+	if forceGrid || strings.HasPrefix(base, "grid_") {
+		var g *GridSpec
+		if g, err = ParseGridSpec(data, dir); err == nil {
+			g.Name = cmp.Or(g.Name, name)
+			s, layout, err = g.expand(withLayout)
+		}
+	} else if s, err = ParseSuiteSpec(data, dir); err == nil {
+		s.Name = cmp.Or(s.Name, name)
+		layout = PlainLayout(s)
+	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s: %w", path, err)
 	}

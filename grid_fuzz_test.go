@@ -6,8 +6,9 @@ import (
 	"testing"
 )
 
-// fuzzGridCap bounds the cross-product a fuzzed grid may expand to, so
-// a seed range like [0, 2^63] is skipped instead of materialized.
+// fuzzGridCap bounds what a fuzzed grid may expand to, measured by
+// gridProduct, the bound Expand itself enforces at maxGridScenarios;
+// the smaller cap keeps each fuzz input fast.
 const fuzzGridCap = 256
 
 // FuzzParseGridSpec feeds arbitrary bytes to the grid parser and
@@ -41,7 +42,7 @@ func FuzzParseGridSpec(f *testing.F) {
 			return
 		}
 		if g.Name == "" {
-			g.Name = "fuzz" // LoadGridSpec defaults it from the file name
+			g.Name = "fuzz" // LoadSuiteOrGrid defaults it from the file name
 		}
 		suite, err := g.Expand()
 		if err != nil {
@@ -84,40 +85,6 @@ func FuzzParseGridSpec(f *testing.F) {
 			}
 		}
 	})
-}
-
-// gridProduct is an upper bound on the scenarios g expands to, computed
-// from the axis sizes without materializing anything and saturating
-// past fuzzGridCap.
-func gridProduct(g *GridSpec) uint64 {
-	n := uint64(1)
-	mul := func(k uint64) {
-		if k > 1 {
-			if n > fuzzGridCap/k {
-				n = fuzzGridCap + 1
-			} else {
-				n *= k
-			}
-		}
-	}
-	a := g.Axes
-	for _, k := range []int{len(a.Programs), len(a.Trojans), len(a.Detectors), len(a.Taps), len(a.Budgets)} {
-		mul(uint64(k))
-	}
-	if s := a.Seeds; s != nil {
-		switch {
-		case len(s.Values) > 0:
-			mul(uint64(len(s.Values)))
-		case s.To > s.From:
-			step := s.Step
-			if step == 0 {
-				step = 1
-			}
-			mul((s.To-s.From)/step + 1)
-		}
-	}
-	mul(uint64(len(g.Extra)) + 1)
-	return n
 }
 
 // goldenClosure lists what a shard owning name must carry: the scenario,

@@ -1,9 +1,8 @@
 package offramps
 
 import (
-	"context"
 	"encoding/json"
-	"path/filepath"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -395,43 +394,33 @@ func TestParseShard(t *testing.T) {
 	}
 }
 
-// TestGridTableIIMatchesExperiment runs the committed Table II grid file
-// and the hand-built TableIISuite under separate caches and requires the
-// comparison reports to be deeply identical: the grid reproduces the
-// paper's Table II, scenario names, seeds, verdicts and all.
-func TestGridTableIIMatchesExperiment(t *testing.T) {
-	g, err := LoadGridSpec(filepath.Join("examples", "specs", "grid_tableii.json"))
+// TestGridExpansionCeiling: a grid whose seed range spans 2^63 values
+// is rejected by Expand before anything is materialized, and the bound
+// counts extras and every axis.
+func TestGridExpansionCeiling(t *testing.T) {
+	g, err := ParseGridSpec([]byte(`{"name":"g","axes":{"seeds":{"from":0,"to":9223372036854775807}}}`), "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	suite, err := g.Expand()
-	if err != nil {
-		t.Fatal(err)
+	if _, err := g.Expand(); err == nil || !strings.Contains(err.Error(), "more than") {
+		t.Fatalf("Expand of a 2^63-seed grid: err = %v, want the scenario ceiling", err)
 	}
-
-	gridRep, err := Campaign{Cache: NewGoldenCache()}.RunSuite(context.Background(), suite)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tabRep, err := Campaign{Cache: NewGoldenCache()}.RunSuite(context.Background(), TableIISuite(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := firstScenarioErr(gridRep.Results); err != nil {
-		t.Fatal(err)
-	}
-
-	if len(gridRep.Comparisons) != len(tabRep.Comparisons) {
-		t.Fatalf("comparisons: grid %d, experiment %d", len(gridRep.Comparisons), len(tabRep.Comparisons))
-	}
-	for i, tc := range tabRep.Comparisons {
-		gc := gridRep.Comparisons[i]
-		if gc.Suspect != tc.Suspect || gc.Golden != tc.Golden {
-			t.Errorf("compare %d: grid %s vs %s, experiment %s vs %s", i, gc.Golden, gc.Suspect, tc.Golden, tc.Suspect)
-			continue
+	for _, tc := range []struct {
+		spec string
+		want uint64
+	}{
+		{`{"axes":{}}`, 1},
+		{`{"extra":[{"name":"a"},{"name":"b"}],"axes":{"programs":[{},{}],"taps":["arduino","ramps","dual"]}}`, 8},
+		{`{"axes":{"seeds":{"from":10,"to":20,"step":5}}}`, 3},
+		{`{"axes":{"seeds":{"to":18446744073709551615}}}`, math.MaxUint64},
+		{`{"axes":{"taps":["ramps","dual"],"seeds":{"to":18446744073709551615,"step":2}}}`, math.MaxUint64},
+	} {
+		g, err := ParseGridSpec([]byte(tc.spec), "")
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(gc.Report, tc.Report) {
-			t.Errorf("compare %s: grid report diverges from the experiment's:\ngrid: %+v\nexp:  %+v", gc.Suspect, gc.Report, tc.Report)
+		if got := gridProduct(g); got != tc.want {
+			t.Errorf("gridProduct(%s) = %d, want %d", tc.spec, got, tc.want)
 		}
 	}
 }

@@ -442,7 +442,7 @@ type SuiteSpec struct {
 	Scenarios []ScenarioSpec `json:"scenarios"`
 	Compare   []CompareSpec  `json:"compare,omitempty"`
 
-	// dir anchors relative program file references (set by LoadSuiteSpec).
+	// dir anchors relative program file references (set by ParseSuiteSpec).
 	dir string
 }
 
@@ -495,23 +495,6 @@ func canonicalJSON(raw json.RawMessage) json.RawMessage {
 		return raw
 	}
 	return out
-}
-
-// LoadSuiteSpec reads a suite spec file; relative program references
-// resolve against the file's directory.
-func LoadSuiteSpec(path string) (*SuiteSpec, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("offramps: reading suite spec: %w", err)
-	}
-	s, err := ParseSuiteSpec(data, filepath.Dir(path))
-	if err != nil {
-		return nil, fmt.Errorf("offramps: %s: %w", path, err)
-	}
-	if s.Name == "" {
-		s.Name = strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
-	}
-	return s, nil
 }
 
 // FindScenario returns the named scenario spec, if the suite has it.
@@ -638,8 +621,11 @@ func (r *SuiteReport) Format() string {
 			res.Name, res.Seed, res.Result.Duration, res.Result.Completed, scenarioVerdict(res))
 	}
 	for _, cmp := range r.Comparisons {
+		// A compared capture shows its tap when the comparison names one,
+		// so per-tap comparisons of one scenario pair stay distinguishable.
+		golden, suspect := strings.TrimSuffix(cmp.Golden+"@"+cmp.GoldenTap, "@"), strings.TrimSuffix(cmp.Suspect+"@"+cmp.SuspectTap, "@")
 		if cmp.Err != nil {
-			fmt.Fprintf(&sb, "compare %s vs %s: error: %v\n", cmp.Golden, cmp.Suspect, cmp.Err)
+			fmt.Fprintf(&sb, "compare %s vs %s: error: %v\n", golden, suspect, cmp.Err)
 			continue
 		}
 		verdict := "no trojan suspected"
@@ -647,7 +633,7 @@ func (r *SuiteReport) Format() string {
 			verdict = "TROJAN LIKELY"
 		}
 		fmt.Fprintf(&sb, "compare %s vs %s [%s]: %s (%d mismatches, largest %.2f%%, %d final)\n",
-			cmp.Golden, cmp.Suspect, cmp.Report.Detector, verdict,
+			golden, suspect, cmp.Report.Detector, verdict,
 			cmp.Report.NumMismatches, cmp.Report.LargestPercent, len(cmp.Report.Final))
 	}
 	return sb.String()

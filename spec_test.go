@@ -3,6 +3,7 @@ package offramps
 import (
 	"context"
 	"encoding/json"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -272,23 +273,6 @@ func TestParseSuiteSpecStrict(t *testing.T) {
 	}
 }
 
-// TestBuiltinSuitesValidate compiles every built-in experiment's spec
-// form — the spec path and the experiment entry points must never drift.
-func TestBuiltinSuitesValidate(t *testing.T) {
-	suites := []*SuiteSpec{
-		TableIISuite(1), Figure4Suite(1), DriftSuite(1, 3), TapSidesSuite(1),
-		SelfAttestSuite(1), TableISuite(1),
-	}
-	for _, s := range suites {
-		if err := s.Validate(); err != nil {
-			t.Errorf("suite %s: %v", s.Name, err)
-		}
-		if _, err := CompileSpecs(SpecContext{BaseSeed: s.BaseSeed}, s.Scenarios); err != nil {
-			t.Errorf("suite %s compile: %v", s.Name, err)
-		}
-	}
-}
-
 // TestRunSuiteTwoWaves runs a miniature suite whose detector references a
 // golden scenario, exercising wave partitioning and the registry-built
 // live monitor end to end.
@@ -383,25 +367,24 @@ func TestSuiteReportFormatPartial(t *testing.T) {
 }
 
 // TestSpecCompiledTableIMatchesClosurePath asserts that Table I's T2
-// scenario, compiled from TableISuite, produces bit-identical results to
-// a hand-built closure scenario — the spec compiler adds nothing to the
-// run a closure describes.
+// scenario, compiled from examples/specs/table1.json, produces
+// bit-identical results to a hand-built closure scenario — the spec
+// compiler adds nothing to the run a closure describes.
 func TestSpecCompiledTableIMatchesClosurePath(t *testing.T) {
 	prog := mustTestPart(t)
 	seed := uint64(11)
 
-	var t2 []ScenarioSpec
-	for _, sc := range TableISuite(seed).Scenarios {
-		if sc.Name == "T2" {
-			t2 = append(t2, sc)
-		}
-	}
-	compiled, err := CompileSpecs(SpecContext{BaseSeed: seed}, t2)
+	table1, err := LoadSuiteOrGrid(filepath.Join("examples", "specs", "table1.json"), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(compiled) != 1 {
-		t.Fatalf("TableISuite has %d T2 scenarios, want 1", len(compiled))
+	t2, ok := table1.FindScenario("T2")
+	if !ok {
+		t.Fatal("table1.json has no T2 scenario")
+	}
+	compiled, err := CompileSpecs(SpecContext{BaseSeed: seed}, []ScenarioSpec{t2})
+	if err != nil {
+		t.Fatal(err)
 	}
 	closure := []Scenario{{
 		Name: "T2", Program: prog, Seed: seed,

@@ -28,20 +28,9 @@ func TestCommittedSpecsCompile(t *testing.T) {
 		found++
 		path := filepath.Join(dir, e.Name())
 		t.Run(e.Name(), func(t *testing.T) {
-			var suite *SuiteSpec
-			if strings.HasPrefix(e.Name(), "grid_") {
-				g, err := LoadGridSpec(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if suite, err = g.Expand(); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				var err error
-				if suite, err = LoadSuiteSpec(path); err != nil {
-					t.Fatal(err)
-				}
+			suite, err := LoadSuiteOrGrid(path, false)
+			if err != nil {
+				t.Fatal(err)
 			}
 			base := suite.BaseSeed
 			if base == 0 {
