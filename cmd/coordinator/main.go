@@ -10,18 +10,19 @@
 //	coordinator -json merged.json spec.json
 //	coordinator -grid -journal sweep.jsonl -json merged.json grid_tableii.json
 //	coordinator -addr 127.0.0.1:7333 -ttl 30s -strikes 3 -fsync 1 grid.json
-//	coordinator -progressive -scenario-budget 14 -earlystop 2 grid_sweep.json
+//	coordinator -scenario-budget 14 -earlystop 2 grid_sweep.json
 //
-// -progressive feeds the lease queue from the progressive scheduler
-// (internal/sched) over the grid's cells: workers receive one round at
-// a time — coverage first, then boundary-guided refinement — and
-// scenarios the scheduler retires are journaled as synthesized
-// "skipped (...)" rows. It accepts any spec: a plain suite's scenarios
-// are all extras, so it runs whole in one round, exactly as without
-// the flag. The queue is reordered, never re-keyed, so journals,
-// resume, quarantine, and stitching work unchanged; a resumed
-// progressive sweep must be restarted with the same -progressive,
-// -scenario-budget, and -earlystop it began with.
+// -scenario-budget or -earlystop feeds the lease queue from the
+// progressive scheduler (internal/sched) over the grid's cells: workers
+// receive one round at a time — coverage first, then boundary-guided
+// refinement — and scenarios the scheduler retires are journaled as
+// synthesized "skipped (...)" rows, and the sweep ends with the
+// scheduler's summary line. A plain suite has no cells, so it runs
+// whole in one round, exactly as without them, with no summary. The queue is
+// reordered, never re-keyed, so journals, resume, quarantine, and
+// stitching work unchanged; a resumed progressive sweep must be
+// restarted with the same -scenario-budget and -earlystop it began
+// with.
 //
 // Kill it mid-sweep and start it again with the same -journal: it reads
 // the journal back (tolerating the torn trailing line a crash leaves,
@@ -79,7 +80,6 @@ func run(args []string, stdout io.Writer) error {
 		jsonOut  = fs.String("json", "", "write the final stitched report as JSON to `file` (\"-\" = stdout)")
 		linger   = fs.Duration("linger", 2*time.Second, "keep serving this long after the sweep completes, so polling workers see \"done\" and exit")
 		progress = fs.Bool("progress", false, "print a line per accepted completion")
-		prog     = fs.Bool("progressive", false, "feed the lease queue from the progressive scheduler (a plain suite runs whole)")
 		budget   = fs.Int("scenario-budget", 0, "progressive: target number of executed scenarios, coverage included (0 = unlimited)")
 		early    = fs.Int("earlystop", 0, "progressive: retire a cell once its first `k` seeds agree on a verdict (0 = never)")
 	)
@@ -92,17 +92,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 	path := fs.Arg(0)
 
-	if (*budget != 0 || *early != 0) && !*prog {
-		return fmt.Errorf("-scenario-budget and -earlystop require -progressive")
-	}
-	var spec *offramps.SuiteSpec
-	var layout *sched.Grid
-	var err error
-	if *prog {
-		spec, layout, err = offramps.LoadSuiteOrGridLayout(path, *grid)
-	} else {
-		spec, err = offramps.LoadSuiteOrGrid(path, *grid)
-	}
+	spec, err := offramps.LoadSuiteOrGrid(path, *grid)
 	if err != nil {
 		return err
 	}
@@ -115,12 +105,7 @@ func run(args []string, stdout io.Writer) error {
 		Journal:    *journal,
 		SyncEvery:  *fsync,
 		MaxStrikes: *strikes,
-	}
-	if layout != nil {
-		cfg.Progressive = &farm.Progressive{
-			Layout: layout,
-			Sched:  sched.Config{Budget: *budget, EarlyStopK: *early},
-		}
+		Sched:      sched.Config{Budget: *budget, EarlyStopK: *early},
 	}
 	co, err := farm.NewCoordinator(spec, cfg)
 	if err != nil {
@@ -175,8 +160,8 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(stdout, "sweep complete: %d scenarios, %d comparisons\n", len(rep.Results), len(rep.Comparisons))
-	if *prog {
-		fmt.Fprintln(stdout, co.SweepStats().Summary())
+	if line := co.SweepStats().Summary(); line != "" {
+		fmt.Fprintln(stdout, line)
 	}
 	for _, q := range co.Quarantined() {
 		fmt.Fprintf(stdout, "quarantined: %s (%d strikes; last: %s)\n", q.Scenario, q.Strikes, q.Reason)

@@ -15,18 +15,18 @@
 //	suite -grid -merge -json merged.json grid.json shard*.jsonl
 //	suite -jsonl results.jsonl -progress big_sweep.json
 //	suite -golden-store .goldens spec.json  # reuse golden prints across runs
-//	suite -progressive -scenario-budget 14 -earlystop 2 grid_sweep.json
+//	suite -scenario-budget 14 -earlystop 2 grid_sweep.json
 //	suite -golden-store .goldens -golden-store-gc spec.json  # drop stale goldens
 //
-// -progressive runs a spec as a progressive sweep (internal/sched):
-// round one executes one seed per grid cell (plus every extra), later
-// rounds refine cells that sit on a detection boundary first, and
-// -scenario-budget / -earlystop bound the total work. Scenarios the
-// scheduler retires become synthesized "skipped (...)" rows, so the
-// report and any -jsonl stream stay complete; every executed row is
-// byte-identical to the full run's. A plain suite is accepted too: its
-// scenarios are all extras, so it runs whole, exactly as without the
-// flag.
+// -scenario-budget or -earlystop runs a spec as a progressive sweep
+// (internal/sched) and prints its summary line: round one executes one
+// seed per grid cell (plus every extra), later rounds refine cells that
+// sit on a detection boundary first, and the two values bound the total
+// work. Scenarios the scheduler retires become synthesized "skipped
+// (...)" rows, so the report and any -jsonl stream stay complete; every
+// executed row is byte-identical to the full run's. A plain suite has
+// no cells, so it runs whole, exactly as without them, and prints no
+// summary line.
 //
 // A grid file (-grid) is a compact sweep description — axes of programs,
 // trojans, detectors, taps, budgets, and seeds, cross-multiplied minus
@@ -86,7 +86,6 @@ func run(args []string, stdout io.Writer) error {
 		progress = fs.Bool("progress", false, "print a progress line as each scenario completes")
 		storeDir = fs.String("golden-store", "", "persist golden runs in `dir` across invocations (misses fill it; corrupt entries re-simulate)")
 		storeGC  = fs.Bool("golden-store-gc", false, "after the run, rebuild the golden store keeping only entries this run touched (requires -golden-store)")
-		prog     = fs.Bool("progressive", false, "run progressively: coverage round first, boundary-guided refinement after (a plain suite runs whole)")
 		budget   = fs.Int("scenario-budget", 0, "progressive: target number of executed scenarios, coverage included (0 = unlimited; coverage always runs)")
 		early    = fs.Int("earlystop", 0, "progressive: retire a cell once its first `k` seeds agree on a verdict (0 = never)")
 	)
@@ -101,11 +100,9 @@ func run(args []string, stdout io.Writer) error {
 	if *storeGC && *storeDir == "" {
 		return fmt.Errorf("-golden-store-gc requires -golden-store")
 	}
-	if *prog && (*shard != "" || *merge) {
-		return fmt.Errorf("-progressive is incompatible with -shard and -merge (the scheduler owns the execution order)")
-	}
-	if (*budget != 0 || *early != 0) && !*prog {
-		return fmt.Errorf("-scenario-budget and -earlystop require -progressive")
+	sweep := sched.Config{Budget: *budget, EarlyStopK: *early}
+	if (*budget != 0 || *early != 0) && (*shard != "" || *merge) {
+		return fmt.Errorf("-scenario-budget and -earlystop are incompatible with -shard and -merge (the scheduler owns the execution order)")
 	}
 	if *merge {
 		if *shard != "" {
@@ -152,14 +149,7 @@ func run(args []string, stdout io.Writer) error {
 	var reports []*offramps.SuiteReport
 	var sinkFailure error
 	for _, path := range paths {
-		var spec *offramps.SuiteSpec
-		var layout *sched.Grid
-		var err error
-		if *prog {
-			spec, layout, err = offramps.LoadSuiteOrGridLayout(path, *grid)
-		} else {
-			spec, err = loadSuite(path, *grid)
-		}
+		spec, err := offramps.LoadSuiteOrGrid(path, *grid)
 		if err != nil {
 			return err
 		}
@@ -195,12 +185,7 @@ func run(args []string, stdout io.Writer) error {
 		rep := &offramps.SuiteReport{Suite: runSpec.Name, BaseSeed: runSpec.BaseSeed, Results: []offramps.ScenarioResult{}}
 		var stats offramps.SweepStats
 		if len(runSpec.Scenarios) > 0 {
-			if layout != nil {
-				rep, stats, err = c.RunSuiteProgressive(context.Background(), runSpec, layout,
-					sched.Config{Budget: *budget, EarlyStopK: *early})
-			} else {
-				rep, err = c.RunSuite(context.Background(), runSpec)
-			}
+			rep, stats, err = c.RunSuiteProgressive(context.Background(), runSpec, sweep)
 			if err != nil {
 				// A sink failure still produced a complete report — keep
 				// going so -json/-csv artifacts are written, and surface
@@ -237,8 +222,8 @@ func run(args []string, stdout io.Writer) error {
 			}
 		}
 		fmt.Fprint(stdout, rep.Format())
-		if layout != nil {
-			fmt.Fprintln(stdout, stats.Summary())
+		if line := stats.Summary(); line != "" {
+			fmt.Fprintln(stdout, line)
 		}
 		fmt.Fprintf(stdout, "(%s executed in %v)\n\n", path, time.Since(start).Round(time.Millisecond))
 		reports = append(reports, rep)
@@ -285,16 +270,6 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	return sinkFailure
-}
-
-// loadSuite reads a suite spec — or a grid spec expanded into one. -grid
-// forces grid interpretation; without it, the committed grid_*.json
-// naming convention decides, so `suite examples/specs/*.json` keeps
-// working with grids in the glob. The same loading path backs the farm
-// coordinator (cmd/coordinator), so both front ends see identical
-// suites for identical inputs.
-func loadSuite(path string, grid bool) (*offramps.SuiteSpec, error) {
-	return offramps.LoadSuiteOrGrid(path, grid)
 }
 
 // firstError surfaces scenario or comparison failures as a non-zero exit

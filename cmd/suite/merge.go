@@ -27,7 +27,7 @@ func runMerge(grid bool, seed uint64, paths []string, jsonOut string, stdout io.
 	if len(paths) < 2 {
 		return fmt.Errorf("-merge needs the spec/grid file followed by at least one -jsonl stream")
 	}
-	suite, err := loadSuite(paths[0], grid)
+	suite, err := offramps.LoadSuiteOrGrid(paths[0], grid)
 	if err != nil {
 		return err
 	}

@@ -53,12 +53,13 @@
 // repository — an in-process cache (GoldenCache) over a persistent
 // content-addressed disk store (internal/goldenstore) — and huge grids
 // run under the progressive scheduler (internal/sched, surfaced as
-// RunSuiteProgressive and `suite -progressive`): coverage first, then
+// RunSuiteProgressive and `suite -scenario-budget`): coverage first, then
 // refinement around detection-boundary cells, with retired scenarios
 // reported as synthesized "skipped (...)" rows and every executed row
 // still byte-identical to the full run's. RunSuiteProgressive is the
-// only suite executor: RunSuite runs it under PlainLayout, where every
-// scenario is an extra and nothing is skipped.
+// only suite executor: RunSuite runs it with the zero sched.Config,
+// where every scenario is an extra and nothing is skipped. A suite
+// expanded from a grid carries its layout, so no caller builds one.
 //
 // See README.md for a tour of the commands and DESIGN.md for the
 // architecture, section by section.

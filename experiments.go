@@ -28,7 +28,7 @@ var specFiles embed.FS
 // function of the suite report — turns the rows into the experiment's
 // report. A failed scenario or comparison fails the experiment.
 func runExperiment[R any](c Campaign, file string, seed uint64, render func(*SuiteReport) (R, error)) (R, error) {
-	suite, _, err := loadSuiteOrGrid(specFiles.ReadFile, "examples/specs/"+file, false, false)
+	suite, err := loadSuiteOrGrid(specFiles.ReadFile, "examples/specs/"+file, false)
 	if err != nil {
 		var zero R
 		return zero, err

@@ -238,14 +238,6 @@ func gridProduct(g *GridSpec) uint64 {
 	return n + uint64(len(g.Extra))
 }
 
-// LoadSuiteOrGrid loads a spec file as a plain suite, or as a grid
-// expanded into one; it is LoadSuiteOrGridLayout without the layout,
-// which it does not build.
-func LoadSuiteOrGrid(path string, forceGrid bool) (*SuiteSpec, error) {
-	s, _, err := loadSuiteOrGrid(os.ReadFile, path, forceGrid, false)
-	return s, err
-}
-
 // programLabel derives a deterministic label for a program axis value.
 func programLabel(p ProgramSpec) string {
 	var parts []string
@@ -288,6 +280,9 @@ type gridAxis struct {
 	present bool
 	values  []axisValue
 }
+
+// seedAxis is the seed axis's index in axes()'s expansion order.
+const seedAxis = 5
 
 // axes resolves the sweep dimensions in their fixed expansion order
 // (programs, trojans, detectors, taps, budgets, seeds — seeds innermost,
@@ -433,36 +428,28 @@ func (g *GridSpec) axes() ([]gridAxis, error) {
 // survives the filters, named by the labels of the multi-valued axes
 // and validated as a suite. Expansion is pure and deterministic — same
 // grid, same suite.
+//
+// The suite also carries the grid's progressive layout, which
+// SuiteSpec.Scheduler deals under a non-zero sched.Config: one cell per
+// point on the swept non-seed axes, holding that point's scenario names
+// in seed order, plus the extra scenarios. The layout comes from the
+// same walk as the suite, so cell order, coordinates and seed grouping
+// are exactly as deterministic as the suite itself.
 func (g *GridSpec) Expand() (*SuiteSpec, error) {
-	s, _, err := g.expand(false)
-	return s, err
-}
-
-// ExpandLayout expands the grid and additionally derives its
-// progressive layout: the sched.Grid of cells (one per point on the
-// swept non-seed axes, holding that point's scenario names in seed
-// order) plus the extra scenarios. The layout walks the same
-// cross-product as Expand, so cell order, coordinates, and seed
-// grouping are exactly as deterministic as the suite itself.
-func (g *GridSpec) ExpandLayout() (*SuiteSpec, *sched.Grid, error) {
-	return g.expand(true)
-}
-
-func (g *GridSpec) expand(withLayout bool) (*SuiteSpec, *sched.Grid, error) {
 	if g.Name == "" {
-		return nil, nil, fmt.Errorf("offramps: grid spec needs a name")
+		return nil, fmt.Errorf("offramps: grid spec needs a name")
 	}
 	// Checked before anything is materialized: a seed range alone can
 	// ask for 2^64 values.
 	if n := gridProduct(g); n > maxGridScenarios {
-		return nil, nil, fmt.Errorf("offramps: grid %q: expands to more than %d scenarios", g.Name, maxGridScenarios)
+		return nil, fmt.Errorf("offramps: grid %q: expands to more than %d scenarios", g.Name, maxGridScenarios)
 	}
 	if g.SeedPolicy != nil && (g.Template.Seed != 0 || g.Template.SeedDelta != 0) {
-		return nil, nil, fmt.Errorf("offramps: grid %q: seedPolicy conflicts with template seed fields", g.Name)
+		return nil, fmt.Errorf("offramps: grid %q: seedPolicy conflicts with template seed fields", g.Name)
 	}
 	axes, err := g.axes()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// A filter naming an axis the grid does not sweep would silently
 	// never match (labels carry swept axes only) — reject it instead.
@@ -474,13 +461,13 @@ func (g *GridSpec) expand(withLayout bool) (*SuiteSpec, *sched.Grid, error) {
 	}
 	for _, f := range append(append([]GridFilter{}, g.Include...), g.Exclude...) {
 		if f.isEmpty() {
-			return nil, nil, fmt.Errorf("offramps: grid %q: empty include/exclude filter matches nothing", g.Name)
+			return nil, fmt.Errorf("offramps: grid %q: empty include/exclude filter matches nothing", g.Name)
 		}
 		for axis, val := range map[string]string{
 			"program": f.Program, "trojan": f.Trojan, "detector": f.Detector, "tap": f.Tap,
 		} {
 			if val != "" && !present[axis] {
-				return nil, nil, fmt.Errorf("offramps: grid %q: filter references the %s axis, which the grid does not sweep", g.Name, axis)
+				return nil, fmt.Errorf("offramps: grid %q: filter references the %s axis, which the grid does not sweep", g.Name, axis)
 			}
 		}
 	}
@@ -488,22 +475,18 @@ func (g *GridSpec) expand(withLayout bool) (*SuiteSpec, *sched.Grid, error) {
 	// The progressive layout shadows the walk: Dims are the present
 	// non-seed axes' cardinalities, a cell is one coordinate on them, and
 	// the seed axis (innermost) groups each cell's scenarios in seed
-	// order. The seed axis index is fixed by axes()'s expansion order.
-	const seedAxis = 5
-	var layout *sched.Grid
-	var cellAt map[string]int
-	if withLayout {
-		layout = &sched.Grid{}
-		for ai, ax := range axes {
-			if ax.present && ai != seedAxis {
-				layout.Dims = append(layout.Dims, len(ax.values))
-			}
+	// order.
+	seeds := len(axes[seedAxis].values)
+	layout := &sched.Grid{}
+	for ai, ax := range axes {
+		if ax.present && ai != seedAxis {
+			layout.Dims = append(layout.Dims, len(ax.values))
 		}
-		for _, ex := range g.Extra {
-			layout.Extras = append(layout.Extras, ex.Name)
-		}
-		cellAt = make(map[string]int)
 	}
+	for _, ex := range g.Extra {
+		layout.Extras = append(layout.Extras, ex.Name)
+	}
+	lastCell := -1
 
 	// Walk the cross-product in fixed nested order. idx is the cell's
 	// position in the *full* product, so seed-policy deltas are stable
@@ -518,7 +501,6 @@ func (g *GridSpec) expand(withLayout bool) (*SuiteSpec, *sched.Grid, error) {
 		spec := g.Template
 		labels := make(map[string]string, len(axes))
 		var nameParts []string
-		var coord []int
 		if spec.Name != "" {
 			nameParts = append(nameParts, spec.Name)
 		}
@@ -532,21 +514,7 @@ func (g *GridSpec) expand(withLayout bool) (*SuiteSpec, *sched.Grid, error) {
 				if len(ax.values) > 1 {
 					nameParts = append(nameParts, v.label)
 				}
-				if ai != seedAxis {
-					coord = append(coord, counters[ai])
-				}
 			}
-		}
-		// The cell label is the name minus the seed axis's contribution —
-		// the seed axis is last, so its label (when it contributes one) is
-		// the final name part.
-		cellParts := nameParts
-		if axes[seedAxis].present && len(axes[seedAxis].values) > 1 {
-			cellParts = nameParts[:len(nameParts)-1]
-		}
-		cellName := strings.Join(cellParts, "/")
-		if cellName == "" {
-			cellName = "cell"
 		}
 		if len(nameParts) == 0 {
 			nameParts = append(nameParts, "cell")
@@ -564,7 +532,7 @@ func (g *GridSpec) expand(withLayout bool) (*SuiteSpec, *sched.Grid, error) {
 		for _, f := range g.Include {
 			ok, err := f.matches(spec.Name, labels)
 			if err != nil {
-				return nil, nil, fmt.Errorf("offramps: grid %q: include: %w", g.Name, err)
+				return nil, fmt.Errorf("offramps: grid %q: include: %w", g.Name, err)
 			}
 			if ok {
 				keep = true
@@ -574,7 +542,7 @@ func (g *GridSpec) expand(withLayout bool) (*SuiteSpec, *sched.Grid, error) {
 		for _, f := range g.Exclude {
 			ok, err := f.matches(spec.Name, labels)
 			if err != nil {
-				return nil, nil, fmt.Errorf("offramps: grid %q: exclude: %w", g.Name, err)
+				return nil, fmt.Errorf("offramps: grid %q: exclude: %w", g.Name, err)
 			}
 			if ok {
 				keep = false
@@ -583,14 +551,15 @@ func (g *GridSpec) expand(withLayout bool) (*SuiteSpec, *sched.Grid, error) {
 		}
 		if keep {
 			cells = append(cells, spec)
-			if withLayout {
-				ck := fmt.Sprint(coord)
-				if ci, ok := cellAt[ck]; ok {
-					layout.Cells[ci].Seeds = append(layout.Cells[ci].Seeds, spec.Name)
-				} else {
-					cellAt[ck] = len(layout.Cells)
-					layout.Cells = append(layout.Cells, sched.Cell{Key: cellName, Coord: coord, Seeds: []string{spec.Name}})
-				}
+			// Seeds are the innermost axis, so a cell's kept scenarios are
+			// consecutive in the walk and idx/seeds — the mixed-radix
+			// number of the non-seed counters — names the cell.
+			if idx/seeds == lastCell {
+				c := &layout.Cells[len(layout.Cells)-1]
+				c.Seeds = append(c.Seeds, spec.Name)
+			} else {
+				lastCell = idx / seeds
+				layout.Cells = append(layout.Cells, newLayoutCell(axes, counters, nameParts, spec.Name))
 			}
 		}
 
@@ -604,7 +573,7 @@ func (g *GridSpec) expand(withLayout bool) (*SuiteSpec, *sched.Grid, error) {
 		}
 	}
 	if len(cells) == 0 {
-		return nil, nil, fmt.Errorf("offramps: grid %q: filters removed every cell", g.Name)
+		return nil, fmt.Errorf("offramps: grid %q: filters removed every cell", g.Name)
 	}
 
 	suite := &SuiteSpec{
@@ -614,6 +583,7 @@ func (g *GridSpec) expand(withLayout bool) (*SuiteSpec, *sched.Grid, error) {
 		Workers:   g.Workers,
 		Scenarios: append(append([]ScenarioSpec{}, g.Extra...), cells...),
 		dir:       g.dir,
+		layout:    layout,
 	}
 	if g.CompareWith != "" {
 		for _, c := range cells {
@@ -622,31 +592,50 @@ func (g *GridSpec) expand(withLayout bool) (*SuiteSpec, *sched.Grid, error) {
 	}
 	suite.Compare = append(suite.Compare, g.Compare...)
 	if err := suite.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("offramps: grid %q: expanded suite invalid: %w", g.Name, err)
+		return nil, fmt.Errorf("offramps: grid %q: expanded suite invalid: %w", g.Name, err)
 	}
-	return suite, layout, nil
+	return suite, nil
 }
 
-// LoadSuiteOrGridLayout loads a spec file as a plain suite, or as a grid
-// expanded into one, and also returns its sched layout — the grid's
-// cells and extras, or PlainLayout for a plain suite, whose scenarios
-// are all extras and so can never be skipped. forceGrid forces grid
-// interpretation; without it the committed grid_*.json naming
+// newLayoutCell starts the layout cell of the scenario the walk is at:
+// its coordinate is the present non-seed axes' counters, and its key is
+// the scenario's name parts minus the seed axis's label — the seed axis
+// is last, so its label (when it contributes one) is the final part.
+func newLayoutCell(axes []gridAxis, counters []int, nameParts []string, name string) sched.Cell {
+	var coord []int
+	for ai, ax := range axes {
+		if ax.present && ai != seedAxis {
+			coord = append(coord, counters[ai])
+		}
+	}
+	seeds := axes[seedAxis].values
+	if axes[seedAxis].present && len(seeds) > 1 {
+		nameParts = nameParts[:len(nameParts)-1]
+	}
+	return sched.Cell{
+		Key:   cmp.Or(strings.Join(nameParts, "/"), "cell"),
+		Coord: coord,
+		Seeds: append(make([]string, 0, len(seeds)), name),
+	}
+}
+
+// LoadSuiteOrGrid loads a spec file as a plain suite, or as a grid
+// expanded into one (carrying its layout, see Expand). forceGrid forces
+// grid interpretation; without it the committed grid_*.json naming
 // convention decides, so spec globs with grids mixed in keep working.
 // This is the one loading path shared by cmd/suite, the farm
 // coordinator and the paper experiments.
-func LoadSuiteOrGridLayout(path string, forceGrid bool) (*SuiteSpec, *sched.Grid, error) {
-	return loadSuiteOrGrid(os.ReadFile, path, forceGrid, true)
+func LoadSuiteOrGrid(path string, forceGrid bool) (*SuiteSpec, error) {
+	return loadSuiteOrGrid(os.ReadFile, path, forceGrid)
 }
 
 // loadSuiteOrGrid loads the spec file at path through read (os.ReadFile,
-// or the embedded specFiles' ReadFile) as LoadSuiteOrGridLayout
-// describes; a grid's layout is built only withLayout. A missing name
-// defaults to the file's base name.
-func loadSuiteOrGrid(read func(string) ([]byte, error), path string, forceGrid, withLayout bool) (s *SuiteSpec, layout *sched.Grid, err error) {
+// or the embedded specFiles' ReadFile) as LoadSuiteOrGrid describes. A
+// missing name defaults to the file's base name.
+func loadSuiteOrGrid(read func(string) ([]byte, error), path string, forceGrid bool) (s *SuiteSpec, err error) {
 	data, err := read(path)
 	if err != nil {
-		return nil, nil, fmt.Errorf("offramps: reading spec: %w", err)
+		return nil, fmt.Errorf("offramps: reading spec: %w", err)
 	}
 	base, dir := filepath.Base(path), filepath.Dir(path)
 	name := strings.TrimSuffix(base, filepath.Ext(base))
@@ -654,16 +643,15 @@ func loadSuiteOrGrid(read func(string) ([]byte, error), path string, forceGrid, 
 		var g *GridSpec
 		if g, err = ParseGridSpec(data, dir); err == nil {
 			g.Name = cmp.Or(g.Name, name)
-			s, layout, err = g.expand(withLayout)
+			s, err = g.Expand()
 		}
 	} else if s, err = ParseSuiteSpec(data, dir); err == nil {
 		s.Name = cmp.Or(s.Name, name)
-		layout = PlainLayout(s)
 	}
 	if err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", path, err)
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return s, layout, nil
+	return s, nil
 }
 
 // ---------------------------------------------------------------------------

@@ -380,6 +380,11 @@ func TestSubset(t *testing.T) {
 	if !reflect.DeepEqual(viaSubset, shard) {
 		t.Errorf("Subset(%v) = %+v, Shard(1, 3) = %+v", owned, viaSubset, shard)
 	}
+	// The grid's layout stays with the full suite: a slice of it runs
+	// under the plain layout.
+	if full.layout == nil || shard.layout != nil || viaSubset.layout != nil {
+		t.Errorf("layouts: full %v, shard %v, subset %v; want only the full suite's", full.layout, shard.layout, viaSubset.layout)
+	}
 }
 
 // TestParseShard checks the "i/N" notation.

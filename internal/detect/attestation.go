@@ -164,10 +164,6 @@ func (a *Attestation) verdict() Verdict {
 // Tripped reports whether the detector has flagged the print.
 func (a *Attestation) Tripped() bool { return a.tripped }
 
-// Pairs reports how many complete (upstream, downstream) pairs have been
-// compared.
-func (a *Attestation) Pairs() int { return a.compared }
-
 // Finalize runs the 0 %-margin final check between the last complete
 // pair's two sides and assembles the report. A dangling unpaired
 // upstream window (possible only when replaying a truncated interleaved

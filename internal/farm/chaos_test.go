@@ -51,12 +51,11 @@ func chaosRules() []faults.Rule {
 // and reports its error (nil on a clean exit).
 func runChaosWorker(url, name string, seed uint64, tr *faults.Transport) error {
 	w := &Worker{
-		Client:     &Client{Base: url, HTTP: &http.Client{Transport: tr}},
-		Name:       name,
-		Seed:       seed,
-		Poll:       5 * time.Millisecond,
-		Backoff:    faults.Backoff{Base: time.Millisecond, Cap: 5 * time.Millisecond},
-		MaxRetries: 12,
+		Client:  &Client{Base: url, HTTP: &http.Client{Transport: tr}},
+		Name:    name,
+		Seed:    seed,
+		Poll:    5 * time.Millisecond,
+		Backoff: faults.Backoff{Base: time.Millisecond, Cap: 5 * time.Millisecond, Attempts: 12},
 	}
 	_, err := w.Run(context.Background())
 	return err
@@ -269,11 +268,10 @@ func TestFarmPoisonQuarantine(t *testing.T) {
 		Kind: faults.Err500,
 	})
 	w := &Worker{
-		Client:     &Client{Base: srv.URL, HTTP: &http.Client{Transport: tr}},
-		Name:       "p1",
-		Poll:       2 * time.Millisecond,
-		Backoff:    faults.Backoff{Base: time.Millisecond, Cap: 2 * time.Millisecond},
-		MaxRetries: 3,
+		Client:  &Client{Base: srv.URL, HTTP: &http.Client{Transport: tr}},
+		Name:    "p1",
+		Poll:    2 * time.Millisecond,
+		Backoff: faults.Backoff{Base: time.Millisecond, Cap: 2 * time.Millisecond, Attempts: 3},
 	}
 	n, err := w.Run(context.Background())
 	if err != nil {

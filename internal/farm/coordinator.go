@@ -38,25 +38,16 @@ type Config struct {
 	// Clock is the time source for lease expiry (nil = faults.Wall{});
 	// injectable so chaos runs control when leases die.
 	Clock faults.Clock
-	// Progressive, when non-nil, sets the layout and knobs of the
-	// scheduler that deals scenarios: they are released in rounds
-	// (coverage, then boundary-first refinement) and retired scenarios
-	// become journaled skip rows. When nil, the coordinator schedules
-	// offramps.PlainLayout: one round of every scenario in suite order,
+	// Sched is the budget and early stop of the scheduler that deals
+	// scenarios (offramps.SuiteSpec.Scheduler). Non-zero on a grid suite,
+	// scenarios are released in rounds (coverage, then boundary-first
+	// refinement) and retired scenarios become journaled skip rows. The
+	// zero value deals one round of every scenario in suite order,
 	// nothing skipped. Scenarios are reordered, never re-keyed, so
 	// journals, resume, quarantine, and stitching work unchanged — but a
-	// resumed sweep must be given the same Progressive settings it
-	// started with, or the re-derived schedule will not match the
-	// journal.
-	Progressive *Progressive
-}
-
-// Progressive configures scheduler-fed execution: the grid layout
-// (from offramps.GridSpec.ExpandLayout) and the budget / early-stop
-// knobs.
-type Progressive struct {
-	Layout *sched.Grid
-	Sched  sched.Config
+	// resumed sweep must be given the same Sched it started with, or the
+	// re-derived schedule will not match the journal.
+	Sched sched.Config
 }
 
 func (cfg Config) ttl() time.Duration {
@@ -208,14 +199,7 @@ func NewCoordinator(suite *offramps.SuiteSpec, cfg Config) (*Coordinator, error)
 	for _, cmp := range suite.Compare {
 		c.suspects[offramps.CompareKey(cmp.Golden, cmp.GoldenTap, cmp.Suspect, cmp.SuspectTap)] = cmp.Suspect
 	}
-	layout, schedCfg := offramps.PlainLayout(suite), sched.Config{}
-	if p := cfg.Progressive; p != nil {
-		layout, schedCfg = p.Layout, p.Sched
-	}
-	if err := offramps.ValidateProgressive(suite, layout); err != nil {
-		return nil, err
-	}
-	if c.sched, err = sched.New(layout, schedCfg); err != nil {
+	if c.sched, err = suite.Scheduler(cfg.Sched); err != nil {
 		return nil, err
 	}
 
@@ -344,7 +328,7 @@ func (c *Coordinator) advanceLocked() {
 
 // retireLocked synthesizes one retired scenario's rows: skip-error
 // comparisons for every comparison it was the suspect of (goldens are
-// extras by ValidateProgressive, so only the suspect side can be
+// extras by SuiteSpec.Scheduler, so only the suspect side can be
 // skipped), then the skip scenario row — journaled in that order, the
 // same comparisons-before-row invariant completions keep. A scenario
 // already done (a resumed journal re-deriving the same retirement) is

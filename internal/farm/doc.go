@@ -29,13 +29,13 @@
 // (DESIGN.md §10–§11).
 //
 // The coordinator always deals scenarios from the progressive scheduler
-// (internal/sched). Without Config.Progressive it schedules
-// offramps.PlainLayout, one round of every scenario in suite order.
-// With it, scenarios are dealt in rounds — one seed per grid cell
-// first, then refinement around detection-boundary cells — and
-// scenarios the scheduler retires are journaled as synthesized
-// "skipped (...)" rows. Scenarios are reordered, never re-keyed, so
-// leases, journals, resume, quarantine, and stitching all work
-// unchanged; a resumed progressive sweep must be restarted with the
-// same Progressive settings it began with (DESIGN.md §14).
+// (internal/sched), built by offramps.SuiteSpec.Scheduler(Config.Sched).
+// With the zero Config.Sched it deals one round of every scenario in
+// suite order. With a budget or early stop on a grid suite, scenarios
+// are dealt in rounds — one seed per grid cell first, then refinement
+// around detection-boundary cells — and scenarios the scheduler retires
+// are journaled as synthesized "skipped (...)" rows. Scenarios are
+// reordered, never re-keyed, so leases, journals, resume, quarantine,
+// and stitching all work unchanged; a resumed progressive sweep must be
+// restarted with the same Config.Sched it began with (DESIGN.md §14).
 package farm

@@ -554,27 +554,48 @@ func TestQueueNoQuarantineWithoutMaxStrikes(t *testing.T) {
 // round in the scheduler's order, and never re-deals a scenario whose
 // row is already stored.
 func TestQueueHoldRelease(t *testing.T) {
-	layout := &sched.Grid{
-		Dims:   []int{1},
-		Cells:  []sched.Cell{{Key: "cell", Coord: []int{0}, Seeds: []string{"a", "c"}}},
-		Extras: []string{"b"},
+	// The extra b, then three cells (clean, T1, T2) of two seeds each.
+	// Over three cells the scheduler's diverse order is clean, T2, T1,
+	// so every round it deals differs from suite order.
+	g := &offramps.GridSpec{
+		Name:     "leases",
+		BaseSeed: 1,
+		Extra:    []offramps.ScenarioSpec{{Name: "b"}},
+		Axes: offramps.GridAxes{
+			Trojans: []offramps.TrojanAxis{{}, {TrojanSpec: offramps.TrojanSpec{Name: "T1"}}, {TrojanSpec: offramps.TrojanSpec{Name: "T2"}}},
+			Seeds:   &offramps.SeedAxis{Values: []uint64{1, 2}, Delta: true},
+		},
 	}
-	h := newLeaseHarness(t, leaseSuite("a", "b", "c"), Config{TTL: time.Minute, Progressive: &Progressive{Layout: layout}}, nil)
+	suite, err := g.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newLeaseHarness(t, suite, Config{TTL: time.Minute, Sched: sched.Config{Budget: len(suite.Scenarios)}}, nil)
 	h.run(
-		// Round 1 is the extra, then one seed per cell.
+		// Round 1 is the extra, then one seed per cell in diverse order.
 		step{op: "lease", arg: "w", want: "b"},
-		step{op: "lease", arg: "w", want: "a"},
+		step{op: "lease", arg: "w", want: "clean/d1"},
+		step{op: "lease", arg: "w", want: "T2/d1"},
+		step{op: "lease", arg: "w", want: "T1/d1"},
 		step{op: "lease", arg: "w", want: StatusWait},
 		// A completion for a held scenario is stored; round 2 observes it
 		// instead of dealing it.
-		step{op: "complete", tok: "L9", arg: "c", want: CompleteAccepted},
+		step{op: "complete", tok: "L9", arg: "clean/d2", want: CompleteAccepted},
 		step{op: "complete", tok: "L1", arg: "b", want: CompleteAccepted},
+		step{op: "complete", tok: "L2", arg: "clean/d1", want: CompleteAccepted},
+		step{op: "complete", tok: "L3", arg: "T2/d1", want: CompleteAccepted},
 		step{op: "lease", arg: "w", want: StatusWait},
-		step{op: "complete", tok: "L2", arg: "a", want: CompleteAccepted},
+		step{op: "complete", tok: "L4", arg: "T1/d1", want: CompleteAccepted},
+		// Round 2 deals the two cells still open, T2 before T1.
+		step{op: "lease", arg: "w", want: "T2/d2"},
+		step{op: "lease", arg: "w", want: "T1/d2"},
+		step{op: "lease", arg: "w", want: StatusWait},
+		step{op: "complete", tok: "L5", arg: "T2/d2", want: CompleteAccepted},
+		step{op: "complete", tok: "L6", arg: "T1/d2", want: CompleteAccepted},
 		step{op: "lease", arg: "w", want: StatusDone},
 	)
-	if st := h.co.SweepStats(); st.Executed != 3 || st.Rounds != 2 {
-		t.Errorf("sweep stats %+v, want 3 executed over 2 rounds", st.Stats)
+	if st := h.co.SweepStats(); st.Executed != len(suite.Scenarios) || st.Rounds != 2 {
+		t.Errorf("sweep stats %+v, want %d executed over 2 rounds", st.Stats, len(suite.Scenarios))
 	}
 }
 

@@ -27,27 +27,25 @@ const sweepGrid = `{
   "compareWith": "golden"
 }`
 
-// loadSweep expands the sweep grid fresh, returning the suite and its
-// progressive layout.
-func loadSweep(t *testing.T) (*offramps.SuiteSpec, *sched.Grid) {
+// loadSweep expands the sweep grid fresh.
+func loadSweep(t *testing.T) *offramps.SuiteSpec {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "grid_sweep.json")
 	if err := os.WriteFile(path, []byte(sweepGrid), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	suite, layout, err := offramps.LoadSuiteOrGridLayout(path, true)
+	suite, err := offramps.LoadSuiteOrGrid(path, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return suite, layout
+	return suite
 }
 
 // localProgressiveDoc is the reference: a single-process progressive
 // run, serialized exactly as `suite -json` writes it.
 func localProgressiveDoc(t *testing.T, cfg sched.Config) []byte {
 	t.Helper()
-	suite, layout := loadSweep(t)
-	rep, _, err := offramps.Campaign{Cache: offramps.NewGoldenCache()}.RunSuiteProgressive(context.Background(), suite, layout, cfg)
+	rep, _, err := offramps.Campaign{Cache: offramps.NewGoldenCache()}.RunSuiteProgressive(context.Background(), loadSweep(t), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,8 +53,7 @@ func localProgressiveDoc(t *testing.T, cfg sched.Config) []byte {
 }
 
 // TestFarmProgressiveResume: a progressive sweep killed after a partial
-// round resumes from its journal — restarted with the same Progressive
-// settings — and still stitches the local progressive run's bytes.
+// round resumes from its journal — restarted with the same Sched — and still stitches the local progressive run's bytes.
 // Resumed rows observe into the re-derived schedule instantly, and
 // already-journaled skip rows are not synthesized twice.
 func TestFarmProgressiveResume(t *testing.T) {
@@ -67,12 +64,7 @@ func TestFarmProgressiveResume(t *testing.T) {
 
 	// Phase 1: one worker completes two scenarios, then the coordinator
 	// "dies" mid-sweep.
-	suite1, layout1 := loadSweep(t)
-	co1, err := NewCoordinator(suite1, Config{
-		TTL:         30 * time.Second,
-		Journal:     journal,
-		Progressive: &Progressive{Layout: layout1, Sched: cfg},
-	})
+	co1, err := NewCoordinator(loadSweep(t), Config{TTL: 30 * time.Second, Journal: journal, Sched: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,14 +78,9 @@ func TestFarmProgressiveResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Phase 2: a fresh coordinator with the same Progressive settings
-	// replays the journal into the schedule and workers finish the sweep.
-	suite2, layout2 := loadSweep(t)
-	co2, err := NewCoordinator(suite2, Config{
-		TTL:         30 * time.Second,
-		Journal:     journal,
-		Progressive: &Progressive{Layout: layout2, Sched: cfg},
-	})
+	// Phase 2: a fresh coordinator with the same Sched replays the
+	// journal into the schedule and workers finish the sweep.
+	co2, err := NewCoordinator(loadSweep(t), Config{TTL: 30 * time.Second, Journal: journal, Sched: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,9 +72,6 @@ type Worker struct {
 	// Backoff shapes transport-failure retries (zero = defaults:
 	// 100ms base, 5s cap, 10 attempts).
 	Backoff faults.Backoff
-	// MaxRetries overrides Backoff.Attempts when set (kept as the
-	// command-line knob).
-	MaxRetries int
 	// Max stops the worker after completing this many scenarios (0 =
 	// run until the sweep is done). Useful for drain tests.
 	Max int
@@ -96,13 +93,6 @@ func (w *Worker) poll() time.Duration {
 	return 500 * time.Millisecond
 }
 
-func (w *Worker) attempts() int {
-	if w.MaxRetries > 0 {
-		return w.MaxRetries
-	}
-	return w.Backoff.MaxAttempts()
-}
-
 func (w *Worker) clock() faults.Clock {
 	if w.Clock != nil {
 		return w.Clock
@@ -120,7 +110,7 @@ func (w *Worker) logf(format string, args ...any) {
 // tries, sleeping a full-jitter backoff between them. The last error
 // wins; a context cancellation surfaces immediately.
 func (w *Worker) retry(ctx context.Context, what string, op func(context.Context) error) error {
-	max := w.attempts()
+	max := w.Backoff.MaxAttempts()
 	for attempt := 0; ; attempt++ {
 		err := op(ctx)
 		if err == nil {

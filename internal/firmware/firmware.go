@@ -145,15 +145,6 @@ func (fw *Firmware) UnknownCommands() int { return fw.unknown }
 // StatusLog returns messages the firmware logged (M117, M105, errors).
 func (fw *Firmware) StatusLog() []string { return fw.statusLog }
 
-// HotendTarget returns the current hotend setpoint.
-func (fw *Firmware) HotendTarget() float64 { return fw.hotend.target }
-
-// BedTarget returns the current bed setpoint.
-func (fw *Firmware) BedTarget() float64 { return fw.bed.target }
-
-// HotendMeasured returns the last sampled hotend temperature.
-func (fw *Firmware) HotendMeasured() float64 { return fw.hotend.measured }
-
 // FanDuty returns the commanded part-fan duty in [0,1].
 func (fw *Firmware) FanDuty() float64 { return fw.fanDuty }
 

@@ -216,9 +216,6 @@ func (e *Exporter) tick() signal.Tick {
 	return signal.Tick{Origin: e.origin, Period: e.board.cfg.ExportPeriod}
 }
 
-// Started reports whether export has begun.
-func (e *Exporter) Started() bool { return e.started }
-
 // Stop halts the export ticker (end of session).
 func (e *Exporter) Stop() {
 	if e.stop != nil {

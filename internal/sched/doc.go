@@ -2,20 +2,22 @@
 // budget-aware feeder that decides *which* scenarios of a grid sweep run
 // and in what order, without knowing anything about how they run. It
 // sits in front of Campaign.Run (offramps.RunSuiteProgressive) and the
-// farm coordinator's lease queue (internal/farm with
-// Config.Progressive), borrowing the progressive paradigm of the
-// entity-resolution literature — spend a fixed comparison budget where
-// it flips decisions — for grid sweeps whose expensive unit is a
-// simulated print.
+// farm coordinator's lease queue (internal/farm with Config.Sched),
+// borrowing the progressive paradigm of the entity-resolution
+// literature — spend a fixed comparison budget where it flips
+// decisions — for grid sweeps whose expensive unit is a simulated
+// print.
 //
 // The input is an abstract Grid: cells addressed by integer coordinates
 // on the swept (non-seed) axes, each holding its scenario names in seed
 // order, plus the extra scenarios (goldens, controls) every sweep must
 // run. A Grid with no cells, only extras, is a plain suite run in
 // naive order. The root package derives this layout during GridSpec
-// expansion;
-// sched deliberately does not import it, so the dependency points
-// campaign → scheduler and never back.
+// expansion and chooses it in SuiteSpec.Scheduler; sched deliberately
+// does not import it, so the dependency points campaign → scheduler and
+// never back. Cells are indexed by their coordinate read as a
+// mixed-radix number over Dims, so New rejects a coordinate outside
+// Dims.
 //
 // Execution proceeds in synchronous rounds (NextRound / Observe):
 //

@@ -2,8 +2,8 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
-	"sort"
 )
 
 // Verdict is the detection outcome the scheduler steers by. Only Clean
@@ -47,8 +47,9 @@ type Cell struct {
 	// prefix without the seed label).
 	Key string
 	// Coord addresses the cell on the grid's swept axes; len(Coord) ==
-	// len(Grid.Dims). Two cells are neighbours when their coordinates
-	// differ by exactly 1 on exactly one axis.
+	// len(Grid.Dims) and 0 ≤ Coord[i] < Grid.Dims[i]. Two cells are
+	// neighbours when their coordinates differ by exactly 1 on exactly
+	// one axis.
 	Coord []int
 	// Seeds are the cell's scenario names in seed order.
 	Seeds []string
@@ -143,8 +144,21 @@ func New(g *Grid, cfg Config) (*Scheduler, error) {
 	if g == nil || len(g.Cells)+len(g.Extras) == 0 {
 		return nil, fmt.Errorf("sched: grid has no cells and no extras")
 	}
-	seen := make(map[string]bool)
-	byCoord := make(map[string]int, len(g.Cells))
+	// A cell's index is its coordinate read as a mixed-radix number over
+	// Dims, so a neighbour is one stride away.
+	stride := make([]int, len(g.Dims))
+	size := 1
+	for ax := len(g.Dims) - 1; ax >= 0; ax-- {
+		d := g.Dims[ax]
+		if d <= 0 || size > math.MaxInt/d {
+			return nil, fmt.Errorf("sched: grid dimensions %v are not positive or overflow", g.Dims)
+		}
+		stride[ax] = size
+		size *= d
+	}
+	seen := make(map[string]bool, len(g.Extras)+2*len(g.Cells))
+	byCoord := make(map[int]int, len(g.Cells))
+	keys := make([]int, len(g.Cells))
 	total := len(g.Extras)
 	for _, name := range g.Extras {
 		if name == "" || seen[name] {
@@ -165,11 +179,18 @@ func New(g *Grid, cfg Config) (*Scheduler, error) {
 			}
 			seen[name] = true
 		}
-		ck := coordKey(c.Coord)
-		if _, dup := byCoord[ck]; dup {
+		k := 0
+		for ax, x := range c.Coord {
+			if x < 0 || x >= g.Dims[ax] {
+				return nil, fmt.Errorf("sched: cell %q coordinate %v is outside the grid's dimensions %v", c.Key, c.Coord, g.Dims)
+			}
+			k += x * stride[ax]
+		}
+		if _, dup := byCoord[k]; dup {
 			return nil, fmt.Errorf("sched: two cells at coordinate %v", c.Coord)
 		}
-		byCoord[ck] = i
+		byCoord[k] = i
+		keys[i] = k
 		total += len(c.Seeds)
 	}
 
@@ -198,50 +219,41 @@ func New(g *Grid, cfg Config) (*Scheduler, error) {
 	// Axis neighbourhood: coordinates differing by exactly 1 on exactly
 	// one axis. Filtered-out cells simply do not exist — a survivor next
 	// to a hole has fewer neighbours, not phantom ones.
+	adj := make([]int, 0, 2*len(g.Dims)*len(g.Cells))
 	for i, c := range g.Cells {
-		for ax := range g.Dims {
+		start := len(adj)
+		for ax, x := range c.Coord {
 			for _, d := range [2]int{-1, 1} {
-				nc := append([]int(nil), c.Coord...)
-				nc[ax] += d
-				if j, ok := byCoord[coordKey(nc)]; ok {
-					s.neighbours[i] = append(s.neighbours[i], j)
+				if x+d < 0 || x+d >= g.Dims[ax] {
+					continue
+				}
+				if j, ok := byCoord[keys[i]+d*stride[ax]]; ok {
+					adj = append(adj, j)
 				}
 			}
 		}
+		s.neighbours[i] = adj[start:len(adj):len(adj)]
 	}
 	return s, nil
-}
-
-// coordKey canonicalizes a coordinate for map lookup.
-func coordKey(coord []int) string {
-	return fmt.Sprint(coord)
 }
 
 // diverseOrder returns cell indices sorted by the bit-reversal (van der
 // Corput) rank of their index within the next power of two — a
 // deterministic low-discrepancy permutation that visits the grid's
 // expansion order by repeated halving (0, n/2, n/4, 3n/4, ...), so the
-// first few cells of every round sample far-apart regions.
+// first few cells of every round sample far-apart regions. Bit reversal
+// is a bijection on the ranks, so walking the ranks in order and
+// keeping the indices below n is that sort.
 func diverseOrder(n int) []int {
 	if n == 0 {
 		return nil
 	}
 	width := bits.Len(uint(n - 1))
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	rank := func(i int) uint {
-		return bits.Reverse(uint(i)) >> (bits.UintSize - width)
-	}
-	if width > 0 {
-		sort.SliceStable(out, func(a, b int) bool {
-			ra, rb := rank(out[a]), rank(out[b])
-			if ra != rb {
-				return ra < rb
-			}
-			return out[a] < out[b]
-		})
+	out := make([]int, 0, n)
+	for r := range uint(1) << width {
+		if i := int(bits.Reverse(r) >> (bits.UintSize - width)); i < n {
+			out = append(out, i)
+		}
 	}
 	return out
 }

@@ -299,6 +299,11 @@ func TestMisuseErrors(t *testing.T) {
 	}}, Config{}); err == nil {
 		t.Fatal("duplicate coordinate should error")
 	}
+	for _, coord := range []int{-1, 2} {
+		if _, err := New(&Grid{Dims: []int{2}, Cells: []Cell{{Key: "a", Coord: []int{coord}, Seeds: []string{"x"}}}}, Config{}); err == nil {
+			t.Fatalf("coordinate %d outside Dims [2] should error", coord)
+		}
+	}
 
 	g := lineGrid(2, 2)
 	s, err := New(g, Config{})

@@ -139,9 +139,8 @@ type outcome struct {
 // reference.
 type fixture struct {
 	name string
-	// load returns a fresh copy of the suite, at the fixture's seed, and
-	// its progressive layout.
-	load func(t *testing.T) (*offramps.SuiteSpec, *sched.Grid)
+	// load returns a fresh copy of the suite at the fixture's seed.
+	load func(t *testing.T) *offramps.SuiteSpec
 	// sweep is the progressive budget and early stop the fixture runs
 	// under; the zero value runs the whole suite.
 	sweep sched.Config
@@ -168,14 +167,7 @@ func (fx *fixture) reference(t *testing.T) outcome {
 // local runs the fixture in this process through c.
 func (fx *fixture) local(t *testing.T, c offramps.Campaign) outcome {
 	t.Helper()
-	suite, layout := fx.load(t)
-	var rep *offramps.SuiteReport
-	var err error
-	if fx.sweep == (sched.Config{}) {
-		rep, err = c.RunSuite(context.Background(), suite)
-	} else {
-		rep, _, err = c.RunSuiteProgressive(context.Background(), suite, layout, fx.sweep)
-	}
+	rep, _, err := c.RunSuiteProgressive(context.Background(), fx.load(t), fx.sweep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,15 +244,15 @@ func encodeRaw(t *testing.T, rep *offramps.RawSuiteReport) []byte {
 	return buf.Bytes()
 }
 
-func specLoader(path string, seed uint64) func(*testing.T) (*offramps.SuiteSpec, *sched.Grid) {
-	return func(t *testing.T) (*offramps.SuiteSpec, *sched.Grid) {
+func specLoader(path string, seed uint64) func(*testing.T) *offramps.SuiteSpec {
+	return func(t *testing.T) *offramps.SuiteSpec {
 		t.Helper()
-		suite, layout, err := offramps.LoadSuiteOrGridLayout(path, false)
+		suite, err := offramps.LoadSuiteOrGrid(path, false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		suite.BaseSeed = seed
-		return suite, layout
+		return suite
 	}
 }
 
@@ -314,13 +306,12 @@ func workersOne(t *testing.T, fx *fixture, agree func(string, outcome)) {
 }
 
 // progressive deals the grid's own layout through the scheduler in
-// rounds, with no budget and at {Budget: 5, EarlyStopK: 2}. Every cell
-// of the single-seed Table II grid is mandatory coverage, so even the
-// budgeted run skips nothing.
+// rounds, at a budget of the whole suite and at {Budget: 5,
+// EarlyStopK: 2}. Every cell of the single-seed Table II grid is
+// mandatory coverage, so even the budgeted run skips nothing.
 func progressive(t *testing.T, fx *fixture, agree func(string, outcome)) {
-	for _, cfg := range []sched.Config{{}, {Budget: 5, EarlyStopK: 2}} {
-		suite, layout := fx.load(t)
-		rep, _, err := offramps.Campaign{}.RunSuiteProgressive(context.Background(), suite, layout, cfg)
+	for _, cfg := range []sched.Config{{Budget: len(fx.load(t).Scenarios)}, {Budget: 5, EarlyStopK: 2}} {
+		rep, _, err := offramps.Campaign{}.RunSuiteProgressive(context.Background(), fx.load(t), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -359,7 +350,7 @@ func storeColdWarm(t *testing.T, fx *fixture, agree func(string, outcome)) {
 // stitches the stream as `suite -merge` does. The in-memory report
 // holds each scenario's first row.
 func fourShards(t *testing.T, fx *fixture, agree func(string, outcome)) {
-	suite, _ := fx.load(t)
+	suite := fx.load(t)
 	var stream bytes.Buffer
 	sink := offramps.NewJSONLSink(&stream)
 	sink.Label = suite.Name
@@ -451,13 +442,9 @@ var farmFaults = []faults.Rule{
 // failing is quarantined after three strikes, so a broken path fails
 // the row instead of re-dealing forever.
 func farmSweep(t *testing.T, fx *fixture, agree func(string, outcome)) {
-	suite, layout := fx.load(t)
+	suite := fx.load(t)
 	journal := filepath.Join(t.TempDir(), "sweep.jsonl")
-	cfg := farm.Config{TTL: 30 * time.Second, Journal: journal, MaxStrikes: 3}
-	if fx.sweep != (sched.Config{}) {
-		cfg.Progressive = &farm.Progressive{Layout: layout, Sched: fx.sweep}
-	}
-	co, err := farm.NewCoordinator(suite, cfg)
+	co, err := farm.NewCoordinator(suite, farm.Config{TTL: 30 * time.Second, Journal: journal, MaxStrikes: 3, Sched: fx.sweep})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,12 +457,11 @@ func farmSweep(t *testing.T, fx *fixture, agree func(string, outcome)) {
 	for i := uint64(1); i <= 2; i++ {
 		seed := i + chaosSeedOffset()
 		w := &farm.Worker{
-			Client:     &farm.Client{Base: srv.URL, HTTP: &http.Client{Transport: faults.NewTransport(seed, farmFaults...)}},
-			Name:       fmt.Sprintf("w%d", i),
-			Seed:       seed,
-			Poll:       5 * time.Millisecond,
-			Backoff:    faults.Backoff{Base: time.Millisecond, Cap: 5 * time.Millisecond},
-			MaxRetries: 12,
+			Client:  &farm.Client{Base: srv.URL, HTTP: &http.Client{Transport: faults.NewTransport(seed, farmFaults...)}},
+			Name:    fmt.Sprintf("w%d", i),
+			Seed:    seed,
+			Poll:    5 * time.Millisecond,
+			Backoff: faults.Backoff{Base: time.Millisecond, Cap: 5 * time.Millisecond, Attempts: 12},
 		}
 		wg.Add(1)
 		go func() {
@@ -513,7 +499,7 @@ func farmSweep(t *testing.T, fx *fixture, agree func(string, outcome)) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, _ := fx.load(t)
+	spec := fx.load(t)
 	stitched, err := offramps.StitchReport(spec, ix.Scenarios, ix.Compares)
 	if err != nil {
 		t.Fatal(err)

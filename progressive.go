@@ -43,19 +43,43 @@ type SweepStats struct {
 	sched.Stats
 }
 
-// Summary renders the stats as one progress line.
+// Summary renders the stats as one progress line, or "" when the sweep
+// dealt no grid cells: a plain run, which Scheduler gives the zero
+// Config and any suite without a layout.
 func (st SweepStats) Summary() string {
+	if st.Cells == 0 {
+		return ""
+	}
 	return fmt.Sprintf("progressive: %d/%d cells covered, %d boundary cells, %d scenarios executed, %d skipped of %d (%d rounds)",
 		st.Covered, st.Cells, st.Boundary, st.Executed, st.Skipped, st.Total, st.Rounds)
 }
 
-// ValidateProgressive checks that the suite is safely skippable under
+// Scheduler returns the scheduler that deals the suite's scenarios
+// under cfg; both suite drivers (RunSuiteProgressive and the farm
+// coordinator) take their rounds from it. The zero Config, and any
+// Config on a suite without a grid layout (a plain suite, a Shard, a
+// Subset), schedule the plain layout: no cells, every scenario an
+// extra, so round 1 runs the whole suite in suite order and nothing can
+// be skipped. Any other Config deals the grid's cells through its
+// layout, which first must pass validateProgressive.
+func (s *SuiteSpec) Scheduler(cfg sched.Config) (*sched.Scheduler, error) {
+	layout := s.layout
+	if layout == nil || cfg == (sched.Config{}) {
+		layout = &sched.Grid{Extras: s.ScenarioNames()}
+	}
+	if err := validateProgressive(s, layout); err != nil {
+		return nil, err
+	}
+	return sched.New(layout, cfg)
+}
+
+// validateProgressive checks that the suite is safely skippable under
 // the layout: every golden reference — a detector's golden scenario or
 // a comparison's golden side — must be one of the layout's extras.
 // Extras always execute (round 1, never retired); a cell seed used as a
 // golden could be skipped, and a compare or detector referencing a skip
 // row would then diverge from the full run instead of reproducing it.
-func ValidateProgressive(suite *SuiteSpec, layout *sched.Grid) error {
+func validateProgressive(suite *SuiteSpec, layout *sched.Grid) error {
 	extra := make(map[string]bool, len(layout.Extras))
 	for _, name := range layout.Extras {
 		extra[name] = true
@@ -71,14 +95,6 @@ func ValidateProgressive(suite *SuiteSpec, layout *sched.Grid) error {
 		}
 	}
 	return nil
-}
-
-// PlainLayout is the layout a plain suite runs under: no cells, no
-// axes, every scenario an extra. Round 1 then executes the whole suite
-// in suite order and nothing can be skipped, which is how RunSuite and
-// a farm coordinator without a progressive schedule run.
-func PlainLayout(suite *SuiteSpec) *sched.Grid {
-	return &sched.Grid{Extras: suite.ScenarioNames()}
 }
 
 // verdict is the one verdict rule, over the few fields of a scenario
@@ -184,17 +200,15 @@ func RowVerdict(row, firstCompare json.RawMessage) sched.Verdict {
 // back, and retired scenarios become synthesized skip rows in the
 // report and the sinks. Afterwards the Compare entries replay captures
 // through registry-built detectors. Results keep suite order regardless
-// of round or wave. Under PlainLayout the executed set is the whole
-// suite and nothing is skipped; that is RunSuite. The receiver's
-// Workers/Budget act as defaults; the suite's own values win when set.
-func (c Campaign) RunSuiteProgressive(runCtx context.Context, suite *SuiteSpec, layout *sched.Grid, cfg sched.Config) (*SuiteReport, SweepStats, error) {
+// of round or wave. SuiteSpec.Scheduler picks the layout from cfg;
+// under the zero Config the executed set is the whole suite and nothing
+// is skipped, which is RunSuite. The receiver's Workers/Budget act as
+// defaults; the suite's own values win when set.
+func (c Campaign) RunSuiteProgressive(runCtx context.Context, suite *SuiteSpec, cfg sched.Config) (*SuiteReport, SweepStats, error) {
 	if err := suite.Validate(); err != nil {
 		return nil, SweepStats{}, err
 	}
-	if err := ValidateProgressive(suite, layout); err != nil {
-		return nil, SweepStats{}, err
-	}
-	sch, err := sched.New(layout, cfg)
+	sch, err := suite.Scheduler(cfg)
 	if err != nil {
 		return nil, SweepStats{}, err
 	}

@@ -3,8 +3,8 @@
 # twin GoldenPrintEager, RelocationPrint, TableII — the in-repo twin of
 # the sweep_cold workload — Campaign, CampaignWide, MonitorObserve,
 # StitchReport, the golden codec and golden store microbenchmarks, grid
-# expansion, JSONL row encoding, the progressive scheduler's rounds at
-# 10^5 cells, plus the engine microbenchmarks) and writes their results to
+# expansion, JSONL row encoding, the progressive scheduler's set-up and
+# rounds at 10^5 cells, plus the engine microbenchmarks) and writes their results to
 # BENCH_<label>.json so the perf trajectory is tracked across PRs. The label defaults to the repo's commit count.
 #
 # Each benchmark runs `-count 5`; benchjson collapses the repetitions to
@@ -28,7 +28,7 @@ go test -run NONE -bench 'BenchmarkGoldenCodec$' -benchtime 50x -count 5 . | tee
 go test -run NONE -bench 'BenchmarkGridExpand$|BenchmarkJSONLEmit$' -benchtime 500x -count 5 . | tee -a "$tmp"
 go test -run NONE -bench 'BenchmarkStoreGet$' -benchtime 500x -count 5 ./internal/goldenstore | tee -a "$tmp"
 go test -run NONE -bench 'BenchmarkStorePut$' -benchtime 50x -count 5 ./internal/goldenstore | tee -a "$tmp"
-go test -run NONE -bench 'BenchmarkNextRound$' -benchtime 3x -count 5 ./internal/sched | tee -a "$tmp"
+go test -run NONE -bench 'BenchmarkNew$|BenchmarkNextRound$' -benchtime 3x -count 5 ./internal/sched | tee -a "$tmp"
 go test -run NONE \
   -bench 'BenchmarkEngineSchedule$|BenchmarkEngineScheduleEdge$|BenchmarkEngineTicker$|BenchmarkEngineMixedHorizon$|BenchmarkEngineSparse$' \
   -benchtime 100x -count 5 ./internal/sim | tee -a "$tmp"

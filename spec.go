@@ -444,6 +444,9 @@ type SuiteSpec struct {
 
 	// dir anchors relative program file references (set by ParseSuiteSpec).
 	dir string
+	// layout is the progressive layout of a suite expanded from a grid
+	// (GridSpec.Expand); nil for a plain suite, a Shard and a Subset.
+	layout *sched.Grid
 }
 
 // ParseSuiteSpec decodes a suite spec from JSON, strictly: unknown fields
@@ -640,11 +643,11 @@ func (r *SuiteReport) Format() string {
 }
 
 // RunSuite executes every scenario of a suite spec, then its Compare
-// entries. It is RunSuiteProgressive under PlainLayout with no budget
-// and no early stop: one round holding the whole suite, run in
-// dependency-ordered waves, with results in suite order.
+// entries. It is RunSuiteProgressive with the zero sched.Config: one
+// round holding the whole suite, run in dependency-ordered waves, with
+// results in suite order.
 func (c Campaign) RunSuite(runCtx context.Context, suite *SuiteSpec) (*SuiteReport, error) {
-	rep, _, err := c.RunSuiteProgressive(runCtx, suite, PlainLayout(suite), sched.Config{})
+	rep, _, err := c.RunSuiteProgressive(runCtx, suite, sched.Config{})
 	return rep, err
 }
 
