@@ -107,7 +107,7 @@ func BenchmarkOverhead(b *testing.B) {
 // the worst per-window drift against the 5 % margin.
 func BenchmarkDrift(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep, err := Drift(freshGoldens, uint64(i)+1, 3)
+		rep, err := Drift(freshGoldens, uint64(i)+1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -592,6 +592,7 @@ func BenchmarkTrojanOverhead(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("bypass", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			tb, err := NewTestbed(WithSeed(1))
 			if err != nil {
@@ -600,9 +601,11 @@ func BenchmarkTrojanOverhead(b *testing.B) {
 			if _, err := tb.Run(context.Background(), prog); err != nil {
 				b.Fatal(err)
 			}
+			b.ReportMetric(float64(tb.Engine.Executed()), "events/op")
 		}
 	})
 	b.Run("t2-masking", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			tb, err := NewTestbed(WithSeed(1),
 				WithTrojan(trojan.NewT2ExtrusionReduction(trojan.T2Params{KeepRatio: 0.5})))
@@ -612,6 +615,7 @@ func BenchmarkTrojanOverhead(b *testing.B) {
 			if _, err := tb.Run(context.Background(), prog); err != nil {
 				b.Fatal(err)
 			}
+			b.ReportMetric(float64(tb.Engine.Executed()), "events/op")
 		}
 	})
 }

@@ -1,9 +1,9 @@
 // Command experiments regenerates every table and figure in the paper's
 // evaluation section (see DESIGN.md §3 for the experiment index), plus
 // the tap-side topology and self-attestation experiments this
-// reproduction adds. Every experiment but Overhead runs its suite — a
-// committed examples/specs file, or Drift's -runs prints — through one
-// shared campaign: -workers bounds its pool, and one golden
+// reproduction adds. Every experiment but Overhead runs its committed
+// examples/specs file through one shared campaign: -workers bounds its
+// pool, and one golden
 // cache (backed by -golden-store when given) serves the goldens the
 // experiments have in common. -json writes the machine-readable reports
 // alongside the Format() text; with -json - the reports go to stdout
@@ -13,7 +13,7 @@
 //
 //	experiments -all
 //	experiments -table1 -figure4
-//	experiments -drift -runs 6
+//	experiments -drift -seed 7
 //	experiments -all -workers 4
 //	experiments -all -json reports.json
 //	experiments -overhead -json - > overhead.json
@@ -57,7 +57,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		tapside  = fs.Bool("tapside", false, "§V-D: tap-side topology (co-location blind spot)")
 		selfatt  = fs.Bool("selfattest", false, "dual-tap board self-attestation (golden-free board-trojan detection)")
 		seed     = fs.Uint64("seed", 1, "base time-noise seed")
-		runs     = fs.Int("runs", 4, "number of prints for the drift experiment")
 		workers  = fs.Int("workers", 0, "campaign worker-pool size (0 = GOMAXPROCS)")
 		jsonOut  = fs.String("json", "", "also write the machine-readable reports to `file` (\"-\" = stdout, text to stderr)")
 		storeDir = fs.String("golden-store", "", "persist golden runs in `dir` across invocations")
@@ -74,12 +73,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if !*table1 && !*table2 && !*figure4 && !*overhead && !*drift && !*tapside && !*selfatt {
 		fs.Usage()
 		return fmt.Errorf("nothing selected; use -all or pick experiments")
-	}
-
-	// Drift rejects fewer than two runs itself; checking here first
-	// spares the experiments that would otherwise run before it.
-	if *drift && *runs < 2 {
-		return fmt.Errorf("-runs must be at least 2 for the drift experiment, got %d", *runs)
 	}
 
 	if *cpuprofile != "" {
@@ -132,7 +125,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		{*table2, "Table II", "table2", func() (report, error) { return offramps.TableII(c, *seed) }},
 		{*figure4, "Figure 4", "figure4", func() (report, error) { return offramps.Figure4(c, *seed) }},
 		{*overhead, "Overhead (§V-B)", "overhead", func() (report, error) { return offramps.Overhead(*seed) }},
-		{*drift, "Drift (§V-C)", "drift", func() (report, error) { return offramps.Drift(c, *seed, *runs) }},
+		{*drift, "Drift (§V-C)", "drift", func() (report, error) { return offramps.Drift(c, *seed) }},
 		{*tapside, "Tap sides (§V-D)", "tapside", func() (report, error) { return offramps.TapSides(c, *seed) }},
 		{*selfatt, "Self-attestation", "selfattest", func() (report, error) { return offramps.SelfAttest(c, *seed) }},
 	}

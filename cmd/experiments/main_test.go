@@ -83,23 +83,3 @@ func TestRunJSONToStdout(t *testing.T) {
 		t.Errorf("stderr lacks the overhead text:\n%s", stderr.String())
 	}
 }
-
-// TestRunRejectsSingleDriftRunUpFront: -runs below 2 fails before any
-// experiment runs, not after the ones ahead of Drift.
-func TestRunRejectsSingleDriftRunUpFront(t *testing.T) {
-	var stdout bytes.Buffer
-	err := run([]string{"-all", "-runs", "1"}, &stdout, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), "-runs") {
-		t.Fatalf("err = %v, want a -runs rejection", err)
-	}
-	if stdout.Len() != 0 {
-		t.Errorf("experiments ran before the rejection:\n%s", stdout.String())
-	}
-	if testing.Short() {
-		return
-	}
-	// Without drift selected the value is irrelevant.
-	if err := run([]string{"-overhead", "-runs", "1"}, io.Discard, io.Discard); err != nil {
-		t.Errorf("-runs 1 rejected without -drift: %v", err)
-	}
-}

@@ -30,9 +30,9 @@
 // (cmd/suite executes them). The experiment entry points (TableI,
 // TableII, Figure4, Drift, TapSides, SelfAttest) each run a suite
 // through Campaign.RunSuite and render its report, regenerating the
-// paper's evaluation; all but Drift load their suite from a committed
-// spec file under examples/specs, embedded in the package, and
-// Overhead instruments two testbeds directly. The
+// paper's evaluation; each loads its suite from a committed spec file
+// under examples/specs, embedded in the package, and Overhead
+// instruments two testbeds directly. The
 // board's capture tap point is itself configuration
 // (WithTapSide): the paper's Arduino-side tap, a RAMPS-side tap that can
 // see board-injected trojans (§V-D), or both. Live detection is tap-

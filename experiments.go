@@ -16,8 +16,8 @@ import (
 )
 
 // specFiles holds the committed spec files. Table I, Table II, Figure 4,
-// TapSides and SelfAttest are each one of them: the experiment is the
-// file, and its entry point only renders the report.
+// Drift, TapSides and SelfAttest are each one of them: the experiment
+// is the file, and its entry point only renders the report.
 //
 //go:embed examples/specs/*.json
 var specFiles embed.FS
@@ -676,42 +676,16 @@ func renderSelfAttest(srep *SuiteReport) (*SelfAttestReport, error) {
 	}, nil
 }
 
-// DriftSuite returns the §V-C workload as a declarative suite: `runs`
-// known-good prints of the same job on stepped seeds, compared pairwise.
-// It is the one experiment built in code, because its size is the runs
-// parameter.
-func DriftSuite(seed uint64, runs int) *SuiteSpec {
-	s := &SuiteSpec{Name: "drift", BaseSeed: seed}
-	for i := 0; i < runs; i++ {
-		s.Scenarios = append(s.Scenarios, ScenarioSpec{
-			Name:      fmt.Sprintf("drift-%d", i),
-			SeedDelta: uint64(i) * 31,
-		})
-	}
-	for i := 0; i < runs; i++ {
-		for j := i + 1; j < runs; j++ {
-			s.Compare = append(s.Compare, CompareSpec{
-				Golden:  fmt.Sprintf("drift-%d", i),
-				Suspect: fmt.Sprintf("drift-%d", j),
-			})
-		}
-	}
-	return s
+// Drift runs examples/specs/drift.json: the same job printed four
+// times on stepped time-noise seeds and compared pairwise, measuring
+// the worst per-window divergence, the quantity the paper bounds at 5 %
+// ("This drift was, however, always less than a 5 % difference in our
+// testing").
+func Drift(c Campaign, seed uint64) (*DriftReport, error) {
+	return runExperiment(c, "drift.json", seed, renderDrift)
 }
 
-// Drift runs the same job `runs` times with different time-noise seeds —
-// one campaign scenario per print — and measures the worst per-window
-// divergence, the quantity the paper bounds at 5 % ("This drift was,
-// however, always less than a 5 % difference in our testing"). Prints and
-// pairwise comparisons both execute the declarative DriftSuite.
-func Drift(c Campaign, seed uint64, runs int) (*DriftReport, error) {
-	if runs < 2 {
-		return nil, fmt.Errorf("offramps: drift needs at least 2 runs, got %d", runs)
-	}
-	return runSuite(c, DriftSuite(seed, runs), renderDrift)
-}
-
-// renderDrift folds a DriftSuite report's pairwise comparisons into the
+// renderDrift folds a drift report's pairwise comparisons into the
 // worst drift and the false-positive count.
 func renderDrift(srep *SuiteReport) (*DriftReport, error) {
 	report := &DriftReport{Runs: len(srep.Results), FinalCountsEqual: true}

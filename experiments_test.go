@@ -180,7 +180,7 @@ func TestOverheadReproduces(t *testing.T) {
 }
 
 func TestDriftReproduces(t *testing.T) {
-	rep, err := Drift(experimentCampaign, 1, 4)
+	rep, err := Drift(experimentCampaign, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,21 +200,6 @@ func TestDriftReproduces(t *testing.T) {
 	}
 	if !strings.Contains(rep.Format(), "5%") {
 		t.Error("Format() incomplete")
-	}
-}
-
-func TestDriftValidation(t *testing.T) {
-	if _, err := Drift(experimentCampaign, 1, 1); err == nil {
-		t.Error("Drift with 1 run accepted")
-	}
-	// DriftSuite is the one experiment built in code rather than loaded
-	// from a spec file, so TestCommittedSpecsCompile does not see it.
-	s := DriftSuite(1, 3)
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := CompileSpecs(SpecContext{BaseSeed: s.BaseSeed}, s.Scenarios); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -174,10 +175,16 @@ func ReadCSV(rd io.Reader) (*Recording, error) {
 			if err != nil {
 				return nil, fmt.Errorf("capture: line %d field %d: %w", line, i, err)
 			}
+			// The index is a uint32 and each count an int32: a value
+			// outside its type is an error, never a silent wrap.
+			lo, hi := int64(math.MinInt32), int64(math.MaxInt32)
+			if i == 0 {
+				lo, hi = 0, math.MaxUint32
+			}
+			if v < lo || v > hi {
+				return nil, fmt.Errorf("capture: line %d field %d: %d out of range", line, i, v)
+			}
 			vals[i] = v
-		}
-		if vals[0] < 0 || vals[0] > int64(^uint32(0)) {
-			return nil, fmt.Errorf("capture: line %d: index %d out of range", line, vals[0])
 		}
 		t := Transaction{
 			Index: uint32(vals[0]),

@@ -128,7 +128,9 @@ func TestCSVErrors(t *testing.T) {
 		"Index, X, Y, Z, E\n1, 2, 3\n",
 		"Index, X, Y, Z, E\na, 2, 3, 4, 5\n",
 		"Index, X, Y, Z, E\n-1, 2, 3, 4, 5\n",
-		"Index, X, Y, Z, E\n0, 1, 1, 1, 1\n5, 1, 1, 1, 1\n", // gap
+		"Index, X, Y, Z, E\n0, 1, 1, 1, 1\n5, 1, 1, 1, 1\n",     // gap
+		"Index, X, Y, Z, E\n0, 4294967297, 0, 0, -4294967296\n", // past int32
+		"Index, X, Y, Z, E\n4294967296, 0, 0, 0, 0\n",           // past uint32
 	}
 	for _, src := range cases {
 		if _, err := ReadCSV(strings.NewReader(src)); err == nil {

@@ -43,11 +43,9 @@ type Firmware struct {
 	executed int
 	unknown  int
 	doneAt   sim.Time
-	// startedAt is when Start ran, the control ticker's origin;
-	// dispatchedAt is when the pending command dispatch was scheduled.
-	startedAt    sim.Time
-	dispatchedAt sim.Time
-	statusLog    []string
+	// startedAt is when Start ran, the control ticker's origin.
+	startedAt sim.Time
+	statusLog []string
 
 	uart *uartTx
 
@@ -119,7 +117,6 @@ func (fw *Firmware) Start() error {
 	}
 	fw.started = true
 	fw.startedAt = fw.engine.Now()
-	fw.dispatchedAt = fw.startedAt
 	fw.stopControl = fw.engine.Ticker(fw.cfg.ControlPeriod, fw.controlTick)
 	fw.stopFanPWM = fw.engine.Ticker(fw.cfg.FanPWMPeriod, fw.fanPWMTick)
 	fw.engine.After(fw.dispatchDelay(), fw.executeNextFn)
@@ -163,15 +160,13 @@ func (fw *Firmware) logStatus(msg string) {
 
 // halt kills the machine: heaters off, motors off, execution stops. This
 // is Marlin's kill() — reached via thermal protection from the control
-// ticker, whose events are scheduled one ControlPeriod ahead, or from a
-// failed homing, while no step train runs.
+// ticker, or from a failed homing, while no step train runs.
 func (fw *Firmware) halt(err error) {
 	if fw.killed {
 		return
 	}
 	if s := fw.bus.TrainSink(); s != nil {
-		now := fw.engine.Now()
-		s.Halt(now, now-fw.cfg.ControlPeriod)
+		s.Halt()
 	}
 	fw.killed = true
 	fw.done = true
@@ -216,7 +211,6 @@ func (fw *Firmware) next() {
 	if fw.killed {
 		return
 	}
-	fw.dispatchedAt = fw.engine.Now()
 	fw.engine.After(fw.dispatchDelay(), fw.executeNextFn)
 }
 
@@ -228,7 +222,7 @@ func (fw *Firmware) executeNext() {
 	// Every command may touch the STEP/DIR/EN lines: deferred step
 	// edges that precede it land first.
 	if s := fw.bus.TrainSink(); s != nil {
-		s.Advance(fw.engine.Now(), fw.dispatchedAt)
+		s.Sync()
 	}
 	// Skip blank/comment lines without consuming dispatch latency.
 	for fw.pc < len(fw.prog) && fw.prog[fw.pc].Empty() {

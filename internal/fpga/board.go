@@ -152,7 +152,7 @@ type Board struct {
 
 	// Lazy step trains (see lazy.go): the live trains, retired records
 	// for reuse, Arduino-side endstop copies a replayed step has yet to
-	// land, and a re-entry guard for Advance.
+	// land, and a re-entry guard for Sync.
 	lazy        []*lazyTrain
 	spareTrains []*lazyTrain
 	held        []heldEdge

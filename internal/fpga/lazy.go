@@ -1,7 +1,6 @@
 package fpga
 
 import (
-	"math"
 	"sort"
 
 	"offramps/internal/signal"
@@ -30,9 +29,10 @@ import (
 // time, and the board's endstop forward holds the Arduino-side copy,
 // one propagation delay later, until the advance point it precedes.
 //
-// An advance point that fires at now and was scheduled at sched runs
-// after exactly the edges the engine would have run before it: those
-// before now, and those at now scheduled before sched. Between edges
+// An advance point that fires at now and was scheduled at sched (the
+// engine's Now and Scheduled) runs after exactly the edges the engine
+// would have run before it: those before now, and those at now
+// scheduled before sched. Between edges
 // the engine's order is (time, scheduling order); see riseBefore and
 // DESIGN.md §6 for how that order is recovered from the trains' closed
 // form.
@@ -265,9 +265,14 @@ func ties(t signal.Train, tk signal.Tick, delay sim.Time) bool {
 	return false
 }
 
-// Advance implements signal.TrainSink: it applies, in engine order,
-// every deferred edge that precedes an event firing at now that was
-// scheduled at sched.
+// Sync implements signal.TrainSink and signal.Deferrer: it is the
+// advance point of the firmware's commands, the exporter ticks, and
+// every reader of tracker, line, driver, endstop or plant state. It
+// applies, in engine order, every deferred edge that precedes the
+// running event — one firing at Now that was scheduled at the engine's
+// Scheduled instant — or, between events, every edge up to Now. An edge
+// tied with the running event in both is applied after it, though the
+// engine may have run it first: only their seq could tell.
 //
 // Only the RAMPS-side rises of different trains interact — each moves
 // the plant, and an E step deposits at the current XYZ — and a RAMPS
@@ -277,10 +282,11 @@ func ties(t signal.Train, tk signal.Tick, delay sim.Time) bool {
 // advance point; that train then waits for the next one. The held
 // endstop copies touch only their Arduino-side lines, so they land
 // last.
-func (b *Board) Advance(now, sched sim.Time) {
+func (b *Board) Sync() {
 	if b.advancing || len(b.lazy) == 0 && len(b.held) == 0 {
 		return
 	}
+	now, sched := b.engine.Now(), b.engine.Scheduled()
 	b.advancing = true
 	for _, tr := range b.lazy {
 		tr.blocked = false
@@ -352,17 +358,6 @@ func (b *Board) retire(tr *lazyTrain) {
 	b.spareTrains = append(b.spareTrains, tr)
 }
 
-// Sync applies every deferred step and endstop edge up to Now; it is
-// the signal.Deferrer of the board's STEP and MIN lines and the advance
-// point of every reader. Between engine events that is exact; inside
-// one, edges at Now are applied even when the engine would have run
-// them after the current event (see signal.Line.Sync).
-func (b *Board) Sync() {
-	if len(b.lazy) > 0 || len(b.held) > 0 {
-		b.Advance(b.engine.Now(), math.MaxInt64)
-	}
-}
-
 // Halt implements signal.TrainSink. After the edges that precede the
 // kill, no pulse rises again; what is left of a risen pulse — its
 // fall, and RAMPS copies still in flight — and any endstop copy still
@@ -370,8 +365,8 @@ func (b *Board) Sync() {
 // change so they keep its order. Those events land within one pulse
 // width of the kill, where nothing but the consumers of the same edges
 // observes them.
-func (b *Board) Halt(now, sched sim.Time) {
-	b.Advance(now, sched)
+func (b *Board) Halt() {
+	b.Sync()
 	for _, h := range b.held {
 		b.engine.ScheduleEdge(h.at, h.line, uint64(h.level))
 	}

@@ -120,8 +120,8 @@ func (r *lazyRig) move(at, until sim.Time, kill signal.Tick, rises map[signal.Ax
 // moves away from the MIN switches, High toward them.
 func (r *lazyRig) moveDir(dir signal.Level, at, until sim.Time, kill signal.Tick, rises map[signal.Axis][]sim.Time) {
 	r.e.Schedule(at, func() {
+		r.board.Sync()
 		now := r.e.Now()
-		r.board.Advance(now, now)
 		for _, a := range signal.Axes {
 			if len(rises[a]) > 0 {
 				r.ard.Dir(a).Set(dir)
@@ -162,11 +162,11 @@ func (r *lazyRig) moveDir(dir signal.Level, at, until sim.Time, kill signal.Tick
 func (r *lazyRig) killAt(origin, period sim.Time, n int) signal.Tick {
 	r.e.Schedule(origin, func() {
 		ticks := 0
-		r.e.Ticker(period, func(now sim.Time) {
+		r.e.Ticker(period, func(sim.Time) {
 			if ticks++; ticks != n {
 				return
 			}
-			r.board.Halt(now, now-period)
+			r.board.Halt()
 			r.killed = true
 			for _, a := range signal.Axes {
 				r.ard.Enable(a).Set(signal.High)
@@ -389,6 +389,60 @@ func TestLazyReadsBetweenRuns(t *testing.T) {
 	}
 	if !reflect.DeepEqual(seq[0], seq[1]) {
 		t.Error("reads between Run chunks differ between lazy and eager rigs")
+	}
+}
+
+// TestLazyReadsInsideEvents: engine events that fire exactly on the
+// rises, RAMPS copies and falls of lazy trains read tracker, line,
+// driver and plant state, and must see what the eager rig's events see.
+// The readers queued before the run were scheduled before every edge
+// they land on, so that edge has not happened yet when they read. The
+// readers queued just after a rise, for the next pulse's edges, were
+// scheduled after that pulse's rise, which they see, and before its
+// other edges, which they do not.
+func TestLazyReadsInsideEvents(t *testing.T) {
+	us, ms := sim.Microsecond, sim.Millisecond
+	d := DefaultConfig().PropagationDelay
+	var seq [2][]lazyState
+	for i, eager := range []bool{false, true} {
+		r := newLazyRig(t, TapDual, eager)
+		read := func() { seq[i] = append(seq[i], r.state()) }
+		s0 := startExport(r)
+		rs := make([]sim.Time, 20)
+		for k := range rs {
+			rs[k] = s0 + ms + sim.Time(k)*70*us
+		}
+		edges := func(rise sim.Time) []sim.Time {
+			return []sim.Time{rise, rise + d, rise + lzWidth, rise + lzWidth + d}
+		}
+		for k, rise := range rs {
+			for _, at := range edges(rise) {
+				r.e.Schedule(at, read)
+			}
+			if k+1 < len(rs) {
+				next := edges(rs[k+1])
+				r.e.Schedule(rise+1, func() {
+					for _, at := range next {
+						r.e.Schedule(at, read)
+					}
+				})
+			}
+		}
+		r.move(s0+500*us, s0+5*ms, signal.Tick{}, map[signal.Axis][]sim.Time{signal.AxisX: rs, signal.AxisE: rs[:10]})
+		if err := r.e.Run(s0 + 6*ms); err != nil {
+			t.Fatal(err)
+		}
+		if want := 2 * (1 - i); r.accepted != want {
+			t.Fatalf("eager=%v: rig accepted %d trains, want %d", eager, r.accepted, want)
+		}
+	}
+	if len(seq[0]) != len(seq[1]) {
+		t.Fatalf("lazy rig read %d times, eager %d", len(seq[0]), len(seq[1]))
+	}
+	for k := range seq[0] {
+		if !reflect.DeepEqual(seq[0][k], seq[1][k]) {
+			t.Fatalf("read %d inside an event differs:\nlazy  %+v\neager %+v", k, seq[0][k], seq[1][k])
+		}
 	}
 }
 

@@ -123,7 +123,8 @@ func (t *AxisTracker) OnFirstStep(fn func(at sim.Time)) {
 // Each tick is an advance point for the board's lazy step trains: it
 // first applies the deferred edges that precede it in engine order —
 // those before the tick instant, and those at it that were scheduled
-// before the tick was, one ExportPeriod earlier — then snapshots.
+// before the tick was, one ExportPeriod earlier (Board.Sync) — then
+// snapshots.
 type Exporter struct {
 	board     *Board
 	tracker   *AxisTracker
@@ -170,10 +171,9 @@ func (e *Exporter) start(at sim.Time) {
 			e.recording.Transactions = make([]capture.Transaction, 0, 2048)
 		}
 	}
-	period := e.board.cfg.ExportPeriod
 	e.origin = e.board.engine.Now()
-	e.stop = e.board.engine.Ticker(period, func(now sim.Time) {
-		e.board.Advance(now, now-period)
+	e.stop = e.board.engine.Ticker(e.board.cfg.ExportPeriod, func(sim.Time) {
+		e.board.Sync()
 		tx := e.tracker.snapshot(e.index)
 		e.index++
 		e.fp.Add(tx)

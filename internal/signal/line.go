@@ -132,10 +132,11 @@ func (l *Line) LastChange() sim.Time {
 // edges. Level, Edges, LastChange and Sync consult it first.
 func (l *Line) Defer(d Deferrer) { l.deferrer = d }
 
-// Sync applies every deferred edge of the line up to Now. Inside an
-// event it also applies edges at the current instant that the engine
-// would have run after that event, so a same-nanosecond read there is
-// not exact (DESIGN.md §6, "Lazy step trains").
+// Sync applies every deferred edge of the line that the engine would
+// have run before the current event, or up to Now between events. The
+// one inexact case is an edge tied with the running event in both time
+// and scheduling instant: it is applied after the event, whichever the
+// engine would have run first (DESIGN.md §6, "Lazy step trains").
 func (l *Line) Sync() {
 	if l.deferrer != nil {
 		l.deferrer.Sync()

@@ -38,17 +38,19 @@ type Train struct {
 type Tick struct{ Origin, Period sim.Time }
 
 // TrainSink takes step trains off the event queue. The FPGA board
-// installs itself on its Arduino-side bus as one.
+// installs itself on its Arduino-side bus as one. Its advance points
+// read the running event's time and scheduling instant from the engine
+// (sim.Engine.Scheduled), so no caller works them out.
 type TrainSink interface {
 	// Accept takes over the pulses of every train of one move, or of
 	// none: it reports false when any of their paths needs real edges,
 	// and the caller then schedules them all. A move is never split,
 	// because a step of one axis reads the others' positions.
 	Accept(move []Train) bool
-	// Advance applies every accepted edge that precedes an event
-	// firing at now that was scheduled at sched.
-	Advance(now, sched sim.Time)
-	// Halt is Advance for a machine kill: pulses that have not risen by
+	// Sync applies every accepted edge that the engine would have run
+	// before the current event, or up to Now between events.
+	Sync()
+	// Halt is Sync for a machine kill: pulses that have not risen by
 	// then never will, and the edges still due become real events.
-	Halt(now, sched sim.Time)
+	Halt()
 }

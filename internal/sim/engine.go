@@ -22,26 +22,26 @@ type EdgeTarget interface {
 	FireEdge(arg uint64)
 }
 
+// funcTarget carries a func given to Schedule or After as an EdgeTarget.
+// A func value is pointer-shaped, so the conversion does not allocate.
+type funcTarget func()
+
+// FireEdge implements EdgeTarget.
+func (f funcTarget) FireEdge(uint64) { f() }
+
 // event is a scheduled callback, stored by value: the queue tiers hold
 // []event slices, so steady-state scheduling performs zero allocations.
-// Exactly one of fn and tgt is set. seq breaks ties between events
-// scheduled for the same instant so execution order is deterministic
-// (FIFO within an instant).
+// sched is the instant the event was enqueued (see Scheduled). seq
+// breaks ties between events scheduled for the same instant so
+// execution order is deterministic (FIFO within an instant). The layout
+// is 48 bytes; the queue moves events by value, so a larger one costs
+// every dispatch.
 type event struct {
-	at  Time
-	seq uint64
-	fn  func()
-	tgt EdgeTarget
-	arg uint64
-}
-
-// call runs the event's payload.
-func (ev *event) call() {
-	if ev.fn != nil {
-		ev.fn()
-		return
-	}
-	ev.tgt.FireEdge(ev.arg)
+	at    Time
+	seq   uint64
+	sched Time
+	tgt   EdgeTarget
+	arg   uint64
 }
 
 // eventLess orders events by (at, seq) — the engine's total execution
@@ -75,7 +75,10 @@ const (
 func slotOf(at Time) int { return int(at>>wheelShift) & wheelMask }
 
 // Engine is a deterministic discrete-event simulator. The zero value is
-// ready to use.
+// ready to use. Each queued event records the instant it was scheduled,
+// and Scheduled reports the running event's: code that keeps work off
+// the queue (lazy step trains) needs it to know which of its deferred
+// edges at Now the engine would have run first.
 //
 // Internally the pending set is split across two tiers that together
 // implement one total (time, sequence) order:
@@ -97,6 +100,10 @@ type Engine struct {
 	now     Time
 	seq     uint64
 	stopped bool
+	// running is set while run dispatches events; sched is then the
+	// scheduling instant of the event being run.
+	running bool
+	sched   Time
 	// executed counts events run since creation; useful for progress
 	// reporting and for benchmarks that want simulated-events/op.
 	executed uint64
@@ -129,7 +136,7 @@ func (e *Engine) Reset() {
 	for s := range e.slots {
 		slot := e.slots[s]
 		for i := range slot {
-			slot[i] = event{} // release fn/tgt references
+			slot[i] = event{} // release tgt references
 		}
 		e.slots[s] = slot[:0]
 	}
@@ -140,6 +147,7 @@ func (e *Engine) Reset() {
 	e.now = 0
 	e.seq = 0
 	e.stopped = false
+	e.running = false
 	e.executed = 0
 	e.pending = 0
 	e.base = 0
@@ -148,6 +156,19 @@ func (e *Engine) Reset() {
 
 // Now reports the current simulation time.
 func (e *Engine) Now() Time { return e.now }
+
+// Scheduled reports the instant the running event was scheduled — the
+// Now of the Schedule, After or Ticker call that queued it — or
+// math.MaxInt64 outside an event: between Run calls, after Stop, and
+// after Reset. An event at Now scheduled before that instant ran
+// before the current one; lazy deferrers use it to decide which of
+// their edges at Now precede the running event.
+func (e *Engine) Scheduled() Time {
+	if !e.running {
+		return math.MaxInt64
+	}
+	return e.sched
+}
 
 // Executed reports the number of events processed so far.
 func (e *Engine) Executed() uint64 { return e.executed }
@@ -162,7 +183,7 @@ func (e *Engine) Schedule(at Time, fn func()) {
 	if fn == nil {
 		panic("sim: Schedule with nil func")
 	}
-	e.enqueue(event{at: at, fn: fn})
+	e.enqueue(event{at: at, tgt: funcTarget(fn)})
 }
 
 // After enqueues fn to run d nanoseconds after the current time.
@@ -175,8 +196,8 @@ func (e *Engine) After(d Time, fn func()) {
 
 // ScheduleEdge enqueues tgt.FireEdge(arg) to run at absolute time at.
 // This is the allocation-free fast path: no closure is created, and the
-// event is stored by value. Ordering is identical to Schedule — one seq
-// counter covers both paths.
+// event is stored by value. Schedule is ScheduleEdge with its func as
+// the target, so one seq counter orders both.
 func (e *Engine) ScheduleEdge(at Time, tgt EdgeTarget, arg uint64) {
 	if tgt == nil {
 		panic("sim: ScheduleEdge with nil target")
@@ -193,14 +214,15 @@ func (e *Engine) AfterEdge(d Time, tgt EdgeTarget, arg uint64) {
 	e.ScheduleEdge(e.now+d, tgt, arg)
 }
 
-// enqueue stamps the event's sequence number and routes it to the wheel
-// or the heap.
+// enqueue stamps the event's sequence number and scheduling instant and
+// routes it to the wheel or the heap.
 func (e *Engine) enqueue(ev event) {
 	if ev.at < e.now {
 		panic(fmt.Sprintf("sim: Schedule at %v before now %v", ev.at, e.now))
 	}
 	e.seq++
 	ev.seq = e.seq
+	ev.sched = e.now
 	e.pending++
 	if ev.at < e.base+wheelSpan {
 		e.wheelPush(&ev)
@@ -251,6 +273,8 @@ func (e *Engine) RunUntilIdle() error { return e.run(math.MaxInt64) }
 // starts beyond until.
 func (e *Engine) run(until Time) error {
 	e.stopped = false
+	e.running = true
+	defer func() { e.running = false }()
 	for e.pending > 0 {
 		// Promote far-tier events due in this window.
 		for len(e.heap) > 0 && e.heap[0].at < e.base+wheelSlot {
@@ -277,12 +301,13 @@ func (e *Engine) run(until Time) error {
 			}
 			last := len(s) - 1
 			s[min] = s[last]
-			s[last] = event{} // release fn/tgt references
+			s[last] = event{} // release tgt references
 			*slot = s[:last]
 			e.pending--
 			e.now = ev.at
+			e.sched = ev.sched
 			e.executed++
-			ev.call()
+			ev.tgt.FireEdge(ev.arg)
 			if e.stopped {
 				return ErrStopped
 			}
@@ -354,7 +379,7 @@ func (e *Engine) heapPop() event {
 	top := h[0]
 	last := len(h) - 1
 	h[0] = h[last]
-	h[last] = event{} // release fn/tgt references
+	h[last] = event{} // release tgt references
 	h = h[:last]
 	i := 0
 	for {

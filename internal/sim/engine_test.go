@@ -2,9 +2,11 @@ package sim
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestEngineRunsEventsInOrder(t *testing.T) {
@@ -188,6 +190,128 @@ func TestTickerCancelFromWithinCallback(t *testing.T) {
 	}
 	if n != 3 {
 		t.Errorf("n = %d, want 3", n)
+	}
+}
+
+// schedProbe records the engine's Scheduled instant from inside the
+// ScheduleEdge events it fires.
+type schedProbe struct {
+	e   *Engine
+	got *[]Time
+}
+
+func (p schedProbe) FireEdge(uint64) { *p.got = append(*p.got, p.e.Scheduled()) }
+
+// TestEngineScheduled: inside an event Scheduled is the Now of the call
+// that queued it, whichever path queued it; outside one — before and
+// between Run calls, after Stop ends a run, and after Reset — it is
+// math.MaxInt64.
+func TestEngineScheduled(t *testing.T) {
+	e := NewEngine()
+	outside := func(when string) {
+		t.Helper()
+		if got := e.Scheduled(); got != math.MaxInt64 {
+			t.Errorf("Scheduled() %s = %v, want MaxInt64", when, got)
+		}
+	}
+	outside("on a new engine")
+	var got []Time
+	record := func() { got = append(got, e.Scheduled()) }
+	probe := schedProbe{e, &got}
+	check := func(when string, want ...Time) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: Scheduled() = %v, want %v", when, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: Scheduled() = %v, want %v", when, got, want)
+			}
+		}
+		got = got[:0]
+	}
+
+	e.Schedule(100, record)
+	e.ScheduleEdge(150, probe, 0)
+	e.Schedule(200, func() {
+		record()
+		e.After(50, record)
+		e.AfterEdge(60, probe, 0)
+		e.Schedule(200, record) // same instant, queued from inside
+	})
+	if err := e.Run(300); err != nil {
+		t.Fatal(err)
+	}
+	check("Schedule, ScheduleEdge, nested", 0, 0, 0, 200, 200, 200)
+	outside("between Run calls")
+
+	// A far-tier event keeps its instant through promotion.
+	e.Schedule(300+10*wheelSpan, record)
+	cancel := e.Ticker(100, func(Time) { record() })
+	if err := e.Run(550); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	check("Ticker", 300, 400)
+	if err := e.Run(300 + 10*wheelSpan); err != nil {
+		t.Fatal(err)
+	}
+	check("far tier", 300)
+
+	start := e.Now()
+	e.After(10, func() {
+		e.Stop()
+		record() // Stop ends the run after this event, not before
+	})
+	e.After(20, record)
+	if err := e.Run(start + 100); !errors.Is(err, ErrStopped) {
+		t.Fatalf("Run = %v, want ErrStopped", err)
+	}
+	check("stopping event", start)
+	outside("after Stop")
+	if err := e.Run(start + 100); err != nil {
+		t.Fatal(err)
+	}
+	check("resumed run", start)
+
+	e.Schedule(e.Now()+10, record) // left queued
+	e.Reset()
+	outside("after Reset")
+	e.Schedule(5, record)
+	if err := e.Run(10); err != nil {
+		t.Fatal(err)
+	}
+	check("after Reset", 0)
+}
+
+// TestEventLayout guards the size of a queued event: the queue tiers
+// move events by value, and each word more slows every dispatch.
+func TestEventLayout(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("layout is pinned for 64-bit targets")
+	}
+	if got := unsafe.Sizeof(event{}); got != 48 {
+		t.Errorf("unsafe.Sizeof(event{}) = %d, want 48", got)
+	}
+}
+
+// TestScheduleFuncDoesNotAllocate: Schedule stores a func as the
+// event's target without boxing it.
+func TestScheduleFuncDoesNotAllocate(t *testing.T) {
+	e := NewEngine()
+	n := 0
+	fn := func() { n++ }
+	allocs := testing.AllocsPerRun(100, func() {
+		e.Schedule(e.Now()+1, fn)
+		if err := e.Run(e.Now() + 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Schedule+Run allocates %v times per event", allocs)
+	}
+	if n != 101 {
+		t.Errorf("ran %d events, want 101", n)
 	}
 }
 

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # bench.sh runs the key perf benchmarks (GoldenPrint and its eager-rig
-# twin GoldenPrintEager, RelocationPrint, TableII — the in-repo twin of
-# the sweep_cold workload — Campaign, CampaignWide, MonitorObserve,
+# twin GoldenPrintEager, RelocationPrint, TrojanOverhead — a clean print
+# and a T2 print, whose trojan keeps every step edge on the event
+# queue — TableII — the in-repo twin of the sweep_cold workload —
+# Campaign, CampaignWide, MonitorObserve,
 # StitchReport, the golden codec and golden store microbenchmarks, grid
 # expansion, JSONL row encoding, the progressive scheduler's set-up and
 # rounds at 10^5 cells, plus the engine microbenchmarks) and writes their results to
@@ -22,7 +24,7 @@ tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
 go test -run NONE \
-  -bench 'BenchmarkGoldenPrint$|BenchmarkGoldenPrintEager$|BenchmarkRelocationPrint$|BenchmarkTableII$|BenchmarkCampaign$|BenchmarkCampaignWide$|BenchmarkMonitorObserve$|BenchmarkStitchReport$' \
+  -bench 'BenchmarkGoldenPrint$|BenchmarkGoldenPrintEager$|BenchmarkRelocationPrint$|BenchmarkTrojanOverhead$|BenchmarkTableII$|BenchmarkCampaign$|BenchmarkCampaignWide$|BenchmarkMonitorObserve$|BenchmarkStitchReport$' \
   -benchtime "$benchtime" -count 5 . | tee "$tmp"
 go test -run NONE -bench 'BenchmarkGoldenCodec$' -benchtime 50x -count 5 . | tee -a "$tmp"
 go test -run NONE -bench 'BenchmarkGridExpand$|BenchmarkJSONLEmit$' -benchtime 500x -count 5 . | tee -a "$tmp"
@@ -30,7 +32,7 @@ go test -run NONE -bench 'BenchmarkStoreGet$' -benchtime 500x -count 5 ./interna
 go test -run NONE -bench 'BenchmarkStorePut$' -benchtime 50x -count 5 ./internal/goldenstore | tee -a "$tmp"
 go test -run NONE -bench 'BenchmarkNew$|BenchmarkNextRound$' -benchtime 3x -count 5 ./internal/sched | tee -a "$tmp"
 go test -run NONE \
-  -bench 'BenchmarkEngineSchedule$|BenchmarkEngineScheduleEdge$|BenchmarkEngineTicker$|BenchmarkEngineMixedHorizon$|BenchmarkEngineSparse$' \
+  -bench 'BenchmarkEngineSchedule$|BenchmarkEngineScheduleRun$|BenchmarkEngineScheduleEdge$|BenchmarkEngineTicker$|BenchmarkEngineMixedHorizon$|BenchmarkEngineSparse$' \
   -benchtime 100x -count 5 ./internal/sim | tee -a "$tmp"
 
 go run ./cmd/benchjson < "$tmp" > "$out"
