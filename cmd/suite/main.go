@@ -85,7 +85,7 @@ func run(args []string, stdout io.Writer) error {
 		jsonlOut = fs.String("jsonl", "", "stream one JSON line per completed scenario to `file` (\"-\" = stdout)")
 		progress = fs.Bool("progress", false, "print a progress line as each scenario completes")
 		storeDir = fs.String("golden-store", "", "persist golden runs in `dir` across invocations (misses fill it; corrupt entries re-simulate)")
-		storeGC  = fs.Bool("golden-store-gc", false, "after the run, rebuild the golden store keeping only entries this run touched (requires -golden-store)")
+		storeGC  = fs.Bool("golden-store-gc", false, "after the run, prune the golden store in place: remove entries this run did not touch, corrupt entries and crashed writers' temp files (requires -golden-store)")
 		budget   = fs.Int("scenario-budget", 0, "progressive: target number of executed scenarios, coverage included (0 = unlimited; coverage always runs)")
 		early    = fs.Int("earlystop", 0, "progressive: retire a cell once its first `k` seeds agree on a verdict (0 = never)")
 	)
@@ -241,13 +241,13 @@ func run(args []string, stdout io.Writer) error {
 	if *storeGC {
 		// The keep set is every store key this run consulted (hit or
 		// miss-then-fill); everything else is a leftover from old specs,
-		// formats, or seeds and is compacted away atomically.
+		// formats, or seeds and is removed in place.
 		before := store.Len()
 		keep := make(map[goldenstore.Key]bool)
 		for _, k := range cache.UsedStoreKeys() {
 			keep[k] = true
 		}
-		if err := store.Rebuild(func(k goldenstore.Key, _ []byte) bool { return keep[k] }); err != nil {
+		if err := store.Prune(func(k goldenstore.Key, _ []byte) bool { return keep[k] }); err != nil {
 			return fmt.Errorf("golden-store-gc: %w", err)
 		}
 		fmt.Fprintf(stdout, "golden store gc: kept %d entries, dropped %d\n",

@@ -106,7 +106,7 @@ type GoldenCache struct {
 	storeMisses uint64
 	sims        uint64
 	// used records every store key this cache has been asked for — the
-	// keep set a store GC (goldenstore.Rebuild) retains. Tracked only
+	// keep set a store GC (goldenstore.Prune) retains. Tracked only
 	// while a store is attached.
 	used map[goldenstore.Key]bool
 }
@@ -287,7 +287,7 @@ func (gc *GoldenCache) fill(key goldenKey, fresh func() (*Result, error)) (*Resu
 
 // UsedStoreKeys returns every persistent-store key the cache has been
 // asked for since its store was attached — the keep set for a
-// goldenstore.Rebuild garbage collection after a run (see cmd/suite's
+// goldenstore.Prune garbage collection after a run (see cmd/suite's
 // -golden-store-gc).
 func (gc *GoldenCache) UsedStoreKeys() []goldenstore.Key {
 	gc.mu.Lock()

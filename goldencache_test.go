@@ -147,7 +147,7 @@ func TestGoldenCacheStoreCorruptFallsBackToSim(t *testing.T) {
 	}
 
 	// Trash every persisted entry in place.
-	entries, err := filepath.Glob(filepath.Join(dir, "g*", "*.golden"))
+	entries, err := filepath.Glob(filepath.Join(dir, "*.golden"))
 	if err != nil || len(entries) == 0 {
 		t.Fatalf("no persisted entries to corrupt (%v)", err)
 	}

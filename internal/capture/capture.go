@@ -153,16 +153,19 @@ func ReadCSV(rd io.Reader) (*Recording, error) {
 	sc.Buffer(make([]byte, 0, 64*1024), 8*1024*1024)
 	rec := &Recording{}
 	line := 0
+	header := false
 	for sc.Scan() {
 		line++
 		text := strings.TrimSpace(sc.Text())
 		if text == "" {
 			continue
 		}
-		if line == 1 {
+		// The first non-blank line is the header.
+		if !header {
 			if !strings.HasPrefix(strings.ToUpper(strings.ReplaceAll(text, " ", "")), "INDEX,X,Y,Z,E") {
-				return nil, fmt.Errorf("capture: line 1: bad header %q", text)
+				return nil, fmt.Errorf("capture: line %d: bad header %q", line, text)
 			}
+			header = true
 			continue
 		}
 		fields := strings.Split(text, ",")

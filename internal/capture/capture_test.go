@@ -131,6 +131,7 @@ func TestCSVErrors(t *testing.T) {
 		"Index, X, Y, Z, E\n0, 1, 1, 1, 1\n5, 1, 1, 1, 1\n",     // gap
 		"Index, X, Y, Z, E\n0, 4294967297, 0, 0, -4294967296\n", // past int32
 		"Index, X, Y, Z, E\n4294967296, 0, 0, 0, 0\n",           // past uint32
+		"\n0, 1, 2, 3, 4\n",                                     // no header after a blank line
 	}
 	for _, src := range cases {
 		if _, err := ReadCSV(strings.NewReader(src)); err == nil {
@@ -140,9 +141,15 @@ func TestCSVErrors(t *testing.T) {
 }
 
 func TestCSVBlankLinesTolerated(t *testing.T) {
-	src := "Index, X, Y, Z, E\n0, 1, 2, 3, 4\n\n1, 2, 3, 4, 5\n"
-	r, err := ReadCSV(strings.NewReader(src))
-	if err != nil || r.Len() != 2 {
-		t.Errorf("blank-line parse: %v, len %d", err, r.Len())
+	for src, want := range map[string]int{
+		"Index, X, Y, Z, E\n0, 1, 2, 3, 4\n\n1, 2, 3, 4, 5\n": 2,
+		"\nIndex, X, Y, Z, E\n0, 1, 2, 3, 4\n":                1, // header after a blank line
+	} {
+		r, err := ReadCSV(strings.NewReader(src))
+		if err != nil {
+			t.Errorf("blank-line parse of %q: %v", src, err)
+		} else if r.Len() != want {
+			t.Errorf("blank-line parse of %q: len %d, want %d", src, r.Len(), want)
+		}
 	}
 }

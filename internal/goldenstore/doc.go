@@ -1,9 +1,9 @@
 // Package goldenstore is the persistent tier of the layered golden
 // repository (DESIGN.md §13): an on-disk, content-addressed store of
 // encoded golden results keyed by (program hash, seed, budget, capture
-// mode), sitting below the in-memory tier of offramps.GoldenCache and
-// behind a Bloom existence filter, modeled on the cache → bloom → store
-// lookup pipeline of the rr-dns blocklist repository (SNIPPETS.md).
+// mode), sitting below the in-memory tier of offramps.GoldenCache. A
+// lookup is memory → disk: a memory miss reads the entry file, and a
+// disk miss simulates.
 //
 // The store never trusts its own bytes: every entry carries a magic,
 // format version, its full key, and a SHA-256 payload checksum, and any
@@ -14,15 +14,14 @@
 // opaque here; the Result codec (and its own version) lives with the
 // Result type in the root package.
 //
-// Layout on disk:
+// Layout on disk is one directory:
 //
-//	dir/CURRENT        active generation name ("g000001\n"), swapped atomically
-//	dir/g000001/<key>.golden
+//	dir/<key>.golden   one entry per key
+//	dir/.put-*         a Put's temp file until its rename
 //
-// Rebuild writes a filtered copy of every entry into the next
-// generation and atomically repoints CURRENT, so compaction is a single
-// visible switch: concurrent readers see the old generation or the new
-// one, never a mix. `suite -golden-store-gc` drives Rebuild with the
-// keep set of keys the run actually consulted, garbage-collecting
-// entries stranded by old specs, seeds, or codec versions.
+// There is no index or snapshot, so processes sharing a directory see
+// each other's entries at once. Prune garbage-collects in place:
+// `suite -golden-store-gc` drives it with the keep set of keys the run
+// actually consulted, removing entries stranded by old specs, seeds, or
+// codec versions, corrupt entries, and temp files of crashed writers.
 package goldenstore

@@ -19,7 +19,8 @@ func FuzzStoreEntry(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	s, err := Open(f.TempDir())
+	dir := f.TempDir()
+	s, err := Open(dir)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -27,7 +28,7 @@ func FuzzStoreEntry(f *testing.F) {
 	if err := s.Put(key, payload); err != nil {
 		f.Fatal(err)
 	}
-	path := filepath.Join(s.gen, key.filename())
+	path := filepath.Join(dir, key.filename())
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		if err := os.WriteFile(path, blob, 0o644); err != nil {
 			t.Fatal(err)

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -32,8 +31,8 @@ type Key struct {
 
 const keyLen = 32 + 8 + 8 + 1
 
-// bytes is the key's canonical binary form — the unit the Bloom filter
-// hashes and the entry header embeds.
+// bytes is the key's canonical binary form, which the entry header
+// embeds.
 func (k Key) bytes() []byte {
 	b := make([]byte, keyLen)
 	copy(b, k.Program[:])
@@ -73,154 +72,56 @@ func parseFilename(name string) (Key, bool) {
 type Stats struct {
 	// Hits is entries served (header, key, and checksum all verified).
 	Hits uint64
-	// Misses is lookups that found nothing servable; FilterSkips of
-	// them never touched the disk (Bloom-negative), and Corrupt of them
+	// Misses is lookups that found nothing servable; Corrupt of them
 	// found a file but rejected it (torn, stale, or checksum-bad —
 	// still a miss, by policy).
-	Misses      uint64
-	FilterSkips uint64
-	Corrupt     uint64
+	Misses  uint64
+	Corrupt uint64
 	// Puts is entries written.
 	Puts uint64
 }
 
-// Store is the persistent golden tier. All methods are safe for
-// concurrent use; several processes may share one directory (writers
-// land entries atomically, and identical keys hold identical bytes
-// because simulation is deterministic, so last-write-wins is sound).
-//
-// The Bloom filter snapshots the directory at Open and tracks this
-// process's own Puts; entries written by *other* processes afterwards
-// are invisible until Refresh or reopen — a stale negative only costs a
-// re-simulation, never a wrong result.
+// Store is the persistent golden tier: one directory of self-checking
+// entries. All methods are safe for concurrent use, and several
+// processes may share one directory: every lookup reads the directory,
+// so each process serves the entries the others wrote. Writers land
+// entries atomically, and identical keys hold identical bytes because
+// simulation is deterministic, so last-write-wins is sound.
 type Store struct {
 	dir string
 
-	mu     sync.RWMutex
-	gen    string // active generation directory (absolute)
-	filter *bloom
-	count  int
-	cap    uint64 // filter's sized capacity, for regrow decisions
-	stats  Stats
+	mu    sync.Mutex
+	stats Stats
 }
 
-// Open opens (creating if needed) the store rooted at dir, loads the
-// active generation's key set, and sizes the existence filter for it.
+// Open opens the store rooted at dir, creating the directory if needed.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("goldenstore: %w", err)
 	}
-	s := &Store{dir: dir}
-	gen, err := s.currentGen()
-	if err != nil {
-		return nil, err
-	}
-	s.gen = gen
-	if err := s.rescanLocked(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return &Store{dir: dir}, nil
 }
 
-// currentGen resolves (initializing if absent) the active generation.
-func (s *Store) currentGen() (string, error) {
-	cur := filepath.Join(s.dir, "CURRENT")
-	raw, err := os.ReadFile(cur)
-	name := strings.TrimSpace(string(raw))
-	if err != nil || name == "" || strings.Contains(name, "/") || strings.Contains(name, "..") {
-		name = "g000001"
-		if werr := writeFileAtomic(cur, []byte(name+"\n")); werr != nil {
-			return "", fmt.Errorf("goldenstore: init CURRENT: %w", werr)
-		}
-	}
-	gen := filepath.Join(s.dir, name)
-	if err := os.MkdirAll(gen, 0o755); err != nil {
-		return "", fmt.Errorf("goldenstore: %w", err)
-	}
-	return gen, nil
-}
-
-// scanKeys lists the keys present in a generation directory.
-func scanKeys(gen string) ([]Key, error) {
-	ents, err := os.ReadDir(gen)
-	if err != nil {
-		return nil, fmt.Errorf("goldenstore: scan: %w", err)
-	}
-	var keys []Key
-	for _, e := range ents {
-		if e.IsDir() {
-			continue
-		}
-		if k, ok := parseFilename(e.Name()); ok {
-			keys = append(keys, k)
-		}
-	}
-	return keys, nil
-}
-
-// rescanLocked rebuilds the existence filter from the directory. Callers
-// hold s.mu (or are single-threaded in Open).
-func (s *Store) rescanLocked() error {
-	keys, err := scanKeys(s.gen)
-	if err != nil {
-		return err
-	}
-	capacity := uint64(len(keys))*2 + 1024
-	f := newBloom(capacity, 0.01)
-	for _, k := range keys {
-		f.add(k.bytes())
-	}
-	s.filter, s.count, s.cap = f, len(keys), capacity
-	return nil
-}
-
-// Refresh rescans the directory, picking up entries other processes
-// wrote since Open (or the last Refresh).
-func (s *Store) Refresh() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rescanLocked()
-}
-
-// Len reports the number of entries known to this process's snapshot.
+// Len reports the number of entry files in the directory. An unreadable
+// directory counts as empty: every Get on it misses too.
 func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.count
+	keys, _ := s.Keys()
+	return len(keys)
 }
 
 // StatsSnapshot returns the traffic counters so far.
 func (s *Store) StatsSnapshot() Stats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.stats
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
-// Close releases the store. No descriptors are held between calls, so
-// this is bookkeeping symmetry, kept so callers can treat the store
-// like any other resource.
-func (s *Store) Close() error { return nil }
-
 // Get returns the payload stored under k, or ok=false on any kind of
-// absence: filter-negative, no file, torn file, stale format, key
-// mismatch, checksum failure. Absence is never an error — the caller's
-// fallback is a fresh simulation, which is always correct.
+// absence: no file, torn file, stale format, key mismatch, checksum
+// failure. Absence is never an error — the caller's fallback is a fresh
+// simulation, which is always correct.
 func (s *Store) Get(k Key) ([]byte, bool) {
-	s.mu.RLock()
-	gen := s.gen
-	maybe := s.filter.mightContain(k.bytes())
-	s.mu.RUnlock()
-	if !maybe {
-		s.mu.Lock()
-		s.stats.Misses++
-		s.stats.FilterSkips++
-		s.mu.Unlock()
-		return nil, false
-	}
-	payload, err := readEntry(filepath.Join(gen, k.filename()), k)
+	payload, err := readEntry(filepath.Join(s.dir, k.filename()), k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err != nil {
@@ -239,100 +140,59 @@ func (s *Store) Get(k Key) ([]byte, bool) {
 // Overwriting an existing entry is permitted — determinism guarantees
 // the bytes match.
 func (s *Store) Put(k Key, payload []byte) error {
-	s.mu.RLock()
-	gen := s.gen
-	s.mu.RUnlock()
-	if err := writeEntry(gen, k, payload); err != nil {
+	if err := writeEntry(s.dir, k, payload); err != nil {
 		return err
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.filter.add(k.bytes())
-	s.count++
 	s.stats.Puts++
-	// Regrow the filter before saturation lifts its false-positive rate;
-	// a rescan also folds in any concurrent writers' entries.
-	if uint64(s.count) > s.cap {
-		if err := s.rescanLocked(); err != nil {
-			return err
-		}
-	}
+	s.mu.Unlock()
 	return nil
 }
 
-// Keys lists every entry in the active generation, sorted by file name
-// (deterministic for tests and tooling). It reads the directory, not
-// the filter, so it also sees other processes' writes.
+// Keys lists every entry file in the directory, sorted by file name
+// (os.ReadDir's order; deterministic for tests and tooling).
 func (s *Store) Keys() ([]Key, error) {
-	s.mu.RLock()
-	gen := s.gen
-	s.mu.RUnlock()
-	keys, err := scanKeys(gen)
+	ents, err := os.ReadDir(s.dir)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("goldenstore: scan: %w", err)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].filename() < keys[j].filename() })
+	var keys []Key
+	for _, e := range ents {
+		if k, ok := parseFilename(e.Name()); ok && !e.IsDir() {
+			keys = append(keys, k)
+		}
+	}
 	return keys, nil
 }
 
-// Rebuild rewrites the whole store as one atomic operation: every
-// servable entry for which keep returns true (nil keeps everything) is
-// copied into the next generation, CURRENT is swapped with a durable
-// rename, and the old generation is removed. Unservable (corrupt,
-// stale) entries are dropped — rebuild doubles as compaction and
-// format-version garbage collection. Readers concurrently holding the
-// store see a consistent generation throughout; other processes holding
-// the *old* generation open degrade to misses after the removal, which
-// re-simulates — never lies.
-func (s *Store) Rebuild(keep func(Key, []byte) bool) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-
-	oldGen := s.gen
-	n, err := strconv.Atoi(strings.TrimPrefix(filepath.Base(oldGen), "g"))
+// Prune garbage-collects the store in place. It removes every entry that
+// is unservable (corrupt, stale format) or for which keep returns false
+// (nil keeps every servable entry), and every temp file a writer left
+// behind. Files whose names are neither entries nor temp files are never
+// touched. A reader racing Prune sees a verified entry or a miss; a Put
+// racing it may fail, which costs that writer's entry and nothing else.
+func (s *Store) Prune(keep func(Key, []byte) bool) error {
+	ents, err := os.ReadDir(s.dir)
 	if err != nil {
-		return fmt.Errorf("goldenstore: rebuild: bad generation %q", filepath.Base(oldGen))
+		return fmt.Errorf("goldenstore: prune: %w", err)
 	}
-	newName := fmt.Sprintf("g%06d", n+1)
-	newGen := filepath.Join(s.dir, newName)
-	if err := os.RemoveAll(newGen); err != nil {
-		return fmt.Errorf("goldenstore: rebuild: %w", err)
-	}
-	if err := os.MkdirAll(newGen, 0o755); err != nil {
-		return fmt.Errorf("goldenstore: rebuild: %w", err)
-	}
-
-	keys, err := scanKeys(oldGen)
-	if err != nil {
-		return err
-	}
-	for _, k := range keys {
-		payload, rerr := readEntry(filepath.Join(oldGen, k.filename()), k)
-		if rerr != nil {
-			continue // corrupt or stale: compacted away
+	for _, e := range ents {
+		k, entry := parseFilename(e.Name())
+		if e.IsDir() || !entry && !strings.HasPrefix(e.Name(), tempPrefix) {
+			continue // not the store's file
 		}
-		if keep != nil && !keep(k, payload) {
-			continue
+		path := filepath.Join(s.dir, e.Name())
+		if entry {
+			payload, err := readEntry(path, k)
+			if err == nil && (keep == nil || keep(k, payload)) {
+				continue
+			}
 		}
-		if err := writeEntry(newGen, k, payload); err != nil {
-			return err
+		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("goldenstore: prune: %w", err)
 		}
 	}
-	syncDir(newGen)
-
-	// The swap: one atomic CURRENT rewrite makes the new generation the
-	// store. Everything before it is invisible; everything after it is
-	// cleanup.
-	if err := writeFileAtomic(filepath.Join(s.dir, "CURRENT"), []byte(newName+"\n")); err != nil {
-		return fmt.Errorf("goldenstore: rebuild: swap: %w", err)
-	}
-	s.gen = newGen
-	if err := s.rescanLocked(); err != nil {
-		return err
-	}
-	if err := os.RemoveAll(oldGen); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("goldenstore: rebuild: drop old generation: %w", err)
-	}
+	syncDir(s.dir)
 	return nil
 }
 
@@ -343,8 +203,12 @@ var magic = [4]byte{'O', 'F', 'G', 'S'}
 
 const headerLen = 4 + 2 + keyLen + 8 // magic, version, key, payload length
 
-// writeEntry lands one entry crash-safely in gen.
-func writeEntry(gen string, k Key, payload []byte) error {
+// tempPrefix names a Put's temp file until its rename; one still present
+// outside a Put is a crashed writer's, and Prune removes it.
+const tempPrefix = ".put-"
+
+// writeEntry lands one entry crash-safely in dir.
+func writeEntry(dir string, k Key, payload []byte) error {
 	blob := make([]byte, 0, headerLen+len(payload)+sha256.Size)
 	blob = append(blob, magic[:]...)
 	blob = binary.LittleEndian.AppendUint16(blob, FormatVersion)
@@ -354,7 +218,7 @@ func writeEntry(gen string, k Key, payload []byte) error {
 	sum := sha256.Sum256(payload)
 	blob = append(blob, sum[:]...)
 
-	tmp, err := os.CreateTemp(gen, ".put-*")
+	tmp, err := os.CreateTemp(dir, tempPrefix+"*")
 	if err != nil {
 		return fmt.Errorf("goldenstore: put: %w", err)
 	}
@@ -370,10 +234,10 @@ func writeEntry(gen string, k Key, payload []byte) error {
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("goldenstore: put: %w", err)
 	}
-	if err := os.Rename(tmp.Name(), filepath.Join(gen, k.filename())); err != nil {
+	if err := os.Rename(tmp.Name(), filepath.Join(dir, k.filename())); err != nil {
 		return fmt.Errorf("goldenstore: put: %w", err)
 	}
-	syncDir(gen)
+	syncDir(dir)
 	return nil
 }
 
@@ -407,33 +271,6 @@ func readEntry(path string, k Key) ([]byte, error) {
 		return nil, fmt.Errorf("goldenstore: checksum mismatch")
 	}
 	return payload, nil
-}
-
-// writeFileAtomic lands content at path via temp + fsync + rename +
-// directory fsync — the journal pattern from internal/farm.
-func writeFileAtomic(path string, content []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+"-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(content); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	syncDir(dir)
-	return nil
 }
 
 // syncDir makes a rename durable. Directory fsync is unsupported on

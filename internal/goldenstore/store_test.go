@@ -2,7 +2,6 @@ package goldenstore
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -69,9 +68,6 @@ func TestStoreReopenSeesEntries(t *testing.T) {
 			t.Fatalf("reopened Get(%d) = %q, %v", b, got, ok)
 		}
 	}
-	if st := s2.StatsSnapshot(); st.FilterSkips != 0 {
-		t.Errorf("reopened store skipped real entries: %+v", st)
-	}
 }
 
 func TestStoreKeyEncodingInverts(t *testing.T) {
@@ -120,7 +116,7 @@ func TestStoreCorruptEntryIsMiss(t *testing.T) {
 			if err := s.Put(k, payload); err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join(s.gen, k.filename())
+			path := filepath.Join(dir, k.filename())
 			blob, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
@@ -156,14 +152,13 @@ func TestStoreWrongKeyUnderFilename(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Copy a's entry onto b's filename: the embedded key must reject it.
-	blob, err := os.ReadFile(filepath.Join(s.gen, a.filename()))
+	blob, err := os.ReadFile(filepath.Join(dir, a.filename()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(s.gen, b.filename()), blob, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, b.filename()), blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s.Refresh()
 	if _, ok := s.Get(b); ok {
 		t.Fatal("entry with mismatched embedded key was served")
 	}
@@ -204,9 +199,9 @@ func TestStoreConcurrentReadersAndWriters(t *testing.T) {
 	wg.Wait()
 }
 
-// TestStoreRebuildAtomic: rebuild drops filtered and corrupt entries,
-// survivors keep serving, the generation advances, and reopening sees
-// exactly the rebuilt set.
+// TestStoreRebuildAtomic: a prune drops filtered and corrupt entries in
+// place, survivors keep serving, and reopening sees exactly the pruned
+// set.
 func TestStoreRebuildAtomic(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -218,26 +213,22 @@ func TestStoreRebuildAtomic(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Corrupt entry 6 in place; rebuild must compact it away.
-	path := filepath.Join(s.gen, testKey(6).filename())
+	// Corrupt entry 6 in place; the prune must drop it.
+	path := filepath.Join(dir, testKey(6).filename())
 	if err := os.WriteFile(path, []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// Keep even keys only.
-	if err := s.Rebuild(func(k Key, _ []byte) bool { return k.Program[0]%2 == 0 }); err != nil {
+	if err := s.Prune(func(k Key, _ []byte) bool { return k.Program[0]%2 == 0 }); err != nil {
 		t.Fatal(err)
-	}
-	if got := filepath.Base(s.gen); got != "g000002" {
-		t.Errorf("generation = %s, want g000002", got)
 	}
 	wantLive := map[byte]bool{2: true, 4: true}
 	for b := byte(1); b <= 6; b++ {
 		_, ok := s.Get(testKey(b))
 		if ok != wantLive[b] {
-			t.Errorf("after rebuild, key %d present=%v, want %v", b, ok, wantLive[b])
+			t.Errorf("after prune, key %d present=%v, want %v", b, ok, wantLive[b])
 		}
 	}
-	// CURRENT points at the new generation for fresh processes too.
 	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -245,15 +236,12 @@ func TestStoreRebuildAtomic(t *testing.T) {
 	if s2.Len() != 2 {
 		t.Errorf("reopened Len = %d, want 2", s2.Len())
 	}
-	if _, err := os.Stat(filepath.Join(dir, "g000001")); !os.IsNotExist(err) {
-		t.Errorf("old generation not removed: %v", err)
-	}
 }
 
-// TestStoreRebuildUnderReaders: readers racing a rebuild always get
-// either the old or the new truth for every key, never an error or a
-// foreign payload.
-func TestStoreRebuildUnderReaders(t *testing.T) {
+// TestStorePruneUnderReaders: readers racing a prune always get either
+// the old or the new truth for every key, never an error or a foreign
+// payload.
+func TestStorePruneUnderReaders(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -286,61 +274,81 @@ func TestStoreRebuildUnderReaders(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 3; i++ {
-		if err := s.Rebuild(nil); err != nil {
+		if err := s.Prune(nil); err != nil {
 			t.Error(err)
 		}
 	}
+	// The last prune drops half the keys under the readers.
+	if err := s.Prune(func(k Key, _ []byte) bool { return k.Program[0]%2 == 0 }); err != nil {
+		t.Error(err)
+	}
 	close(stop)
 	wg.Wait()
-	if s.Len() != keys {
-		t.Errorf("Len = %d after identity rebuilds, want %d", s.Len(), keys)
+	if s.Len() != keys/2 {
+		t.Errorf("Len = %d after pruning odd keys, want %d", s.Len(), keys/2)
 	}
 }
 
-// TestStoreFilterRegrows: Puts past the filter's sized capacity trigger
-// a rescan-and-regrow, keeping lookups exact for everything written.
-func TestStoreFilterRegrows(t *testing.T) {
-	s, err := Open(t.TempDir())
+// TestStoreSharedDirectory: two stores opened on one directory, as two
+// workers sharing -golden-store, serve each other's entries, and a prune
+// through one leaves the other working.
+func TestStoreSharedDirectory(t *testing.T) {
+	dir := t.TempDir()
+	a, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.mu.Lock()
-	s.filter, s.cap = newBloom(4, 0.01), 4 // shrink to force regrowth
-	s.mu.Unlock()
-	for i := 0; i < 32; i++ {
-		k := testKey(byte(i))
-		k.Seed = uint64(i) * 977
-		if err := s.Put(k, []byte{byte(i)}); err != nil {
+	b, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Put(testKey(1), []byte("one")); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := b.Get(testKey(1)); !ok || string(got) != "one" {
+		t.Fatalf("B's Get of an entry A wrote after B opened = %q, %v; want \"one\", true", got, ok)
+	}
+
+	// A prunes an unkept entry, a corrupt entry and a crashed writer's
+	// temp file; a file that is neither entry nor temp file stays.
+	for k := byte(2); k <= 3; k++ {
+		if err := a.Put(testKey(k), []byte{k}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 32; i++ {
-		k := testKey(byte(i))
-		k.Seed = uint64(i) * 977
-		if got, ok := s.Get(k); !ok || !bytes.Equal(got, []byte{byte(i)}) {
-			t.Fatalf("entry %d lost after regrow", i)
+	write := func(name, content string) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
-}
+	write(testKey(3).filename(), "rotten")
+	write(".put-x", "torn")
+	write("notes.txt", "operator notes")
+	if err := a.Prune(func(k Key, _ []byte) bool { return k != testKey(2) }); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]bool{
+		testKey(1).filename(): true,
+		testKey(2).filename(): false,
+		testKey(3).filename(): false,
+		".put-x":              false,
+		"notes.txt":           true,
+	} {
+		if _, err := os.Stat(filepath.Join(dir, name)); (err == nil) != want {
+			t.Errorf("after prune, %s present=%v, want %v", name, err == nil, want)
+		}
+	}
 
-func TestBloomBasics(t *testing.T) {
-	bf := newBloom(1000, 0.01)
-	for i := 0; i < 1000; i++ {
-		bf.add([]byte(fmt.Sprintf("key-%d", i)))
+	// B's Put and Get still work after A's prune, and A sees B's entry.
+	if err := b.Put(testKey(4), []byte("four")); err != nil {
+		t.Fatalf("B's Put after A's prune: %v", err)
 	}
-	for i := 0; i < 1000; i++ {
-		if !bf.mightContain([]byte(fmt.Sprintf("key-%d", i))) {
-			t.Fatalf("false negative on key-%d", i)
+	for _, s := range []*Store{a, b} {
+		for k, want := range map[byte]string{1: "one", 4: "four"} {
+			if got, ok := s.Get(testKey(k)); !ok || string(got) != want {
+				t.Errorf("Get(%d) after prune = %q, %v; want %q", k, got, ok, want)
+			}
 		}
-	}
-	fp := 0
-	for i := 0; i < 10000; i++ {
-		if bf.mightContain([]byte(fmt.Sprintf("absent-%d", i))) {
-			fp++
-		}
-	}
-	// 1% target; 3% tolerance keeps the assertion robust.
-	if fp > 300 {
-		t.Errorf("false-positive rate too high: %d/10000", fp)
 	}
 }
