@@ -52,11 +52,12 @@ func TestFingerprintMatchesRecording(t *testing.T) {
 	}
 }
 
-// TestCompiledPlanIdentity: simulating from a pre-compiled move plan
-// must be byte-identical to the live interpreter — same transactions,
-// same report JSON — on every rig a campaign runs from a plan: the
-// default tap, a RAMPS and a dual tap, T7 with its 60 s settle, and the
-// bypassed board.
+// TestCompiledPlanIdentity: a campaign shares one plan per program,
+// compiled under firmware.DefaultConfig, while a direct Run compiles
+// the program under its testbed's own config (here seed 5). The two
+// must simulate byte-identically — same transactions, same report JSON
+// — on every rig a campaign runs: the default tap, a RAMPS and a dual
+// tap, T7 with its 60 s settle, and the bypassed board.
 func TestCompiledPlanIdentity(t *testing.T) {
 	prog := mustTestPart(t)
 	compiled, err := firmware.Compile(prog, firmware.DefaultConfig())
@@ -95,16 +96,16 @@ func TestCompiledPlanIdentity(t *testing.T) {
 				}
 				return res
 			}
-			interp := run()
-			planned := run(withCompiled(compiled))
-			if !reflect.DeepEqual(interp.ArduinoRecording, planned.ArduinoRecording) ||
-				!reflect.DeepEqual(interp.RAMPSRecording, planned.RAMPSRecording) {
-				t.Fatal("captures differ between interpreter and plan")
+			own := run()
+			shared := run(withCompiled(compiled))
+			if !reflect.DeepEqual(own.ArduinoRecording, shared.ArduinoRecording) ||
+				!reflect.DeepEqual(own.RAMPSRecording, shared.RAMPSRecording) {
+				t.Fatal("captures differ between the run's own plan and the shared plan")
 			}
-			ij, _ := json.Marshal(interp)
-			pj, _ := json.Marshal(planned)
-			if !bytes.Equal(ij, pj) {
-				t.Errorf("report JSON differs between interpreter and plan:\ninterp: %s\nplan:   %s", ij, pj)
+			oj, _ := json.Marshal(own)
+			sj, _ := json.Marshal(shared)
+			if !bytes.Equal(oj, sj) {
+				t.Errorf("report JSON differs between the run's own plan and the shared plan:\nown:    %s\nshared: %s", oj, sj)
 			}
 		})
 	}

@@ -191,6 +191,48 @@ func TestRunRejectsMissingSpec(t *testing.T) {
 	}
 }
 
+// TestUnrepresentableMovesAreScenarioErrors: G-code whose moves the
+// simulator cannot represent — a microstep target past 2^53 or a move
+// too long for the simulation clock — fails its own scenario with a
+// row naming the command, and the runner exits non-zero. It used to
+// panic the whole process.
+func TestUnrepresentableMovesAreScenarioErrors(t *testing.T) {
+	dir := t.TempDir()
+	cases := []struct{ name, src, want string }{
+		{"overflow", "G1 X99999999999999999999\nG1 X5\n", "(line 1): X target 1e+20 mm is outside ±2^53 microsteps"},
+		{"homed", "G28\nG1 X99999999999999999999\n", "(line 2): X target 1e+20 mm is outside ±2^53 microsteps"},
+		{"slow", "G1 X1000000000 F0.0000001\n", "(line 1): move duration 1e+11 s does not fit the simulation clock"},
+	}
+	var scenarios []string
+	for _, c := range cases {
+		if err := os.WriteFile(filepath.Join(dir, c.name+".gcode"), []byte(c.src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		scenarios = append(scenarios, fmt.Sprintf(`{"name": %q, "program": {"file": %q}}`, c.name, c.name+".gcode"))
+	}
+	spec := filepath.Join(dir, "poison.json")
+	doc := fmt.Sprintf(`{"name": "poison", "scenarios": [%s]}`, strings.Join(scenarios, ", "))
+	if err := os.WriteFile(spec, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var out strings.Builder
+	if err := run([]string{spec}, &out); err == nil {
+		t.Fatalf("poison suite exited zero:\n%s", out.String())
+	}
+	rows := strings.Split(out.String(), "\n")
+	for _, c := range cases {
+		prefix := fmt.Sprintf("error: offramps: scenario %q: compiling move plan: firmware: command", c.name)
+		found := false
+		for _, row := range rows {
+			found = found || strings.Contains(row, prefix) && strings.HasSuffix(row, c.want)
+		}
+		if !found {
+			t.Errorf("%s: no error row ending %q:\n%s", c.name, c.want, out.String())
+		}
+	}
+}
+
 // TestGridTableIIExampleSpec runs the committed Table II grid sweep in
 // -grid mode: the generator expands the eight Flaw3D cases plus golden
 // and clean control, and every tampered print is detected while the

@@ -6,6 +6,7 @@ import (
 
 	"offramps/internal/gcode"
 	"offramps/internal/signal"
+	"offramps/internal/sim"
 )
 
 // moveEntry is the pre-resolved execution of one G0/G1 command: whether
@@ -22,93 +23,79 @@ type moveEntry struct {
 // Compiled is an immutable pre-planned execution of one program under
 // one firmware configuration: every G0/G1 resolved through the modal
 // state, homing and G92 frame effects folded in, and each move's
-// trapezoidal profile planned. N same-program scenarios share one
-// Compiled — parse/plan cost is paid once per program instead of once
-// per run — and simulate from it with byte-identical results, because
-// planning is deterministic in (program, config) and independent of the
-// run's time-noise seed. Safe for concurrent readers.
+// trapezoidal profile planned. It is the only way the firmware runs a
+// program (Load compiles one when given none). N same-program scenarios
+// share one Compiled — parse/plan cost is paid once per program instead
+// of once per run — and simulate from it with byte-identical results,
+// because planning is deterministic in (program, config) and
+// independent of the run's time-noise seed. Safe for concurrent readers.
 type Compiled struct {
 	prog    gcode.Program
 	entries []moveEntry
 }
 
-// Commands reports the compiled program's length.
-func (c *Compiled) Commands() int { return len(c.prog) }
+// Bounds on what a move may ask of the simulator. A target's microstep
+// count must be exactly representable in a float64 (and so far inside
+// int64), and a move's duration must fit in half of sim.Time's range, so
+// the run's clock can add it without overflow.
+const (
+	maxTargetSteps = 1 << 53
+	maxMoveSeconds = float64(1<<62) / float64(sim.Second)
+)
 
 // Compile dry-runs the program's geometry under cfg: it tracks the
-// modal interpreter state, believed machine position, and G92 offsets
-// exactly as execution would, and plans every move. The returned plan
-// is only valid for firmwares built with an identical motion
-// configuration (StepsPerMM, feedrates, acceleration, pulse timing);
-// seed and time-noise settings do not affect planning and may differ.
+// modal G-code state, machine position, and G92 offsets, and plans
+// every move. It fails on an invalid config and on a move the simulator
+// cannot represent: a non-finite target, a target of 2^53 microsteps or
+// more, or a duration that is not finite or does not fit in sim.Time.
+// The returned plan is only valid for firmwares built with an identical
+// motion configuration (StepsPerMM, feedrates, acceleration, pulse
+// timing); seed and time-noise settings do not affect planning and may
+// differ.
 func Compile(prog gcode.Program, cfg Config) (*Compiled, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	st := gcode.NewState()
-	steps := make(map[signal.Axis]int64, 4)
-	offset := make(map[signal.Axis]float64, 4)
+	var steps [4]int64    // machine position, microsteps, in signal.Axes order
+	var offset [4]float64 // machineMM − logicalMM per axis (G92)
 	c := &Compiled{prog: prog, entries: make([]moveEntry, len(prog))}
 	for i, cmd := range prog {
-		if cmd.Empty() {
-			continue
-		}
 		switch cmd.Code {
 		case "G0", "G1":
 			mv, ok := st.Apply(cmd)
-			e := resolveMove(&cfg, steps, offset, mv, ok)
+			e, err := resolveMove(&cfg, steps, offset, mv, ok)
+			if err != nil {
+				return nil, fmt.Errorf("firmware: command %d %q (line %d): %w", i+1, cmd.String(), cmd.Line, err)
+			}
 			c.entries[i] = e
 			if e.motion {
-				for j, a := range signal.Axes {
-					n := e.pm.axes[j].steps
-					if n == 0 {
-						continue
-					}
-					if e.pm.axes[j].negative {
-						steps[a] -= int64(n)
+				for j, ax := range e.pm.axes {
+					if ax.negative {
+						steps[j] -= int64(ax.steps)
 					} else {
-						steps[a] += int64(n)
+						steps[j] += int64(ax.steps)
 					}
 				}
 			}
 		case "G28":
 			// Net effect of double-tap homing: each homed axis's machine
-			// position and G92 offset are zeroed (see homeNextAxis).
-			all := !cmd.Has('X') && !cmd.Has('Y') && !cmd.Has('Z')
-			for _, a := range cfg.HomingOrder {
-				var letter byte
-				switch a {
-				case signal.AxisX:
-					letter = 'X'
-				case signal.AxisY:
-					letter = 'Y'
-				case signal.AxisZ:
-					letter = 'Z'
-				default:
-					continue
-				}
-				if all || cmd.Has(letter) {
-					steps[a] = 0
-					offset[a] = 0
-				}
+			// position and G92 offset are zeroed.
+			for _, a := range homedAxes(cfg.HomingOrder, cmd) {
+				steps[a-signal.AxisX] = 0
+				offset[a-signal.AxisX] = 0
 			}
 			st.Apply(cmd)
 		case "G90", "G91", "M82", "M83":
 			st.Apply(cmd)
 		case "G92":
+			// Logical coordinates change, machine position does not: the
+			// offset absorbs the difference.
 			st.Apply(cmd)
-			for _, spec := range []struct {
-				letter byte
-				axis   signal.Axis
-				val    float64
-			}{
-				{'X', signal.AxisX, st.Pos.X},
-				{'Y', signal.AxisY, st.Pos.Y},
-				{'Z', signal.AxisZ, st.Pos.Z},
-				{'E', signal.AxisE, st.Pos.E},
-			} {
-				if cmd.Has(spec.letter) {
-					offset[spec.axis] = float64(steps[spec.axis])/cfg.StepsPerMM[spec.axis] - spec.val
+			for j, val := range [4]float64{st.Pos.X, st.Pos.Y, st.Pos.Z, st.Pos.E} {
+				a := signal.Axes[j]
+				if cmd.Has(a.String()[0]) {
+					offset[j] = float64(steps[j])/cfg.StepsPerMM[a] - val
 				}
 			}
 		}
@@ -116,28 +103,45 @@ func Compile(prog gcode.Program, cfg Config) (*Compiled, error) {
 	return c, nil
 }
 
+// homedAxes returns the axes a G28 homes, in the configured order: the
+// X, Y and Z axes it names, or all of them when it names none.
+func homedAxes(order []signal.Axis, cmd gcode.Command) []signal.Axis {
+	all := !cmd.Has('X') && !cmd.Has('Y') && !cmd.Has('Z')
+	var axes []signal.Axis
+	for _, a := range order {
+		if a < signal.AxisX || a > signal.AxisZ {
+			continue
+		}
+		if all || cmd.Has(a.String()[0]) {
+			axes = append(axes, a)
+		}
+	}
+	return axes
+}
+
 // resolveMove turns one modal-evaluated move into its execution plan.
-// It is THE move-resolution path — the live interpreter and the
-// compiler both call it, so a compiled run reproduces an interpreted
-// run by construction. steps and offset are read, never written; the
-// caller applies the plan's position updates.
-func resolveMove(cfg *Config, steps map[signal.Axis]int64, offset map[signal.Axis]float64, mv gcode.Move, ok bool) moveEntry {
+// Compile is its only caller and applies the plan's position updates;
+// steps and offset are indexed in signal.Axes order.
+func resolveMove(cfg *Config, steps [4]int64, offset [4]float64, mv gcode.Move, ok bool) (moveEntry, error) {
 	if !ok {
-		return moveEntry{} // feedrate-only or zero-length move
+		return moveEntry{}, nil // feedrate-only or zero-length move
 	}
 	e := moveEntry{resolved: true}
 
 	// Resolve logical targets into machine steps.
 	var deltas [4]int
 	targets := [4]float64{
-		mv.To.X + offset[signal.AxisX],
-		mv.To.Y + offset[signal.AxisY],
-		mv.To.Z + offset[signal.AxisZ],
-		mv.To.E + offset[signal.AxisE],
+		mv.To.X + offset[0],
+		mv.To.Y + offset[1],
+		mv.To.Z + offset[2],
+		mv.To.E + offset[3],
 	}
 	for i, a := range signal.Axes {
-		target := int64(math.Round(targets[i] * cfg.StepsPerMM[a]))
-		deltas[i] = int(target - steps[a])
+		target := math.Round(targets[i] * cfg.StepsPerMM[a])
+		if !(math.Abs(target) < maxTargetSteps) {
+			return e, fmt.Errorf("%v target %g mm is outside ±2^53 microsteps", a, targets[i])
+		}
+		deltas[i] = int(int64(target) - steps[i])
 	}
 
 	// Feedrate resolution: F is mm/min; clamp per-axis.
@@ -151,7 +155,7 @@ func resolveMove(cfg *Config, steps map[signal.Axis]int64, offset map[signal.Axi
 		dist = math.Abs(mv.Extrusion())
 	}
 	if dist < 1e-12 {
-		return e // resolved but no physical motion
+		return e, nil // resolved but no physical motion
 	}
 	axisDist := [4]float64{}
 	for i, a := range signal.Axes {
@@ -167,21 +171,8 @@ func resolveMove(cfg *Config, steps map[signal.Axis]int64, offset map[signal.Axi
 
 	e.motion = true
 	e.pm = planMove(deltas, dist, speed, cfg.Acceleration, cfg.MaxStepRate)
-	return e
-}
-
-// LoadCompiled loads prog together with its pre-compiled plan, replacing
-// any previously loaded program. The plan must have been compiled from
-// the same program; command count is validated (full content identity is
-// the caller's contract — the campaign keys plans by program hash).
-func (fw *Firmware) LoadCompiled(prog gcode.Program, c *Compiled) error {
-	if c == nil {
-		return fmt.Errorf("firmware: LoadCompiled(nil plan)")
+	if d := e.pm.prof.total(); !(d < maxMoveSeconds) {
+		return e, fmt.Errorf("move duration %g s does not fit the simulation clock", d)
 	}
-	if len(prog) != len(c.prog) {
-		return fmt.Errorf("firmware: compiled plan is for a %d-command program, got %d commands", len(c.prog), len(prog))
-	}
-	fw.prog = prog
-	fw.compiled = c
-	return nil
+	return e, nil
 }

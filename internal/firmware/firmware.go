@@ -8,9 +8,11 @@ import (
 	"offramps/internal/sim"
 )
 
-// Firmware executes a G-code program against the Arduino-side bus. Create
-// one with New, load a program with Load, then Start it and drive the
-// simulation engine until Done reports true.
+// Firmware executes a compiled G-code program against the Arduino-side
+// bus. Create one with New, load a program with Load, then Start it and
+// drive the simulation engine until Done reports true. Every move runs
+// from the program's Compiled plan; the firmware keeps no position or
+// modal state of its own.
 type Firmware struct {
 	cfg    Config
 	engine *sim.Engine
@@ -18,14 +20,9 @@ type Firmware struct {
 
 	prog gcode.Program
 	pc   int
-	// compiled, when non-nil, is the shared pre-planned execution of
-	// prog (see Compile); executeMove reads entries from it instead of
-	// re-planning each move.
+	// compiled is prog's pre-planned execution (see Compile);
+	// executeMove reads each move's entry from it.
 	compiled *Compiled
-
-	modal  *gcode.State
-	steps  map[signal.Axis]int64   // believed machine position, microsteps
-	offset map[signal.Axis]float64 // machineMM − logicalMM per axis (G92)
 
 	hotend *heater
 	bed    *heater
@@ -84,9 +81,6 @@ func New(engine *sim.Engine, bus *signal.Bus, cfg Config) (*Firmware, error) {
 		cfg:    cfg,
 		engine: engine,
 		bus:    bus,
-		modal:  gcode.NewState(),
-		steps:  make(map[signal.Axis]int64, 4),
-		offset: make(map[signal.Axis]float64, 4),
 		rng:    sim.NewRand(cfg.Seed),
 		hotend: newHeater("hotend", bus.Line(signal.PinHotend), bus.ThermHotend, cfg.HotendMaxTemp, cfg.HotendPID, cfg),
 		bed:    newHeater("bed", bus.Line(signal.PinBed), bus.ThermBed, cfg.BedMaxTemp, cfg.BedPID, cfg),
@@ -103,8 +97,26 @@ func New(engine *sim.Engine, bus *signal.Bus, cfg Config) (*Firmware, error) {
 	return fw, nil
 }
 
-// Load sets the program to execute. It must be called before Start.
-func (fw *Firmware) Load(prog gcode.Program) { fw.prog, fw.compiled = prog, nil }
+// Load sets the program to execute, replacing any previously loaded
+// one. It must be called before Start. plan is prog's compiled plan; a
+// nil plan compiles prog under the firmware's own config, and a compile
+// error is returned. A given plan must have been compiled from the same
+// program under the same motion config: its command count is checked,
+// full content identity is the caller's contract (the campaign keys
+// plans by program hash).
+func (fw *Firmware) Load(prog gcode.Program, plan *Compiled) error {
+	if plan == nil {
+		var err error
+		if plan, err = Compile(prog, fw.cfg); err != nil {
+			return err
+		}
+	}
+	if len(prog) != len(plan.prog) {
+		return fmt.Errorf("firmware: compiled plan is for a %d-command program, got %d commands", len(plan.prog), len(prog))
+	}
+	fw.prog, fw.compiled = prog, plan
+	return nil
+}
 
 // Start begins execution: the temperature control loop, fan PWM, and the
 // command dispatcher. Calling Start twice is an error.
@@ -144,9 +156,6 @@ func (fw *Firmware) StatusLog() []string { return fw.statusLog }
 
 // FanDuty returns the commanded part-fan duty in [0,1].
 func (fw *Firmware) FanDuty() float64 { return fw.fanDuty }
-
-// PositionSteps returns the believed machine position of an axis.
-func (fw *Firmware) PositionSteps(a signal.Axis) int64 { return fw.steps[a] }
 
 // MotorsEnabled reports whether the EN lines are asserted.
 func (fw *Firmware) MotorsEnabled() bool { return fw.motorsEnabled }
@@ -238,16 +247,14 @@ func (fw *Firmware) executeNext() {
 
 	switch cmd.Code {
 	case "G0", "G1":
-		fw.executeMove(cmd)
+		fw.executeMove()
 	case "G4":
 		fw.executeDwell(cmd)
 	case "G28":
 		fw.executeHoming(cmd)
-	case "G90", "G91", "M82", "M83":
-		fw.modal.Apply(cmd)
+	case "G90", "G91", "M82", "M83", "G92":
+		// Frame and mode changes are folded into the compiled plan.
 		fw.next()
-	case "G92":
-		fw.executeSetPosition(cmd)
 	case "M104":
 		fw.hotend.setTarget(cmd.FloatDefault('S', 0))
 		fw.next()
@@ -285,32 +292,6 @@ func (fw *Firmware) executeNext() {
 		fw.unknown++
 		fw.next()
 	}
-}
-
-// machineMM returns the believed machine position of an axis in mm.
-func (fw *Firmware) machineMM(a signal.Axis) float64 {
-	return float64(fw.steps[a]) / fw.cfg.StepsPerMM[a]
-}
-
-// executeSetPosition handles G92: logical coordinates change, machine
-// position does not — the offset absorbs the difference.
-func (fw *Firmware) executeSetPosition(cmd gcode.Command) {
-	fw.modal.Apply(cmd)
-	for _, spec := range []struct {
-		letter byte
-		axis   signal.Axis
-		val    float64
-	}{
-		{'X', signal.AxisX, fw.modal.Pos.X},
-		{'Y', signal.AxisY, fw.modal.Pos.Y},
-		{'Z', signal.AxisZ, fw.modal.Pos.Z},
-		{'E', signal.AxisE, fw.modal.Pos.E},
-	} {
-		if cmd.Has(spec.letter) {
-			fw.offset[spec.axis] = fw.machineMM(spec.axis) - spec.val
-		}
-	}
-	fw.next()
 }
 
 // executeDwell handles G4 (P milliseconds or S seconds).
@@ -355,19 +336,9 @@ func (fw *Firmware) setMotors(on bool) {
 	}
 }
 
-// executeMove plans and schedules a G0/G1. The modal state always
-// advances through Apply (it is the source of truth for later commands);
-// the execution plan comes from the shared compiled plan when one is
-// loaded, else from the same resolveMove path the compiler uses — the
-// two routes are identical by construction.
-func (fw *Firmware) executeMove(cmd gcode.Command) {
-	mv, ok := fw.modal.Apply(cmd)
-	var entry moveEntry
-	if fw.compiled != nil {
-		entry = fw.compiled.entries[fw.pc-1]
-	} else {
-		entry = resolveMove(&fw.cfg, fw.steps, fw.offset, mv, ok)
-	}
+// executeMove schedules a G0/G1 from its compiled plan entry.
+func (fw *Firmware) executeMove() {
+	entry := fw.compiled.entries[fw.pc-1]
 	if !entry.resolved {
 		fw.next() // feedrate-only or zero-length move
 		return
@@ -425,12 +396,6 @@ func (fw *Firmware) executeMove(cmd gcode.Command) {
 			Until:  end,
 			Kill:   signal.Tick{Origin: fw.startedAt, Period: fw.cfg.ControlPeriod},
 		})
-		// Track believed position.
-		if pm.axes[i].negative {
-			fw.steps[a] -= int64(n)
-		} else {
-			fw.steps[a] += int64(n)
-		}
 	}
 	if sink := fw.bus.TrainSink(); sink == nil || !sink.Accept(move) {
 		for _, tr := range move {

@@ -46,7 +46,9 @@ func (r *rig) run(t *testing.T, src string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.fw.Load(prog)
+	if err := r.fw.Load(prog, nil); err != nil {
+		t.Fatal(err)
+	}
 	if err := r.fw.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -74,9 +76,6 @@ func TestHomingZerosAllAxes(t *testing.T) {
 	for _, a := range []signal.Axis{signal.AxisX, signal.AxisY, signal.AxisZ} {
 		if pos := r.plant.Position(a); math.Abs(pos) > 0.05 {
 			t.Errorf("%v = %v mm after homing, want ≈0", a, pos)
-		}
-		if r.fw.PositionSteps(a) != 0 {
-			t.Errorf("%v believed steps = %d, want 0", a, r.fw.PositionSteps(a))
 		}
 	}
 }
@@ -112,7 +111,9 @@ func TestHomingFailsWithoutEndstop(t *testing.T) {
 		t.Fatal(err)
 	}
 	prog, _ := gcode.ParseString("G28 X\n")
-	fw.Load(prog)
+	if err := fw.Load(prog, nil); err != nil {
+		t.Fatal(err)
+	}
 	if err := fw.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -171,6 +172,26 @@ G1 X10 F6000
 	}
 }
 
+// TestG28ClearsG92Offset: homing an axis zeroes its machine position
+// and its G92 offset, and only the homed axis's: X plans from the homed
+// frame, Y keeps its shifted one.
+func TestG28ClearsG92Offset(t *testing.T) {
+	r := newRig(t, nil)
+	r.run(t, `G28
+G1 X30 Y20 F6000
+G92 X0 Y0
+G28 X
+G1 X10 Y10 F6000
+`)
+	if got := r.plant.Position(signal.AxisX); math.Abs(got-10) > 0.05 {
+		t.Errorf("X = %v, want 10", got)
+	}
+	// Logical Y10 after G92 Y0 at machine 20 → machine 30.
+	if got := r.plant.Position(signal.AxisY); math.Abs(got-30) > 0.05 {
+		t.Errorf("Y = %v, want 30", got)
+	}
+}
+
 func TestRelativeMode(t *testing.T) {
 	r := newRig(t, nil)
 	r.run(t, `G28
@@ -206,7 +227,9 @@ M109 S210
 func TestHeaterHoldsTemperature(t *testing.T) {
 	r := newRig(t, nil)
 	prog, _ := gcode.ParseString("M109 S210\nG4 S120\n")
-	r.fw.Load(prog)
+	if err := r.fw.Load(prog, nil); err != nil {
+		t.Fatal(err)
+	}
 	if err := r.fw.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +259,9 @@ func TestThermalRunawayWatchTripsWhenHeaterDead(t *testing.T) {
 		t.Fatal(err)
 	}
 	prog, _ := gcode.ParseString("M109 S210\n")
-	fw.Load(prog)
+	if err := fw.Load(prog, nil); err != nil {
+		t.Fatal(err)
+	}
 	if err := fw.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +290,9 @@ func TestMaxTempTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	prog, _ := gcode.ParseString("G4 S10\n")
-	fw.Load(prog)
+	if err := fw.Load(prog, nil); err != nil {
+		t.Fatal(err)
+	}
 	if err := fw.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +340,9 @@ func TestMotorEnableLifecycle(t *testing.T) {
 func TestDwellTiming(t *testing.T) {
 	r := newRig(t, nil)
 	prog, _ := gcode.ParseString("G4 P2500\n")
-	r.fw.Load(prog)
+	if err := r.fw.Load(prog, nil); err != nil {
+		t.Fatal(err)
+	}
 	if err := r.fw.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +387,9 @@ func TestFeedrateAxisClamp(t *testing.T) {
 	// Z max feedrate is 12 mm/s; command 100 mm/s and verify duration.
 	r := newRig(t, nil)
 	prog, _ := gcode.ParseString("G28\nG1 Z50 F6000\n")
-	r.fw.Load(prog)
+	if err := r.fw.Load(prog, nil); err != nil {
+		t.Fatal(err)
+	}
 	if err := r.fw.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +432,9 @@ func TestStartErrors(t *testing.T) {
 		t.Error("Start without program accepted")
 	}
 	prog, _ := gcode.ParseString("G4 P1\n")
-	fw.Load(prog)
+	if err := fw.Load(prog, nil); err != nil {
+		t.Fatal(err)
+	}
 	if err := fw.Start(); err != nil {
 		t.Fatal(err)
 	}

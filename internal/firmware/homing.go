@@ -12,44 +12,23 @@ import (
 // order, drive toward the MIN endstop until it closes, back off, and
 // re-approach slowly — Marlin's double-tap homing. The endstop actuation
 // order this produces is exactly what the FPGA's Homing Detection Module
-// watches for (paper §IV-B).
+// watches for (paper §IV-B). Homing keeps no position: the compiled plan
+// takes each homed axis to be at zero afterwards.
 func (fw *Firmware) executeHoming(cmd gcode.Command) {
-	all := !cmd.Has('X') && !cmd.Has('Y') && !cmd.Has('Z')
-	var axes []signal.Axis
-	for _, a := range fw.cfg.HomingOrder {
-		var letter byte
-		switch a {
-		case signal.AxisX:
-			letter = 'X'
-		case signal.AxisY:
-			letter = 'Y'
-		case signal.AxisZ:
-			letter = 'Z'
-		default:
-			continue
-		}
-		if all || cmd.Has(letter) {
-			axes = append(axes, a)
-		}
-	}
 	if !fw.motorsEnabled {
 		fw.setMotors(true)
 	}
-
-	fw.homeNextAxis(axes, 0, func() {
-		// All axes homed: logical and machine frames coincide at zero.
-		fw.modal.Apply(cmd)
-		fw.next()
-	})
+	fw.homeNextAxis(homedAxes(fw.cfg.HomingOrder, cmd), 0)
 }
 
-// homeNextAxis homes axes[i] then recurses; done runs after the last axis.
-func (fw *Firmware) homeNextAxis(axes []signal.Axis, i int, done func()) {
+// homeNextAxis homes axes[i] then recurses; after the last axis the
+// next command runs.
+func (fw *Firmware) homeNextAxis(axes []signal.Axis, i int) {
 	if fw.killed {
 		return
 	}
 	if i >= len(axes) {
-		done()
+		fw.next()
 		return
 	}
 	a := axes[i]
@@ -62,9 +41,7 @@ func (fw *Firmware) homeNextAxis(axes []signal.Axis, i int, done func()) {
 		fw.bumpAway(a, slow, func() {
 			// Phase 3: slow re-approach for repeatability.
 			fw.seekEndstop(a, slow, func() {
-				fw.steps[a] = 0
-				fw.offset[a] = 0
-				fw.homeNextAxis(axes, i+1, done)
+				fw.homeNextAxis(axes, i+1)
 			})
 		})
 	})
@@ -100,7 +77,6 @@ func (fw *Firmware) seekEndstop(a signal.Axis, speed float64, done func()) {
 			return
 		}
 		taken++
-		fw.steps[a]--
 		step.Set(signal.High)
 		step.SetAfter(fw.cfg.StepPulseWidth, signal.Low)
 		fw.engine.After(period, tick)
@@ -132,7 +108,6 @@ func (fw *Firmware) bumpAway(a signal.Axis, speed float64, done func()) {
 			return
 		}
 		taken++
-		fw.steps[a]++
 		step.Set(signal.High)
 		step.SetAfter(fw.cfg.StepPulseWidth, signal.Low)
 		fw.engine.After(period, tick)

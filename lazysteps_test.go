@@ -204,7 +204,9 @@ func TestLazyStepsReadsBetweenRuns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tb.Firmware.Load(prog)
+			if err := tb.Firmware.Load(prog, nil); err != nil {
+				t.Fatal(err)
+			}
 			if err := tb.Firmware.Start(); err != nil {
 				t.Fatal(err)
 			}

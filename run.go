@@ -155,9 +155,8 @@ func WithCaptureMode(m CaptureMode) RunOption {
 
 // withCompiled runs the program from a pre-compiled move plan (shared
 // across same-program scenarios by the campaign layer) instead of
-// planning each move during execution. The plan must have been compiled
-// from the same program and firmware config; Run validates the program
-// identity.
+// compiling it for this run. The plan must have been compiled from the
+// same program and firmware config; Run checks the command count.
 func withCompiled(c *firmware.Compiled) RunOption {
 	return func(rc *runConfig) { rc.plan = c }
 }
@@ -224,12 +223,8 @@ func (tb *Testbed) Run(ctx context.Context, prog gcode.Program, opts ...RunOptio
 		ctx = context.Background()
 	}
 
-	if rc.plan != nil {
-		if err := tb.Firmware.LoadCompiled(prog, rc.plan); err != nil {
-			return nil, fmt.Errorf("offramps: %w", err)
-		}
-	} else {
-		tb.Firmware.Load(prog)
+	if err := tb.Firmware.Load(prog, rc.plan); err != nil {
+		return nil, fmt.Errorf("offramps: %w", err)
 	}
 	if err := tb.Firmware.Start(); err != nil {
 		return nil, fmt.Errorf("offramps: %w", err)

@@ -5,7 +5,8 @@
 # queue — TableII — the in-repo twin of the sweep_cold workload —
 # Campaign, CampaignWide, MonitorObserve,
 # StitchReport, the golden codec and golden store microbenchmarks, grid
-# expansion, JSONL row encoding, the progressive scheduler's set-up and
+# expansion, JSONL row encoding, G-code parsing, firmware.Compile on the
+# test part and on Table II case 5, the progressive scheduler's set-up and
 # rounds at 10^5 cells, plus the engine microbenchmarks) and writes their results to
 # BENCH_<label>.json so the perf trajectory is tracked across PRs. The label defaults to the repo's commit count.
 #
@@ -28,6 +29,8 @@ go test -run NONE \
   -benchtime "$benchtime" -count 5 . | tee "$tmp"
 go test -run NONE -bench 'BenchmarkGoldenCodec$' -benchtime 50x -count 5 . | tee -a "$tmp"
 go test -run NONE -bench 'BenchmarkGridExpand$|BenchmarkJSONLEmit$' -benchtime 500x -count 5 . | tee -a "$tmp"
+go test -run NONE -bench 'BenchmarkParse$' -benchtime 500x -count 5 ./internal/gcode | tee -a "$tmp"
+go test -run NONE -bench 'BenchmarkCompile$' -benchtime 500x -count 5 ./internal/firmware | tee -a "$tmp"
 go test -run NONE -bench 'BenchmarkStoreGet$' -benchtime 500x -count 5 ./internal/goldenstore | tee -a "$tmp"
 go test -run NONE -bench 'BenchmarkStorePut$' -benchtime 50x -count 5 ./internal/goldenstore | tee -a "$tmp"
 go test -run NONE -bench 'BenchmarkNew$|BenchmarkNextRound$' -benchtime 3x -count 5 ./internal/sched | tee -a "$tmp"
