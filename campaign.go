@@ -76,11 +76,11 @@ type Campaign struct {
 	// Budget is the per-scenario simulated-time limit, unless the
 	// scenario sets its own; 0 means DefaultRunBudget.
 	Budget sim.Time
-	// Cache, when non-nil, memoizes golden (trojan-free, default-rig)
-	// scenario results by (program hash, seed, budget) so repeated golden
-	// prints across campaigns simulate exactly once. Determinism makes a
-	// hit bit-identical to a fresh run. Scenarios with a trojan, a
-	// detector, or a non-default tap, settle or bypass are never cached.
+	// Cache, when non-nil, memoizes golden (trojan-free, detector-free)
+	// scenario results by simKey so repeated golden prints across
+	// campaigns simulate exactly once. Determinism makes a hit
+	// bit-identical to a fresh run. A memoized golden always records a
+	// full capture, so campaigns of either capture mode share it.
 	Cache *GoldenCache
 	// Sinks receive each ScenarioResult as it completes (completion
 	// order, Emit calls serialized across workers), so huge campaigns
@@ -92,11 +92,11 @@ type Campaign struct {
 	// buffered sinks lose their tail.
 	Sinks []ResultSink
 	// CaptureMode selects full-trace or fingerprint-only capture for
-	// every run (default CaptureFull). In fingerprint mode no scenario
-	// materializes a Recording, and same-simKey scenarios that differ
-	// only in their FlagOnly detector are fused into one simulation
-	// observing all the detectors at once — the N-detectors-per-print
-	// sweep costs one print instead of N.
+	// every run the Cache does not memoize (default CaptureFull). In
+	// fingerprint mode those scenarios materialize no Recording, and
+	// same-simKey scenarios that differ only in their FlagOnly detector
+	// are fused into one simulation observing all the detectors at once
+	// — the N-detectors-per-print sweep costs one print instead of N.
 	CaptureMode CaptureMode
 }
 
@@ -105,8 +105,8 @@ type Campaign struct {
 // budget and the rig fields. Scenarios with equal keys simulate the same
 // print, so the campaign's three sharing decisions are projections of
 // it: the program hash picks the compiled plan, the full key (plus the
-// detector's binding) picks the fused simulation, and a default-rig key
-// is the golden cache's goldenKey.
+// detector's binding) picks the fused simulation, and the full key is
+// the golden cache's key (and, as storeKey, the golden store's).
 type simKey struct {
 	program [sha256.Size]byte
 	seed    uint64
@@ -286,14 +286,16 @@ feed:
 // golden cache for memoizable scenarios.
 func (c Campaign) runScenario(ctx context.Context, s *Scenario, k simKey, plan *planEntry, core *TestbedCore) ScenarioResult {
 	out := ScenarioResult{Name: s.Name, Seed: k.seed}
-	run := func() (*Result, error) { return c.runFresh(ctx, s, k, plan, core) }
-
 	var res *Result
 	var err error
 	if c.Cache != nil && s.goldenCacheable() {
-		res, err = c.Cache.run(goldenKey{program: k.program, seed: k.seed, budget: k.budget, mode: c.CaptureMode}, run)
+		// A memoized golden always records a full capture, so campaigns
+		// of either capture mode share it.
+		full := c
+		full.CaptureMode = CaptureFull
+		res, err = c.Cache.run(k, func() (*Result, error) { return full.runFresh(ctx, s, k, plan, core) })
 	} else {
-		res, err = run()
+		res, err = c.runFresh(ctx, s, k, plan, core)
 	}
 	if err != nil {
 		out.Err = fmt.Errorf("offramps: scenario %q: %w", s.Name, err)

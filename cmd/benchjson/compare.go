@@ -12,10 +12,12 @@ import (
 // archived reports and annotates regressions. CI points old.json at the
 // newest committed BENCH_<n>.json and new.json at the run's fresh
 // results; any benchmark whose tracked metric regressed past the
-// threshold emits a GitHub Actions ::warning:: annotation. The exit
-// status stays zero — perf tracking is advisory, not a gate — unless a
-// compared benchmark is missing from the new report, which means the
-// bench harness itself broke.
+// threshold emits a GitHub Actions ::warning:: annotation. A benchmark
+// the two reports ran at different iteration counts ("runs") is
+// reported as not comparable, with no delta. The exit status stays zero
+// — perf tracking is advisory, not a gate — unless a compared benchmark
+// is missing from the new report, which means the bench harness itself
+// broke.
 
 // loadReport reads an archived benchjson document and indexes it by the
 // names -benches may use: each benchmark's base name (the "-8"
@@ -114,6 +116,12 @@ func runCompare(oldPath, newPath, metric, benches string, threshold float64, out
 			// A tracked metric vanishing from the fresh report is a broken
 			// bench harness, not a 100% improvement.
 			missing = append(missing, fmt.Sprintf("%s (no %s)", name, metric))
+			continue
+		}
+		if o.Runs != n.Runs {
+			// A per-op figure moves with the iteration count (warm-up is
+			// amortized over b.N), so a delta across counts is noise.
+			fmt.Fprintf(out, "%s: not comparable: %d vs %d iterations in %s and %s\n", name, o.Runs, n.Runs, oldPath, newPath)
 			continue
 		}
 		if ov == 0 {

@@ -20,8 +20,10 @@
 //
 // printing per-benchmark deltas and a GitHub Actions ::warning::
 // annotation for any tracked benchmark that regressed past the
-// threshold. Comparison is advisory (exit 0 on regressions); only a
-// benchmark missing from the new report fails.
+// threshold. A benchmark recorded at different iteration counts in the
+// two reports prints "not comparable" instead of a delta. Comparison is
+// advisory (exit 0 on regressions); only a benchmark missing from the
+// new report fails.
 package main
 
 import (

@@ -206,6 +206,48 @@ func TestRunCompareAnnotatesRegressions(t *testing.T) {
 	}
 }
 
+// TestRunCompareRefusesDifferentIterationCounts: a benchmark the two
+// reports ran at different iteration counts gets no delta and no
+// regression annotation, while one at equal counts still compares.
+func TestRunCompareRefusesDifferentIterationCounts(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, golden int64) string {
+		rep := Report{Benchmarks: []Result{
+			{Name: "BenchmarkGoldenPrint-8", Runs: golden, Metrics: map[string]float64{"ns/op": 100}},
+			{Name: "BenchmarkCampaign-8", Runs: 2, Metrics: map[string]float64{"ns/op": 100}},
+		}}
+		if name == "new.json" {
+			for i := range rep.Benchmarks {
+				rep.Benchmarks[i].Metrics["ns/op"] = 200
+			}
+		}
+		data, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	old, cur := write("old.json", 10), write("new.json", 2)
+	var out strings.Builder
+	if err := runCompare(old, cur, "ns/op", "BenchmarkGoldenPrint,BenchmarkCampaign", 15, &out); err != nil {
+		t.Fatal(err)
+	}
+	text := out.String()
+	if !strings.Contains(text, "BenchmarkGoldenPrint: not comparable: 10 vs 2 iterations") {
+		t.Errorf("iteration mismatch not reported:\n%s", text)
+	}
+	if strings.Contains(text, "BenchmarkGoldenPrint: ns/op") || strings.Contains(text, "regression::BenchmarkGoldenPrint") {
+		t.Errorf("delta printed across iteration counts:\n%s", text)
+	}
+	if !strings.Contains(text, "BenchmarkCampaign: ns/op 100 -> 200 (+100.0%)") {
+		t.Errorf("equal-count benchmark not compared:\n%s", text)
+	}
+}
+
 func TestRunCompareMissingBenchFails(t *testing.T) {
 	dir := t.TempDir()
 	old := writeBenchReport(t, dir, "old.json", map[string]float64{"BenchmarkGoldenPrint": 1})

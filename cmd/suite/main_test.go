@@ -191,17 +191,19 @@ func TestRunRejectsMissingSpec(t *testing.T) {
 	}
 }
 
-// TestUnrepresentableMovesAreScenarioErrors: G-code whose moves the
-// simulator cannot represent — a microstep target past 2^53 or a move
-// too long for the simulation clock — fails its own scenario with a
-// row naming the command, and the runner exits non-zero. It used to
-// panic the whole process.
+// TestUnrepresentableMovesAreScenarioErrors: G-code the simulator
+// cannot represent — a microstep target past 2^53, a move too long for
+// the simulation clock, or a dwell too long for it — fails its own
+// scenario with a row naming the command, and the runner exits
+// non-zero instead of panicking or, for the dwell, wrapping the
+// duration to zero and completing the print.
 func TestUnrepresentableMovesAreScenarioErrors(t *testing.T) {
 	dir := t.TempDir()
 	cases := []struct{ name, src, want string }{
 		{"overflow", "G1 X99999999999999999999\nG1 X5\n", "(line 1): X target 1e+20 mm is outside ±2^53 microsteps"},
 		{"homed", "G28\nG1 X99999999999999999999\n", "(line 2): X target 1e+20 mm is outside ±2^53 microsteps"},
 		{"slow", "G1 X1000000000 F0.0000001\n", "(line 1): move duration 1e+11 s does not fit the simulation clock"},
+		{"dwell", "G4 P10000000000000\nG1 X5\n", "(line 1): dwell 1e+10 s does not fit the simulation clock"},
 	}
 	var scenarios []string
 	for _, c := range cases {

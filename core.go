@@ -66,22 +66,22 @@ func (c *TestbedCore) Reclaim(res *Result) {
 	}
 }
 
-// takeRecBufs hands every spare recording buffer to a new rig.
-func (c *TestbedCore) takeRecBufs() [][]capture.Transaction {
-	bufs := c.recBufs
-	c.recBufs = nil
-	return bufs
-}
+// takeRecBuf pops one spare recording buffer, or nil.
+func (c *TestbedCore) takeRecBuf() []capture.Transaction { return popBuf(&c.recBufs) }
 
 // takeDeposits pops one spare deposit ledger, or nil.
-func (c *TestbedCore) takeDeposits() []printer.Deposit {
-	if n := len(c.deposits); n > 0 {
-		d := c.deposits[n-1]
-		c.deposits[n-1] = nil
-		c.deposits = c.deposits[:n-1]
-		return d
+func (c *TestbedCore) takeDeposits() []printer.Deposit { return popBuf(&c.deposits) }
+
+// popBuf pops the last spare buffer off a core's free list, or nil.
+func popBuf[T any](bufs *[][]T) []T {
+	n := len(*bufs)
+	if n == 0 {
+		return nil
 	}
-	return nil
+	buf := (*bufs)[n-1]
+	(*bufs)[n-1] = nil
+	*bufs = (*bufs)[:n-1]
+	return buf
 }
 
 // corePool recycles worker cores across campaigns in one process.
@@ -94,6 +94,7 @@ func releaseCore(c *TestbedCore) { corePool.Put(c) }
 
 // WithCore builds the testbed on a pooled core: the core's engine is
 // Reset and reused, step trains come from the core's shared cache, and
-// any reclaimed recording/deposit buffers are donated to the new rig.
+// reclaimed deposit and recording buffers back the new rig's part and
+// its runs' recorded captures.
 // The caller must use cores sequentially (one live testbed per core).
 func WithCore(c *TestbedCore) Option { return func(o *options) { o.core = c } }

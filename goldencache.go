@@ -7,40 +7,20 @@ import (
 	"sync"
 
 	"offramps/internal/capture"
-	"offramps/internal/fpga"
 	"offramps/internal/gcode"
 	"offramps/internal/goldenstore"
-	"offramps/internal/sim"
 )
 
-// goldenKey content-addresses one golden print: the exact program (hashed
-// over raw float bits, finer than the 5-decimal G-code serialization), the
-// time-noise seed, and the effective run budget (the scenario's own, else
-// the campaign's). It is the simKey of a default-rig scenario plus the
-// capture mode. Everything else that shapes a cacheable scenario's
-// capture is the testbed's compiled-in default configuration, which is
-// constant for a build: scenarios with a trojan or detector factory, or
-// a non-default tap, settle or bypass, are never cached (see
-// Scenario.goldenCacheable and DESIGN.md §6).
-type goldenKey struct {
-	program [sha256.Size]byte
-	seed    uint64
-	budget  sim.Time
-	// mode keeps full-trace and fingerprint-only results apart: the two
-	// are deliberately different shapes (one carries a Recording, the
-	// other only summaries), so a campaign must never be handed the
-	// other mode's cached result.
-	mode CaptureMode
-}
-
-// storeKey maps the in-memory key onto the persistent store's key type
+// storeKey maps a simulation key onto the persistent store's key type
 // (identical fields; goldenstore cannot import this package).
-func (k goldenKey) storeKey() goldenstore.Key {
+func (k simKey) storeKey() goldenstore.Key {
 	return goldenstore.Key{
 		Program: k.program,
 		Seed:    k.seed,
 		Budget:  int64(k.budget),
-		Mode:    uint8(k.mode),
+		Tap:     uint8(k.tap),
+		Settle:  int64(k.settle),
+		Bypass:  k.bypass,
 	}
 }
 
@@ -77,20 +57,20 @@ type goldenEntry struct {
 	err  error
 }
 
-// GoldenCache memoizes golden (trojan-free, detector-free, unmodified)
-// print runs across campaigns. The experiment suite re-simulates
-// bit-identical goldens — TableII, Figure4, and Drift all print the same
-// program with overlapping seeds — so a shared cache lets each golden be
-// simulated exactly once per process. Determinism makes this sound: a
-// cached Result is bit-identical to a fresh run with the same key (the
-// store row of TestExecutionPathsAgree). The cache is unbounded: it
-// holds every golden a process asks for.
+// GoldenCache memoizes golden (trojan-free, detector-free) print runs
+// across campaigns, keyed by their simKey. The experiment suite
+// re-simulates bit-identical goldens — TableII, Figure4, and Drift all
+// print the same program with overlapping seeds — so a shared cache lets
+// each golden be simulated exactly once per process. Determinism makes
+// this sound: a cached Result is bit-identical to a fresh run with the
+// same key (the store row of TestExecutionPathsAgree). The cache is
+// unbounded: it holds every golden a process asks for.
 //
 // Cached Results (including Part and Recording) are shared read-only;
 // everything downstream of a campaign treats results as immutable.
 type GoldenCache struct {
 	mu      sync.Mutex
-	entries map[goldenKey]*goldenEntry
+	entries map[simKey]*goldenEntry
 	hits    uint64
 	misses  uint64
 	// bytes is the retained-size estimate of every settled entry.
@@ -113,7 +93,7 @@ type GoldenCache struct {
 
 // NewGoldenCache returns an empty cache.
 func NewGoldenCache() *GoldenCache {
-	return &GoldenCache{entries: make(map[goldenKey]*goldenEntry)}
+	return &GoldenCache{entries: make(map[simKey]*goldenEntry)}
 }
 
 // AttachStore wires a persistent golden store behind the in-memory tier.
@@ -200,11 +180,11 @@ func resultBytes(res *Result) int64 {
 // error that may have been the owner's alone (a cancelled context), so a
 // transient failure never poisons the key — and never fails bystanders.
 // Failures are not memoized.
-func (gc *GoldenCache) run(key goldenKey, fresh func() (*Result, error)) (*Result, error) {
+func (gc *GoldenCache) run(key simKey, fresh func() (*Result, error)) (*Result, error) {
 	for {
 		gc.mu.Lock()
 		if gc.entries == nil {
-			gc.entries = make(map[goldenKey]*goldenEntry)
+			gc.entries = make(map[simKey]*goldenEntry)
 		}
 		if gc.store != nil {
 			if gc.used == nil {
@@ -252,7 +232,7 @@ func (gc *GoldenCache) run(key goldenKey, fresh func() (*Result, error)) (*Resul
 // store if one is attached (a corrupt or undecodable entry is a miss,
 // never an error), otherwise simulate fresh and write the golden back
 // best-effort.
-func (gc *GoldenCache) fill(key goldenKey, fresh func() (*Result, error)) (*Result, error) {
+func (gc *GoldenCache) fill(key simKey, fresh func() (*Result, error)) (*Result, error) {
 	gc.mu.Lock()
 	store := gc.store
 	gc.mu.Unlock()
@@ -299,11 +279,11 @@ func (gc *GoldenCache) UsedStoreKeys() []goldenstore.Key {
 	return out
 }
 
-// goldenCacheable reports whether the scenario is a pure golden print the
-// cache may memoize: no trojan, no detector, and the default tap, settle
-// and board. Those are exactly the rig fields goldenKey leaves out, so
-// the key covers everything that shapes a cacheable scenario's capture.
+// goldenCacheable reports whether the scenario is a golden print the
+// cache may memoize: no trojan and no detector. Its simKey covers
+// everything else that shapes the run — program, seed, budget and rig
+// — and a memoized golden always records a full capture, whatever the
+// campaign's capture mode.
 func (s *Scenario) goldenCacheable() bool {
-	return s.Trojan == nil && s.Detector == nil &&
-		s.Tap == fpga.TapArduino && s.Settle == 0 && !s.Bypass
+	return s.Trojan == nil && s.Detector == nil
 }

@@ -1,7 +1,9 @@
 package offramps
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -10,6 +12,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"offramps/internal/detect"
 	"offramps/internal/fpga"
 	"offramps/internal/goldenstore"
 	"offramps/internal/sim"
@@ -50,40 +53,24 @@ func TestGoldenCacheKeySeparation(t *testing.T) {
 	}
 }
 
-// TestGoldenCacheModeSeparation: full-trace and fingerprint-mode results
-// are different shapes; the key must keep them apart.
-func TestGoldenCacheModeSeparation(t *testing.T) {
-	gc := NewGoldenCache()
-	fresh := func() (*Result, error) { return &Result{}, nil }
-	k := goldenKey{seed: 1}
-	kf := k
-	kf.mode = CaptureFingerprint
-	if _, err := gc.run(k, fresh); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := gc.run(kf, fresh); err != nil {
-		t.Fatal(err)
-	}
-	if gc.Len() != 2 {
-		t.Fatalf("modes share a cache entry: len=%d", gc.Len())
-	}
-}
-
 // TestGoldenCacheSkipsNonGoldenScenarios verifies scenarios carrying a
-// trojan or a non-default rig (settle, tap) bypass the cache entirely,
-// while a golden with its own Budget is cached under the effective budget:
-// a campaign whose Budget equals it hits the same entry.
+// trojan or a detector bypass the cache entirely, while rig variants —
+// settle, tap, bypass — memoize under their own keys, each apart from
+// the default-rig golden of the same program and seed. A golden with
+// its own Budget is cached under the effective budget: a campaign whose
+// Budget equals it hits the same entry.
 func TestGoldenCacheSkipsNonGoldenScenarios(t *testing.T) {
 	prog := mustTestPart(t)
 	cache := NewGoldenCache()
-	scens := []Scenario{
+	skipped := []Scenario{
 		{Name: "t2", Program: prog, Seed: 1, Trojan: func(uint64) fpga.Trojan {
 			return trojan.NewT2ExtrusionReduction(trojan.T2Params{KeepRatio: 0.5})
 		}},
-		{Name: "settle", Program: prog, Seed: 1, Settle: 3 * sim.Second},
-		{Name: "ramps-tap", Program: prog, Seed: 1, Tap: fpga.TapRAMPS},
+		{Name: "monitor", Program: prog, Seed: 1, Detector: func() (detect.Detector, error) {
+			return detect.NewRuleEngine(detect.DefaultLimits())
+		}},
 	}
-	results, err := Campaign{Workers: 1, Cache: cache}.Run(context.Background(), scens)
+	results, err := Campaign{Workers: 1, Cache: cache}.Run(context.Background(), skipped)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,12 +78,49 @@ func TestGoldenCacheSkipsNonGoldenScenarios(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cache.Len() != 0 {
-		t.Errorf("non-golden scenarios were cached: %d entries", cache.Len())
+		t.Errorf("trojan/detector scenarios were cached: %d entries", cache.Len())
 	}
 	if hits, misses := cache.Stats(); hits != 0 || misses != 0 {
-		t.Errorf("cache consulted for non-golden scenarios: %d hits / %d misses", hits, misses)
+		t.Errorf("cache consulted for trojan/detector scenarios: %d hits / %d misses", hits, misses)
 	}
 
+	rigs := []Scenario{
+		{Name: "default", Program: prog, Seed: 1},
+		{Name: "settle", Program: prog, Seed: 1, Settle: 3 * sim.Second},
+		{Name: "ramps-tap", Program: prog, Seed: 1, Tap: fpga.TapRAMPS},
+		{Name: "dual-tap", Program: prog, Seed: 1, Tap: fpga.TapDual},
+		{Name: "bypass", Program: prog, Seed: 1, Bypass: true},
+	}
+	first, err := Campaign{Workers: 2, Cache: cache}.Run(context.Background(), rigs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := firstScenarioErr(first); err != nil {
+		t.Fatal(err)
+	}
+	if cache.Len() != len(rigs) {
+		t.Fatalf("rig variants: %d cache entries, want %d (one per rig)", cache.Len(), len(rigs))
+	}
+	again, err := Campaign{Workers: 2, Cache: cache}.Run(context.Background(), rigs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range rigs {
+		if again[i].Result != first[i].Result {
+			t.Errorf("%s: rerun did not share the memoized result", rigs[i].Name)
+		}
+	}
+	if hits, misses := cache.Stats(); hits != uint64(len(rigs)) || misses != uint64(len(rigs)) {
+		t.Errorf("rig variants rerun: %d hits / %d misses, want %d / %d", hits, misses, len(rigs), len(rigs))
+	}
+	if first[4].Result.Recording != nil || first[0].Result.Recording.Len() == 0 {
+		t.Error("bypass golden carries a capture, or the default golden none")
+	}
+	if rec := first[3].Result; rec.ArduinoRecording != rec.Recording || rec.RAMPSRecording == nil {
+		t.Error("dual-tap golden lost its per-side captures")
+	}
+
+	cache = NewGoldenCache()
 	const budget = 40 * 60 * sim.Second
 	own, err := Campaign{Workers: 1, Cache: cache}.Run(context.Background(),
 		[]Scenario{{Name: "own-budget", Program: prog, Seed: 1, Budget: budget}})
@@ -122,6 +146,57 @@ func TestGoldenCacheSkipsNonGoldenScenarios(t *testing.T) {
 	}
 	if own[0].Result != shared[0].Result {
 		t.Error("equal effective budgets did not share the memoized result")
+	}
+}
+
+// TestGoldenStoreSharedAcrossCaptureModes: a golden is one shape, so a
+// golden a fingerprint-mode campaign persists serves a full-mode
+// campaign in a fresh process — no simulation, identical report bytes.
+func TestGoldenStoreSharedAcrossCaptureModes(t *testing.T) {
+	prog := mustTestPart(t)
+	scens := []Scenario{{Name: "golden", Program: prog, Seed: 5}}
+	dir := t.TempDir()
+	run := func(mode CaptureMode) (*GoldenCache, []ScenarioResult) {
+		t.Helper()
+		store, err := goldenstore.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cache := NewGoldenCache()
+		cache.AttachStore(store)
+		res, err := Campaign{Workers: 1, Cache: cache, CaptureMode: mode}.Run(context.Background(), scens)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := firstScenarioErr(res); err != nil {
+			t.Fatal(err)
+		}
+		return cache, res
+	}
+	fpCache, fpRes := run(CaptureFingerprint)
+	if fpCache.Sims() != 1 {
+		t.Fatalf("cold fingerprint-mode campaign: %d simulations, want 1", fpCache.Sims())
+	}
+	if rec := fpRes[0].Result.Recording; rec == nil || rec.Len() == 0 {
+		t.Error("golden run in a fingerprint-mode campaign did not record a full capture")
+	}
+	fullCache, fullRes := run(CaptureFull)
+	if fullCache.Sims() != 0 {
+		t.Errorf("full-mode campaign re-simulated the stored golden: %d simulations", fullCache.Sims())
+	}
+	if hits, _ := fullCache.StoreStats(); hits != 1 {
+		t.Errorf("full-mode campaign: %d store hits, want 1", hits)
+	}
+	fpJSON, err := json.Marshal(fpRes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fullJSON, err := json.Marshal(fullRes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fpJSON, fullJSON) {
+		t.Errorf("report bytes differ across capture modes:\n fingerprint %s\n full        %s", fpJSON, fullJSON)
 	}
 }
 
@@ -197,7 +272,7 @@ func TestGoldenCacheStoreCorruptFallsBackToSim(t *testing.T) {
 // error — and a join served no result must not count as a hit.
 func TestGoldenCacheFailedOwnerWaitersRetry(t *testing.T) {
 	gc := NewGoldenCache()
-	key := goldenKey{seed: 42}
+	key := simKey{seed: 42}
 	ownerIn := make(chan struct{})
 	release := make(chan struct{})
 	var calls atomic.Int32
@@ -278,7 +353,7 @@ func TestGoldenCacheFailedOwnerWaitersRetry(t *testing.T) {
 // quiescent exactly one settled result's estimate per entry.
 func TestGoldenCacheChurnInvariants(t *testing.T) {
 	gc := NewGoldenCache()
-	key := func(b byte) goldenKey { return goldenKey{program: [32]byte{b}} }
+	key := func(b byte) simKey { return simKey{program: [32]byte{b}} }
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

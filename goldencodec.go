@@ -19,13 +19,14 @@ import (
 const GoldenCodecVersion uint32 = 1
 
 // A golden result is the restricted Result shape the cache memoizes:
-// trojan-free, detector-free, default-rig (see Scenario.goldenCacheable).
-// The codec leans on that: it refuses anything carrying detector
-// reports, an abort, or a firmware halt, so the encoded form only ever
-// has to cover captures, fingerprints, the deposited part, quality, and
-// the thermal/step summaries — and a decoded result is bit-identical
-// (reflect.DeepEqual, including recording aliasing between the primary
-// and per-side tap views) to the fresh run it was encoded from.
+// trojan-free and detector-free, on any rig (see
+// Scenario.goldenCacheable). The codec leans on that: it refuses
+// anything carrying detector reports, an abort, or a firmware halt, so
+// the encoded form only ever has to cover captures, fingerprints, the
+// deposited part, quality, and the thermal/step summaries — and a
+// decoded result is bit-identical (reflect.DeepEqual, including
+// recording aliasing between the primary and per-side tap views) to the
+// fresh run it was encoded from.
 
 // encodable rejects results the golden codec does not cover. The store
 // simply skips persisting these; correctness never depends on an entry

@@ -8,14 +8,15 @@ import (
 
 	"offramps/internal/capture"
 	"offramps/internal/detect"
+	"offramps/internal/fpga"
 )
 
-// goldenResultForTest simulates one golden print and returns its result.
-func goldenResultForTest(t *testing.T, mode CaptureMode) *Result {
+// goldenResultForTest simulates the golden print on the rig scenario
+// rig describes (its Tap, Settle and Bypass) and returns its result.
+func goldenResultForTest(t *testing.T, mode CaptureMode, rig Scenario) *Result {
 	t.Helper()
-	prog := mustTestPart(t)
-	scens := []Scenario{{Name: "golden", Program: prog, Seed: 5}}
-	results, err := Campaign{Workers: 1, CaptureMode: mode}.Run(context.Background(), scens)
+	rig.Name, rig.Program, rig.Seed = "golden", mustTestPart(t), 5
+	results, err := Campaign{Workers: 1, CaptureMode: mode}.Run(context.Background(), []Scenario{rig})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,11 +28,22 @@ func goldenResultForTest(t *testing.T, mode CaptureMode) *Result {
 
 // TestGoldenCodecRoundTrip: encode→decode over a real simulated golden is
 // indistinguishable from the original — reflect.DeepEqual down to the
-// unexported fingerprint state, in both capture modes.
+// unexported fingerprint state — in both capture modes and on the rigs
+// the cache memoizes besides the default: a bypassed board (no capture
+// at all) and a dual tap (two captures, the primary aliasing one).
 func TestGoldenCodecRoundTrip(t *testing.T) {
-	for _, mode := range []CaptureMode{CaptureFull, CaptureFingerprint} {
-		t.Run(mode.String(), func(t *testing.T) {
-			res := goldenResultForTest(t, mode)
+	for _, c := range []struct {
+		name string
+		mode CaptureMode
+		rig  Scenario
+	}{
+		{CaptureFull.String(), CaptureFull, Scenario{}},
+		{CaptureFingerprint.String(), CaptureFingerprint, Scenario{}},
+		{"bypass", CaptureFull, Scenario{Bypass: true}},
+		{"dual-tap", CaptureFull, Scenario{Tap: fpga.TapDual}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			res := goldenResultForTest(t, c.mode, c.rig)
 			enc, err := encodeGoldenResult(res)
 			if err != nil {
 				t.Fatal(err)
@@ -59,7 +71,7 @@ func TestGoldenCodecRoundTrip(t *testing.T) {
 // primary recording/fingerprint object, the decoded result must share it
 // too — consumers compare these by pointer.
 func TestGoldenCodecPreservesAliasing(t *testing.T) {
-	res := goldenResultForTest(t, CaptureFull)
+	res := goldenResultForTest(t, CaptureFull, Scenario{})
 	enc, err := encodeGoldenResult(res)
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +98,7 @@ func TestGoldenCodecPreservesAliasing(t *testing.T) {
 // accepting Adds with correct delta accounting (the unexported previous-
 // window counters are rehydrated, not zeroed).
 func TestGoldenCodecFingerprintStaysLive(t *testing.T) {
-	res := goldenResultForTest(t, CaptureFingerprint)
+	res := goldenResultForTest(t, CaptureFingerprint, Scenario{})
 	enc, err := encodeGoldenResult(res)
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +145,7 @@ func TestGoldenCodecRejectsNonGolden(t *testing.T) {
 // tried; the long digest/deposit tail is sampled with a prime stride so
 // the quadratic sweep stays fast under -race.
 func TestGoldenCodecRejectsMalformed(t *testing.T) {
-	res := goldenResultForTest(t, CaptureFingerprint)
+	res := goldenResultForTest(t, CaptureFingerprint, Scenario{})
 	enc, err := encodeGoldenResult(res)
 	if err != nil {
 		t.Fatal(err)

@@ -6,35 +6,6 @@ import (
 	"offramps/internal/sim"
 )
 
-// Mode selects how a capture session materializes what the tracker
-// exports. ModeFull keeps every transaction in Recording.Transactions —
-// the paper's CSV trace, required for offline replay and reconstruction.
-// ModeFingerprint streams each transaction into the bound detectors and
-// a rolling Fingerprint only, never growing the trace: allocations stay
-// O(1) in window count, which is what lets a wide campaign scale with
-// scenario count instead of print length.
-type Mode int
-
-const (
-	// ModeFull records the complete transaction trace (default).
-	ModeFull Mode = iota
-	// ModeFingerprint keeps only the rolling fingerprint; the trace is
-	// never materialized.
-	ModeFingerprint
-)
-
-// String names the mode for logs and JSON.
-func (m Mode) String() string {
-	switch m {
-	case ModeFull:
-		return "full"
-	case ModeFingerprint:
-		return "fingerprint"
-	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
-	}
-}
-
 // FNV-1a 64-bit parameters; the digest is a running FNV-1a over the
 // 16-byte wire frame of every exported transaction, so two captures have
 // equal digests exactly when they exported identical frame sequences.
@@ -59,7 +30,7 @@ type AxisSummary struct {
 // the window count and cadence, a running FNV-1a-64 digest over every
 // exported frame, and per-axis window summaries. It is updated in place
 // by Add with zero allocations, making it the O(1) stand-in for a full
-// Recording in fingerprint-mode runs. Axes are indexed X, Y, Z, E.
+// Recording in runs that keep no trace. Axes are indexed X, Y, Z, E.
 type Fingerprint struct {
 	Windows   int            `json:"windows"`
 	Period    sim.Time       `json:"period"`
@@ -148,9 +119,9 @@ func (fp *Fingerprint) String() string {
 		fp.Axes[0].Final, fp.Axes[1].Final, fp.Axes[2].Final, fp.Axes[3].Final)
 }
 
-// FingerprintOf computes the fingerprint a fingerprint-mode capture of
-// rec's transaction sequence would have produced — the differential
-// anchor between modes.
+// FingerprintOf computes the fingerprint an exporter streaming rec's
+// transaction sequence would have kept — the differential anchor
+// between a recorded trace and its rolling summary.
 func FingerprintOf(rec *Recording) Fingerprint {
 	fp := Fingerprint{Period: rec.Period, StartedAt: rec.StartedAt}
 	for _, t := range rec.Transactions {

@@ -36,8 +36,8 @@ type Compiled struct {
 
 // Bounds on what a move may ask of the simulator. A target's microstep
 // count must be exactly representable in a float64 (and so far inside
-// int64), and a move's duration must fit in half of sim.Time's range, so
-// the run's clock can add it without overflow.
+// int64), and a move's or dwell's duration must fit in half of
+// sim.Time's range, so the run's clock can add it without overflow.
 const (
 	maxTargetSteps = 1 << 53
 	maxMoveSeconds = float64(1<<62) / float64(sim.Second)
@@ -45,9 +45,11 @@ const (
 
 // Compile dry-runs the program's geometry under cfg: it tracks the
 // modal G-code state, machine position, and G92 offsets, and plans
-// every move. It fails on an invalid config and on a move the simulator
-// cannot represent: a non-finite target, a target of 2^53 microsteps or
-// more, or a duration that is not finite or does not fit in sim.Time.
+// every move. It fails on an invalid config and on a command the
+// simulator cannot represent: a move with a non-finite target, a target
+// of 2^53 microsteps or more, or a duration that is not finite or does
+// not fit in sim.Time, and a G4 dwell whose duration is not finite or
+// does not fit either.
 // The returned plan is only valid for firmwares built with an identical
 // motion configuration (StepsPerMM, feedrates, acceleration, pulse
 // timing); seed and time-noise settings do not affect planning and may
@@ -78,6 +80,10 @@ func Compile(prog gcode.Program, cfg Config) (*Compiled, error) {
 					}
 				}
 			}
+		case "G4":
+			if d := dwellSeconds(cmd); math.IsInf(d, 0) || !(d <= maxMoveSeconds) {
+				return nil, fmt.Errorf("firmware: command %d %q (line %d): dwell %g s does not fit the simulation clock", i+1, cmd.String(), cmd.Line, d)
+			}
 		case "G28":
 			// Net effect of double-tap homing: each homed axis's machine
 			// position and G92 offset are zeroed.
@@ -101,6 +107,18 @@ func Compile(prog gcode.Program, cfg Config) (*Compiled, error) {
 		}
 	}
 	return c, nil
+}
+
+// dwellSeconds is the pause a G4 asks for: P milliseconds, else S
+// seconds, else none. A negative pause runs as none.
+func dwellSeconds(cmd gcode.Command) float64 {
+	if v, ok := cmd.Float('P'); ok {
+		return v / 1000
+	}
+	if v, ok := cmd.Float('S'); ok {
+		return v
+	}
+	return 0
 }
 
 // homedAxes returns the axes a G28 homes, in the configured order: the

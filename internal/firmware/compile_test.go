@@ -1,6 +1,7 @@
 package firmware
 
 import (
+	"math"
 	"testing"
 
 	"offramps/internal/flaw3d"
@@ -30,15 +31,17 @@ func testPart(tb testing.TB) (part, tampered gcode.Program) {
 // FuzzCompile feeds every program the parser accepts to Compile. It must
 // never panic: it either rejects the program or returns one entry per
 // command, each with non-negative step counts and a duration the
-// simulation clock can hold. The seeds are the test part, a Flaw3D
-// tampered copy, and two moves the simulator cannot represent (a target
-// past 2^53 microsteps, and a move too long for the clock).
+// simulation clock can hold, and every dwell it accepts fits the clock
+// too. The seeds are the test part, a Flaw3D tampered copy, two moves
+// the simulator cannot represent (a target past 2^53 microsteps, and a
+// move too long for the clock) and a dwell too long for the clock.
 func FuzzCompile(f *testing.F) {
 	part, tampered := testPart(f)
 	f.Add(part.String())
 	f.Add(tampered.String())
 	f.Add("G1 X99999999999999999999\nG1 X5\n")
 	f.Add("G1 X1000000000 F0.0000001\n")
+	f.Add("G4 P10000000000000\nG1 X5\n")
 	cfg := DefaultConfig()
 	f.Fuzz(func(t *testing.T, src string) {
 		prog, err := gcode.ParseString(src)
@@ -60,6 +63,9 @@ func FuzzCompile(f *testing.F) {
 			}
 			if d := e.pm.prof.total(); !(d >= 0 && d < maxMoveSeconds) || e.pm.duration() < 0 {
 				t.Fatalf("command %d %q: duration %g s", i+1, prog[i].String(), d)
+			}
+			if d := dwellSeconds(prog[i]); prog[i].Code == "G4" && (math.IsInf(d, 0) || !(d <= maxMoveSeconds)) {
+				t.Fatalf("command %d %q: dwell %g s accepted", i+1, prog[i].String(), d)
 			}
 		}
 	})

@@ -295,17 +295,15 @@ func (fw *Firmware) executeNext() {
 }
 
 // executeDwell handles G4 (P milliseconds or S seconds).
+// Compile has bounded the duration; a negative one runs as none.
 func (fw *Firmware) executeDwell(cmd gcode.Command) {
-	var d sim.Time
+	var d float64
 	if v, ok := cmd.Float('P'); ok {
-		d = sim.Time(v * float64(sim.Millisecond))
+		d = v * float64(sim.Millisecond)
 	} else if v, ok := cmd.Float('S'); ok {
-		d = sim.Time(v * float64(sim.Second))
+		d = v * float64(sim.Second)
 	}
-	if d < 0 {
-		d = 0
-	}
-	fw.engine.After(d, fw.nextFn)
+	fw.engine.After(sim.Time(max(d, 0)), fw.nextFn)
 }
 
 // waitForHeater polls until the heater reaches its setpoint (M109/M190).

@@ -137,15 +137,11 @@ type Board struct {
 
 	homing *HomingDetector
 	// taps holds one monitoring tap (tracker + exporter) per tapped bus;
-	// primary is the side Recording()/Tracker() report, in tap preference
-	// order (Arduino when tapped — the paper's rig — else RAMPS).
+	// primary is the side Fingerprint()/Tracker() report, in tap
+	// preference order (Arduino when tapped — the paper's rig — else
+	// RAMPS).
 	taps    map[TapSide]*tap
 	primary TapSide
-
-	// spare holds recycled recording buffers donated by a pooled testbed
-	// core; exporters consume them (in start order) instead of
-	// allocating fresh backing arrays.
-	spare [][]capture.Transaction
 
 	trojans map[string]Trojan
 	order   []string
@@ -255,7 +251,7 @@ func (b *Board) Path(pin string) *PinPath {
 // Homing exposes the homing detection module.
 func (b *Board) Homing() *HomingDetector { return b.homing }
 
-// PrimaryTap reports the side Recording() and Tracker() serve: the
+// PrimaryTap reports the side Fingerprint() and Tracker() serve: the
 // Arduino side whenever it is tapped (the paper's rig), else RAMPS.
 func (b *Board) PrimaryTap() TapSide { return b.primary }
 
@@ -271,35 +267,10 @@ func (b *Board) TrackerAt(side TapSide) *AxisTracker {
 	return nil
 }
 
-// SetCaptureMode selects full-trace or fingerprint-only capture for
-// every tap. It must be called before any exporter starts (i.e. before
-// the print's first post-homing step); changing mode mid-capture is an
-// error.
-func (b *Board) SetCaptureMode(m capture.Mode) error {
-	if m != capture.ModeFull && m != capture.ModeFingerprint {
-		return fmt.Errorf("fpga: unknown capture mode %v", m)
-	}
-	for _, t := range b.taps {
-		if t.exporter.started {
-			return fmt.Errorf("fpga: capture already started; cannot switch to %v mode", m)
-		}
-	}
-	for _, t := range b.taps {
-		t.exporter.mode = m
-	}
-	return nil
-}
-
-// CaptureMode reports the capture mode in effect.
-func (b *Board) CaptureMode() capture.Mode { return b.taps[b.primary].exporter.mode }
-
-// Windows reports how many transactions the primary tap has exported —
-// valid in both capture modes (Recording().Len() is always zero in
-// fingerprint mode).
+// Windows reports how many transactions the primary tap has exported.
 func (b *Board) Windows() int { return b.taps[b.primary].exporter.Windows() }
 
-// Fingerprint returns the primary tap's rolling capture fingerprint,
-// maintained in both modes.
+// Fingerprint returns the primary tap's rolling capture fingerprint.
 func (b *Board) Fingerprint() *capture.Fingerprint { return b.taps[b.primary].exporter.Fingerprint() }
 
 // FingerprintAt returns one side's fingerprint, or nil when that side
@@ -311,37 +282,12 @@ func (b *Board) FingerprintAt(side TapSide) *capture.Fingerprint {
 	return nil
 }
 
-// DonateScratch hands the board recycled transaction buffers (length
-// zero, capacity retained) for exporters to record into instead of
-// allocating. Only meaningful before capture starts; full mode only.
-func (b *Board) DonateScratch(bufs [][]capture.Transaction) { b.spare = append(b.spare, bufs...) }
-
-// scratch pops one donated buffer, or nil.
-func (b *Board) scratch() []capture.Transaction {
-	if n := len(b.spare); n > 0 {
-		buf := b.spare[n-1]
-		b.spare = b.spare[:n-1]
-		return buf[:0]
-	}
-	return nil
-}
-
-// Recording returns the primary tap's capture accumulated so far.
-func (b *Board) Recording() *capture.Recording { return b.taps[b.primary].exporter.recording }
-
-// RecordingAt returns one side's capture, or nil when that side is not
-// tapped. side must be TapArduino or TapRAMPS.
-func (b *Board) RecordingAt(side TapSide) *capture.Recording {
-	if t, ok := b.taps[side]; ok {
-		return t.exporter.recording
-	}
-	return nil
-}
-
 // OnExport registers fn to receive every capture transaction one side's
-// exporter emits, in export order — the per-side streaming feed that
-// lets side-bound live detectors observe a chosen tap instead of
-// polling the primary recording. side must be TapArduino or TapRAMPS;
+// exporter emits, in export order — the per-side stream the host
+// records a capture from and live detectors observe. The board keeps
+// no trace itself: what to record is the subscriber's choice, as on
+// the paper's rig, where the FPGA streams window counts over the UART
+// and the host writes the CSV. side must be TapArduino or TapRAMPS;
 // subscribing to an untapped side is an error.
 func (b *Board) OnExport(side TapSide, fn func(capture.Transaction)) error {
 	t, ok := b.taps[side]
@@ -352,7 +298,7 @@ func (b *Board) OnExport(side TapSide, fn func(capture.Transaction)) error {
 	return nil
 }
 
-// StopCapture halts every export ticker; the recordings keep their
+// StopCapture halts every export ticker; the fingerprints keep their
 // contents.
 func (b *Board) StopCapture() {
 	for _, t := range b.taps {

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"offramps/internal/capture"
 	"offramps/internal/signal"
 	"offramps/internal/sim"
 )
@@ -19,6 +20,21 @@ func testRig(t *testing.T) (*sim.Engine, *signal.Bus, *signal.Bus, *Board) {
 		t.Fatal(err)
 	}
 	return e, arduino, ramps, b
+}
+
+// recordSide subscribes a recording to one side's export stream, as the
+// host does; the board itself keeps no trace.
+func recordSide(t *testing.T, b *Board, side TapSide) *capture.Recording {
+	t.Helper()
+	rec := &capture.Recording{Period: b.Config().ExportPeriod}
+	if err := b.OnExport(side, func(tx capture.Transaction) {
+		if err := rec.Append(tx); err != nil {
+			t.Error(err)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return rec
 }
 
 func TestBoardForwardsControlWithDelay(t *testing.T) {

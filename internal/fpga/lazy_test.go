@@ -33,6 +33,8 @@ type lazyRig struct {
 	board  *Board
 	plant  *printer.Plant
 	killed bool
+	// recs records each tapped side's export stream (nil when untapped).
+	recs [2]*capture.Recording
 	// accepted counts trains the board took lazily.
 	accepted int
 }
@@ -67,8 +69,17 @@ func newUnhomedRig(t *testing.T, cfg Config, eager bool, pcfg printer.Config) *l
 			ard.Step(a).Watch(func(sim.Time, signal.Level) {})
 		}
 	}
-	return &lazyRig{t: t, e: e, ard: ard, ramps: ramps, board: b, plant: p}
+	r := &lazyRig{t: t, e: e, ard: ard, ramps: ramps, board: b, plant: p}
+	for _, side := range []TapSide{TapArduino, TapRAMPS} {
+		if b.FingerprintAt(side) != nil {
+			r.recs[side] = recordSide(t, b, side)
+		}
+	}
+	return r
 }
+
+// txs returns the primary tap's recorded transactions.
+func (r *lazyRig) txs() []capture.Transaction { return r.recs[r.board.PrimaryTap()].Transactions }
 
 // home double-taps the given axes' MIN switches, in order, from 10 ms
 // on, 100 ms per axis: X, Y and Z complete a homing cycle at 260 ms.
@@ -207,7 +218,7 @@ func (r *lazyRig) state() lazyState {
 		}
 	}
 	for _, side := range []TapSide{TapArduino, TapRAMPS} {
-		if rec := r.board.RecordingAt(side); rec != nil {
+		if rec := r.recs[side]; rec != nil {
 			s.Recordings = append(s.Recordings, rec)
 			s.Fingerprints = append(s.Fingerprints, *r.board.FingerprintAt(side))
 			tk := r.board.TrackerAt(side)
@@ -293,7 +304,7 @@ func TestLazyTickOnArduinoRise(t *testing.T) {
 	if r.accepted != 3 {
 		t.Fatalf("lazy rig accepted %d trains, want 3", r.accepted)
 	}
-	txs := r.board.Recording().Transactions
+	txs := r.txs()
 	if len(txs) < 3 || txs[1].X != 2 || txs[2].Y != 2 {
 		t.Errorf("tick snapshots %+v: want X=2 at tick 2 (its pulse 1 follows), Y=2 at tick 3 (its pulse 1 precedes)", txs[:3])
 	}
@@ -313,7 +324,7 @@ func TestLazyTickOnRAMPSCopy(t *testing.T) {
 	if r.accepted != 1 {
 		t.Fatalf("lazy rig accepted %d trains, want 1", r.accepted)
 	}
-	if txs := r.board.Recording().Transactions; len(txs) < 2 || txs[1].X != 2 {
+	if txs := r.txs(); len(txs) < 2 || txs[1].X != 2 {
 		t.Errorf("tick snapshots %+v: want X=2 at tick 2", txs)
 	}
 }

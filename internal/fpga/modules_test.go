@@ -252,8 +252,9 @@ func TestAxisTrackerResetAndFirstStep(t *testing.T) {
 
 func TestExporterLifecycle(t *testing.T) {
 	e, arduino, ramps, b := testRig(t)
-	if b.Recording().Len() != 0 {
-		t.Fatal("recording not empty at start")
+	rec := recordSide(t, b, TapArduino)
+	if b.Windows() != 0 {
+		t.Fatal("windows exported at start")
 	}
 
 	// Complete a homing cycle.
@@ -267,7 +268,7 @@ func TestExporterLifecycle(t *testing.T) {
 	if err := e.Run(e.Now() + sim.Second); err != nil {
 		t.Fatal(err)
 	}
-	if b.Recording().Len() != 0 {
+	if rec.Len() != 0 || b.Windows() != 0 {
 		t.Error("exporter ran before the first STEP edge")
 	}
 
@@ -280,19 +281,19 @@ func TestExporterLifecycle(t *testing.T) {
 	if err := e.Run(endOfHoming + 2*sim.Second + 1050*sim.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	got := b.Recording().Len()
-	if got != 10 {
+	got := rec.Len()
+	if got != 10 || b.Windows() != got {
 		t.Errorf("transactions after 1.05 s = %d, want 10", got)
 	}
-	if b.Recording().Transactions[0].X != 1 {
-		t.Errorf("first window X = %d, want 1", b.Recording().Transactions[0].X)
+	if rec.Transactions[0].X != 1 {
+		t.Errorf("first window X = %d, want 1", rec.Transactions[0].X)
 	}
 
 	b.StopCapture()
 	if err := e.Run(e.Now() + sim.Second); err != nil {
 		t.Fatal(err)
 	}
-	if b.Recording().Len() != got {
+	if rec.Len() != got || b.Windows() != got {
 		t.Error("exporter kept running after StopCapture")
 	}
 }

@@ -74,14 +74,17 @@ func TestRAMPSTapIsPrimaryWhenArduinoUntapped(t *testing.T) {
 	if b.PrimaryTap() != TapRAMPS {
 		t.Errorf("primary tap = %v, want ramps", b.PrimaryTap())
 	}
-	if b.TrackerAt(TapArduino) != nil || b.RecordingAt(TapArduino) != nil {
-		t.Error("untapped Arduino side exposes a tracker/recording")
+	if b.TrackerAt(TapArduino) != nil || b.FingerprintAt(TapArduino) != nil {
+		t.Error("untapped Arduino side exposes a tracker/fingerprint")
 	}
-	if b.TrackerAt(TapRAMPS) == nil || b.Recording() == nil {
+	if err := b.OnExport(TapArduino, func(capture.Transaction) {}); err == nil {
+		t.Error("untapped Arduino side accepts an export subscription")
+	}
+	if b.TrackerAt(TapRAMPS) == nil || b.Fingerprint() == nil {
 		t.Error("RAMPS tap missing")
 	}
-	if b.Recording() != b.RecordingAt(TapRAMPS) {
-		t.Error("primary recording is not the RAMPS capture")
+	if b.Fingerprint() != b.FingerprintAt(TapRAMPS) {
+		t.Error("primary fingerprint is not the RAMPS capture's")
 	}
 }
 
@@ -130,8 +133,8 @@ func TestDualTapSeparatesCommandedFromReceived(t *testing.T) {
 
 // TestOnExportStreamsPerSide drives a dual-tap board with a board-
 // injected extra step and checks the per-side streams deliver exactly
-// what the matching recordings accumulate, in export order — the feed
-// contract side-bound live detectors rely on.
+// what the matching fingerprints summarize, in export order — the feed
+// contract recorded captures and side-bound live detectors rely on.
 func TestOnExportStreamsPerSide(t *testing.T) {
 	e, arduino, b := tapRig(t, TapDual)
 
@@ -162,14 +165,18 @@ func TestOnExportStreamsPerSide(t *testing.T) {
 		TapArduino: gotArduino,
 		TapRAMPS:   gotRAMPS,
 	} {
-		rec := b.RecordingAt(side)
-		if len(got) == 0 || len(got) != rec.Len() {
-			t.Fatalf("%v stream delivered %d transactions, recording has %d", side, len(got), rec.Len())
+		fp := b.FingerprintAt(side)
+		if len(got) == 0 {
+			t.Fatalf("%v stream delivered nothing", side)
 		}
 		for i, tx := range got {
-			if tx != rec.Transactions[i] {
-				t.Fatalf("%v stream[%d] = %+v, recording has %+v", side, i, tx, rec.Transactions[i])
+			if tx.Index != uint32(i) {
+				t.Fatalf("%v stream[%d] has index %d", side, i, tx.Index)
 			}
+		}
+		rec := &capture.Recording{Period: fp.Period, StartedAt: fp.StartedAt, Transactions: got}
+		if want := capture.FingerprintOf(rec); !want.Equal(fp) {
+			t.Fatalf("%v stream summarizes to %v, board fingerprint is %v", side, &want, fp)
 		}
 	}
 	// The injected step reaches only the RAMPS-side stream.

@@ -126,26 +126,23 @@ func (t *AxisTracker) OnFirstStep(fn func(at sim.Time)) {
 // before the tick was, one ExportPeriod earlier (Board.Sync) — then
 // snapshots.
 type Exporter struct {
-	board     *Board
-	tracker   *AxisTracker
-	recording *capture.Recording
-	fp        capture.Fingerprint
-	mode      capture.Mode
-	index     uint32
-	started   bool
-	origin    sim.Time // when the ticker started: ticks at origin + m·period
-	stop      func()
-	onExport  []func(capture.Transaction)
+	board    *Board
+	tracker  *AxisTracker
+	fp       capture.Fingerprint
+	index    uint32
+	started  bool
+	origin   sim.Time // when the ticker started: ticks at origin + m·period
+	stop     func()
+	onExport []func(capture.Transaction)
 }
 
 // newExporter attaches an exporter to one tap's tracker; a dual-tap
 // board runs one exporter per tapped bus.
 func newExporter(b *Board, tracker *AxisTracker) *Exporter {
 	e := &Exporter{
-		board:     b,
-		tracker:   tracker,
-		recording: &capture.Recording{Period: b.cfg.ExportPeriod},
-		fp:        capture.Fingerprint{Period: b.cfg.ExportPeriod},
+		board:   b,
+		tracker: tracker,
+		fp:      capture.Fingerprint{Period: b.cfg.ExportPeriod},
 	}
 	b.homing.OnHomed(func(sim.Time) {
 		tracker.OnFirstStep(func(at sim.Time) { e.start(at) })
@@ -158,39 +155,21 @@ func (e *Exporter) start(at sim.Time) {
 		return
 	}
 	e.started = true
-	e.recording.StartedAt = at
 	e.fp.StartedAt = at
-	if e.mode == capture.ModeFull && e.recording.Transactions == nil {
-		// Preallocate for a typical print: the standard test part runs
-		// ≈2 simulated minutes, ≈1.2k windows at the 0.1 s export
-		// period. Growing past this is still amortized append.
-		// Fingerprint-mode captures never pay for this buffer.
-		if cap := e.board.scratch(); cap != nil {
-			e.recording.Transactions = cap
-		} else {
-			e.recording.Transactions = make([]capture.Transaction, 0, 2048)
-		}
-	}
 	e.origin = e.board.engine.Now()
 	e.stop = e.board.engine.Ticker(e.board.cfg.ExportPeriod, func(sim.Time) {
 		e.board.Sync()
 		tx := e.tracker.snapshot(e.index)
 		e.index++
 		e.fp.Add(tx)
-		if e.mode == capture.ModeFull {
-			// Append cannot fail: indices are generated contiguously here.
-			if err := e.recording.Append(tx); err != nil {
-				panic("fpga: exporter generated non-contiguous index: " + err.Error())
-			}
-		}
 		for _, fn := range e.onExport {
 			fn(tx)
 		}
 	})
 }
 
-// Fingerprint returns the rolling capture fingerprint, maintained in
-// both modes. Stable (no further Adds) once the exporter is stopped.
+// Fingerprint returns the rolling capture fingerprint. Stable (no
+// further Adds) once the exporter is stopped.
 func (e *Exporter) Fingerprint() *capture.Fingerprint { return &e.fp }
 
 // Windows reports how many transactions have been exported.
@@ -198,8 +177,9 @@ func (e *Exporter) Windows() int { return int(e.index) }
 
 // OnExport registers fn to receive every transaction this exporter
 // emits, in export order, at the simulated instant the hardware would
-// put it on the UART — the streaming feed behind live detection.
-// Subscribers run after the transaction is appended to the recording.
+// put it on the UART — the streaming feed behind recorded captures and
+// live detection. Subscribers run after the fingerprint has folded the
+// transaction in, in registration order.
 func (e *Exporter) OnExport(fn func(capture.Transaction)) {
 	if fn == nil {
 		panic("fpga: OnExport(nil)")

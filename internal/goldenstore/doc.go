@@ -1,7 +1,7 @@
 // Package goldenstore is the persistent tier of the layered golden
 // repository (DESIGN.md §13): an on-disk, content-addressed store of
-// encoded golden results keyed by (program hash, seed, budget, capture
-// mode), sitting below the in-memory tier of offramps.GoldenCache. A
+// encoded golden results keyed by (program hash, seed, budget, tap,
+// settle, bypass), sitting below the in-memory tier of offramps.GoldenCache. A
 // lookup is memory → disk: a memory miss reads the entry file, and a
 // disk miss simulates.
 //

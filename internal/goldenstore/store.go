@@ -9,62 +9,69 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 )
 
 // FormatVersion is the store's on-disk entry framing version. It covers
-// the header layout only; the payload codec versions itself.
-const FormatVersion = 1
+// the header layout and the key's canonical bytes (and so the file
+// names); the payload codec versions itself.
+const FormatVersion = 2
 
-// Key content-addresses one golden run. It mirrors the in-memory
-// cache's key: the program's content hash, the time-noise seed, the run
-// budget, and the capture mode (full-trace and fingerprint-only results
-// are different shapes and must never satisfy each other's lookups).
+// Key content-addresses one golden run. It mirrors the simulation key
+// of the in-memory cache: the program's content hash, the time-noise
+// seed, the effective run budget, and the rig — the board's tap side,
+// the post-run settle time, and whether the board is bypassed (zero
+// values are the paper's rig). A golden is always a full capture, so
+// the key carries no capture mode.
 type Key struct {
 	Program [32]byte
 	Seed    uint64
 	Budget  int64
-	Mode    uint8
+	Tap     uint8
+	Settle  int64
+	Bypass  bool
 }
 
-const keyLen = 32 + 8 + 8 + 1
+const keyLen = 32 + 8 + 8 + 1 + 8 + 1
 
 // bytes is the key's canonical binary form, which the entry header
-// embeds.
+// embeds and the file name spells out in hex.
 func (k Key) bytes() []byte {
 	b := make([]byte, keyLen)
 	copy(b, k.Program[:])
 	binary.LittleEndian.PutUint64(b[32:], k.Seed)
 	binary.LittleEndian.PutUint64(b[40:], uint64(k.Budget))
-	b[48] = k.Mode
+	b[48] = k.Tap
+	binary.LittleEndian.PutUint64(b[49:], uint64(k.Settle))
+	if k.Bypass {
+		b[57] = 1
+	}
 	return b
 }
 
-// filename is the key's content-addressed file name: readable, exact,
-// and collision-free (the full 256-bit program hash is spelled out).
-func (k Key) filename() string {
-	return fmt.Sprintf("%064x-%016x-%016x-%02x.golden", k.Program, k.Seed, uint64(k.Budget), k.Mode)
-}
+// filename is the key's content-addressed file name: the hex of its
+// canonical bytes, so it is exact and collision-free.
+func (k Key) filename() string { return hex.EncodeToString(k.bytes()) + ".golden" }
 
-// parseFilename inverts filename; ok is false for foreign files.
+// parseFilename inverts filename; ok is false for foreign files and
+// for names that are not the canonical spelling of their key.
 func parseFilename(name string) (Key, bool) {
-	const want = 64 + 1 + 16 + 1 + 16 + 1 + 2 + len(".golden")
-	if len(name) != want || !strings.HasSuffix(name, ".golden") {
+	raw, err := hex.DecodeString(strings.TrimSuffix(name, ".golden"))
+	if err != nil || len(raw) != keyLen {
 		return Key{}, false
 	}
-	var k Key
-	if _, err := hex.Decode(k.Program[:], []byte(name[:64])); err != nil {
+	k := Key{
+		Program: [32]byte(raw[:32]),
+		Seed:    binary.LittleEndian.Uint64(raw[32:]),
+		Budget:  int64(binary.LittleEndian.Uint64(raw[40:])),
+		Tap:     raw[48],
+		Settle:  int64(binary.LittleEndian.Uint64(raw[49:])),
+		Bypass:  raw[57] != 0,
+	}
+	if k.filename() != name {
 		return Key{}, false
 	}
-	seed, err1 := strconv.ParseUint(name[65:81], 16, 64)
-	budget, err2 := strconv.ParseUint(name[82:98], 16, 64)
-	mode, err3 := strconv.ParseUint(name[99:101], 16, 8)
-	if err1 != nil || err2 != nil || err3 != nil || name[64] != '-' || name[81] != '-' || name[98] != '-' {
-		return Key{}, false
-	}
-	k.Seed, k.Budget, k.Mode = seed, int64(budget), uint8(mode)
 	return k, true
 }
 

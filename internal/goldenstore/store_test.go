@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -13,7 +14,9 @@ func testKey(b byte) Key {
 	k.Program[0] = b
 	k.Seed = uint64(b) + 7
 	k.Budget = int64(b) * 1000
-	k.Mode = b % 2
+	k.Tap = b % 3
+	k.Settle = int64(b%2) * 3e9
+	k.Bypass = b%4 == 3
 	return k
 }
 
@@ -80,6 +83,18 @@ func TestStoreKeyEncodingInverts(t *testing.T) {
 	}
 	if _, ok := parseFilename("garbage.golden"); ok {
 		t.Error("foreign file parsed as a key")
+	}
+	// Only the canonical spelling of a key is its entry: an upper-case
+	// name, or a bypass byte other than 0 or 1, is a foreign file.
+	name := testKey(3).filename()
+	for _, foreign := range []string{
+		strings.ToUpper(name[:len(name)-len(".golden")]) + ".golden",
+		name[:len(name)-len("01.golden")] + "02.golden",
+		name[:len(name)-len(".golden")],
+	} {
+		if _, ok := parseFilename(foreign); ok {
+			t.Errorf("non-canonical name %q parsed as a key", foreign)
+		}
 	}
 }
 

@@ -37,20 +37,13 @@ func (r *Result) MarshalJSON() ([]byte, error) {
 	if r.HaltError != nil {
 		aux.HaltError = r.HaltError.Error()
 	}
-	// Window counts come from the recordings in full mode and from the
-	// fingerprints otherwise, so a fingerprint-mode result serializes to
-	// exactly the bytes its full-mode twin would.
-	switch {
-	case r.Recording != nil:
-		aux.Windows = r.Recording.Len()
-	case r.Fingerprint != nil:
+	// Window counts come from the fingerprints, which every board run
+	// keeps in either capture mode, so a result serializes to the same
+	// bytes whether or not it recorded its trace.
+	if r.Fingerprint != nil {
 		aux.Windows = r.Fingerprint.Windows
 	}
-	switch {
-	case r.ArduinoRecording != nil && r.RAMPSRecording != nil:
-		aux.ArduinoWindows = r.ArduinoRecording.Len()
-		aux.RAMPSWindows = r.RAMPSRecording.Len()
-	case r.ArduinoFingerprint != nil && r.RAMPSFingerprint != nil:
+	if r.ArduinoFingerprint != nil && r.RAMPSFingerprint != nil {
 		aux.ArduinoWindows = r.ArduinoFingerprint.Windows
 		aux.RAMPSWindows = r.RAMPSFingerprint.Windows
 	}

@@ -159,11 +159,6 @@ func NewTestbed(opts ...Option) (*Testbed, error) {
 				return nil, fmt.Errorf("offramps: %w", err)
 			}
 		}
-		if o.core != nil {
-			if bufs := o.core.takeRecBufs(); len(bufs) > 0 {
-				board.DonateScratch(bufs)
-			}
-		}
 		tb.Board = board
 	} else {
 		arduino.ConnectAll(ramps, 0)

@@ -83,26 +83,36 @@ func (b TapBinding) String() string {
 	}
 }
 
-// CaptureMode selects how much of the board's capture a run
-// materializes. CaptureFull (the zero value) records the complete
-// transaction trace — the paper's CSV — into Result.Recording.
-// CaptureFingerprint streams transactions into the bound detectors and
-// rolling capture.Fingerprints only: detector verdicts are identical
+// CaptureMode selects what the host keeps of the capture the board
+// streams. The board itself keeps only a rolling capture.Fingerprint
+// per tap and streams every transaction to its subscribers (the
+// paper's FPGA counts and exports; the host records). CaptureFull (the
+// zero value) records each tapped side's complete transaction trace —
+// the paper's CSV — into Result.Recording and its per-side siblings.
+// CaptureFingerprint records nothing: detector verdicts are identical
 // (they observe the same stream), but no trace is allocated, so a run's
-// memory cost is O(1) in window count. Result.Recording and its per-
-// side siblings are nil in fingerprint mode; Result.Fingerprint (and
-// siblings) are populated in both modes.
+// memory cost is O(1) in window count and the Recording fields are nil.
+// Result.Fingerprint (and siblings) are populated in both modes.
 type CaptureMode int
 
 const (
-	// CaptureFull materializes the full transaction trace (default).
+	// CaptureFull records the full transaction trace (default).
 	CaptureFull CaptureMode = iota
-	// CaptureFingerprint keeps only rolling fingerprints.
+	// CaptureFingerprint keeps only the board's rolling fingerprints.
 	CaptureFingerprint
 )
 
 // String names the mode for reports.
-func (m CaptureMode) String() string { return capture.Mode(m).String() }
+func (m CaptureMode) String() string {
+	switch m {
+	case CaptureFull:
+		return "full"
+	case CaptureFingerprint:
+		return "fingerprint"
+	default:
+		return fmt.Sprintf("CaptureMode(%d)", int(m))
+	}
+}
 
 // RunOption configures one Testbed.Run.
 type RunOption func(*runConfig)
@@ -211,10 +221,9 @@ func (tb *Testbed) Run(ctx context.Context, prog gcode.Program, opts ...RunOptio
 	if rc.mode != CaptureFull && rc.mode != CaptureFingerprint {
 		return nil, fmt.Errorf("offramps: unknown capture mode %v", rc.mode)
 	}
-	if rc.mode == CaptureFingerprint && tb.Board != nil {
-		if err := tb.Board.SetCaptureMode(capture.ModeFingerprint); err != nil {
-			return nil, fmt.Errorf("offramps: %w", err)
-		}
+	var recs [2]*capture.Recording // indexed by fpga.TapSide
+	if rc.mode == CaptureFull && tb.Board != nil {
+		recs = tb.recordTaps()
 	}
 	if err := tb.bindDetectors(&rc); err != nil {
 		return nil, err
@@ -297,9 +306,9 @@ func (tb *Testbed) Run(ctx context.Context, prog gcode.Program, opts ...RunOptio
 	}
 	if tb.Board != nil {
 		if rc.mode == CaptureFull {
-			res.Recording = tb.Board.Recording()
-			res.ArduinoRecording = tb.Board.RecordingAt(fpga.TapArduino)
-			res.RAMPSRecording = tb.Board.RecordingAt(fpga.TapRAMPS)
+			res.Recording = recs[tb.Board.PrimaryTap()]
+			res.ArduinoRecording = recs[fpga.TapArduino]
+			res.RAMPSRecording = recs[fpga.TapRAMPS]
 		}
 		res.Fingerprint = tb.Board.Fingerprint()
 		res.ArduinoFingerprint = tb.Board.FingerprintAt(fpga.TapArduino)
@@ -320,6 +329,44 @@ func (tb *Testbed) Run(ctx context.Context, prog gcode.Program, opts ...RunOptio
 		}
 	}
 	return res, nil
+}
+
+// recordTaps subscribes one recording to each tapped side of the board:
+// the host's copy of the capture the board streams, indexed by side
+// (nil for an untapped one). At its first export a recording takes the
+// capture's start from the board and a backing array — a pooled one
+// from the testbed's core when it has one — so a capture that never
+// started keeps nil Transactions.
+func (tb *Testbed) recordTaps() [2]*capture.Recording {
+	var recs [2]*capture.Recording
+	for _, side := range []fpga.TapSide{fpga.TapArduino, fpga.TapRAMPS} {
+		rec := &capture.Recording{Period: tb.Board.Config().ExportPeriod}
+		err := tb.Board.OnExport(side, func(tx capture.Transaction) {
+			if rec.Transactions == nil {
+				rec.StartedAt = tb.Board.FingerprintAt(side).StartedAt
+				rec.Transactions = tb.recordBuffer()
+			}
+			rec.Transactions = append(rec.Transactions, tx)
+		})
+		if err == nil { // OnExport fails only on an untapped side
+			recs[side] = rec
+		}
+	}
+	return recs
+}
+
+// recordBuffer returns an empty transaction buffer for one recording: a
+// reclaimed one from the testbed's core, else a fresh one sized for a
+// typical print (the standard test part runs ≈2 simulated minutes,
+// ≈1.2k windows at the 0.1 s export period; longer prints still grow by
+// amortized append).
+func (tb *Testbed) recordBuffer() []capture.Transaction {
+	if tb.opts.core != nil {
+		if buf := tb.opts.core.takeRecBuf(); buf != nil {
+			return buf
+		}
+	}
+	return make([]capture.Transaction, 0, 2048)
 }
 
 // bindDetectors resolves every attached detector's tap binding against
@@ -444,8 +491,8 @@ func (tb *Testbed) feedDetectors(rc *runConfig, res *Result, allowAbort bool) er
 // compactFeeds drops feed entries every detector has consumed, shifting
 // the survivors to the front so the buffers stay O(detector lag) across
 // the whole run instead of retaining every window ever streamed. Without
-// this, fingerprint mode would still accumulate an O(windows) shadow of
-// the trace inside the feeds.
+// this, a fingerprint-mode run would still accumulate an O(windows)
+// shadow of the trace inside the feeds.
 func compactFeeds(rc *runConfig) {
 	minFed := func(f *sideFeed) int {
 		low := -1
