@@ -1,9 +1,9 @@
 // Command offramps runs one simulated print on the full OFFRAMPS testbed:
 // Marlin-twin firmware → FPGA MITM → RAMPS drivers → printer plant. It can
 // arm any of the paper's Table I trojans, attach live detectors that halt
-// the print the moment a trojan is suspected, export the monitoring
-// capture as CSV, and dump the control signals as a VCD waveform for
-// GTKWave.
+// the print within one capture window of a suspected trojan, export the
+// monitoring capture as CSV, and dump the control signals as a VCD
+// waveform for GTKWave.
 //
 // Usage:
 //

@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"offramps/internal/capture"
-	"offramps/internal/firmware"
 	"offramps/internal/printer"
 	"offramps/internal/sim"
 )
@@ -12,8 +11,8 @@ import (
 // TestbedCore pools the allocation-heavy per-run state of a testbed so
 // a campaign worker resets instead of re-allocating: the simulation
 // engine (wheel slots and far-tier heap keep their backing storage
-// across Reset), the step-train cache, and — when results are reclaimed
-// — recording and deposit backing arrays.
+// across Reset) and — when results are reclaimed — recording and
+// deposit backing arrays.
 //
 // Ownership rules (see DESIGN.md §12): a core may be reused by any
 // number of *sequential* NewTestbed(WithCore(core)) calls, but never
@@ -22,21 +21,17 @@ import (
 // implicitly; only an explicit Reclaim on a result the caller is done
 // with returns their buffers to the core. A campaign whose results
 // escape to sinks or the golden cache must not Reclaim them — engine
-// and train reuse alone already removes the dominant rebuild cost, and
-// fingerprint mode removes the recording allocations entirely.
+// reuse alone already removes the dominant rebuild cost, and fingerprint
+// mode removes the recording allocations entirely.
 type TestbedCore struct {
 	engine   *sim.Engine
-	trains   *firmware.TrainCache
 	recBufs  [][]capture.Transaction
 	deposits [][]printer.Deposit
 }
 
 // NewTestbedCore returns an empty core.
 func NewTestbedCore() *TestbedCore {
-	return &TestbedCore{
-		engine: sim.NewEngine(),
-		trains: firmware.NewTrainCache(),
-	}
+	return &TestbedCore{engine: sim.NewEngine()}
 }
 
 // Reclaim takes the bulk buffers out of a dead result — one the caller
@@ -93,8 +88,7 @@ func acquireCore() *TestbedCore  { return corePool.Get().(*TestbedCore) }
 func releaseCore(c *TestbedCore) { corePool.Put(c) }
 
 // WithCore builds the testbed on a pooled core: the core's engine is
-// Reset and reused, step trains come from the core's shared cache, and
-// reclaimed deposit and recording buffers back the new rig's part and
-// its runs' recorded captures.
+// Reset and reused, and reclaimed deposit and recording buffers back the
+// new rig's part and its runs' recorded captures.
 // The caller must use cores sequentially (one live testbed per core).
 func WithCore(c *TestbedCore) Option { return func(o *options) { o.core = c } }

@@ -19,9 +19,10 @@
 // A Testbed wires all of it together; Run executes a print end-to-end and
 // returns the capture, the printed part's quality metrics, and the
 // machine's thermal outcome. Run optionally attaches live streaming
-// detectors (WithDetector) that can abort the print the moment a trojan
-// is suspected. Campaign fans many (program × trojan × seed × detector)
-// scenarios across a worker pool with deterministic per-scenario seeding.
+// detectors (WithDetector) that can abort the print at the end of the
+// capture window in which a trojan is suspected. Campaign fans many
+// (program × trojan × seed × detector) scenarios across a worker pool
+// with deterministic per-scenario seeding.
 //
 // Scenarios are data: a serializable ScenarioSpec (program ref, trojan
 // spec, detector spec, tap placement, seed policy, budget) compiles into

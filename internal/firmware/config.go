@@ -83,12 +83,6 @@ type Config struct {
 
 	// UARTBaud for the display link transmitter.
 	UARTBaud int
-
-	// Trains, when non-nil, is a shared step-train cache the firmware
-	// recycles pulse trains through instead of owning a private pool —
-	// set by pooled testbed cores so sequential runs on one worker reuse
-	// train storage. Nil means a private cache.
-	Trains *TrainCache
 }
 
 // DefaultConfig mirrors a stock RAMPS Marlin for the simulated Prusa.

@@ -51,10 +51,10 @@ type Firmware struct {
 
 	// Scheduling fast-path state: cached method values (one bound func
 	// instead of a fresh allocation per dispatch), the recycled step-train
-	// cache, the part-fan PWM gate target, and the cached fan line.
+	// pool, the part-fan PWM gate target, and the cached fan line.
 	nextFn        func()
 	executeNextFn func()
-	trains        *TrainCache
+	trains        []*stepTrain
 	move          [signal.AxisE]signal.Train // the trains of the move being planned
 	fan           fanGate
 	fanLine       *signal.Line
@@ -88,10 +88,6 @@ func New(engine *sim.Engine, bus *signal.Bus, cfg Config) (*Firmware, error) {
 	}
 	fw.nextFn = fw.next
 	fw.executeNextFn = fw.executeNext
-	fw.trains = cfg.Trains
-	if fw.trains == nil {
-		fw.trains = NewTrainCache()
-	}
 	fw.fan = fanGate{fw: fw}
 	fw.fanLine = bus.Line(signal.PinFan)
 	return fw, nil

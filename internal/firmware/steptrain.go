@@ -75,31 +75,21 @@ func (t *stepTrain) FireEdge(arg uint64) {
 // with it, so it returns to the pool.
 func (t *stepTrain) Done() { t.fw.releaseTrain(t) }
 
-// TrainCache recycles step trains. Each firmware owns one by default;
-// a pooled testbed core (Config.Trains) shares a cache across the
-// sequential runs of one campaign worker, so a reused rig steps with
-// zero train allocations. Released trains are fully zeroed, so a cache
-// never pins a dead run's engine or firmware. Not safe for concurrent
-// use — one cache belongs to one worker at a time.
-type TrainCache struct{ pool []*stepTrain }
-
-// NewTrainCache returns an empty cache.
-func NewTrainCache() *TrainCache { return &TrainCache{} }
-
-// acquireTrain takes a train from the pool or allocates one.
+// acquireTrain takes a train from the firmware's pool or allocates one.
+// A print has at most a few trains in flight, so the pool reaches its
+// steady state within the first moves.
 func (fw *Firmware) acquireTrain() *stepTrain {
-	pool := fw.trains.pool
-	if n := len(pool); n > 0 {
-		t := pool[n-1]
-		pool[n-1] = nil
-		fw.trains.pool = pool[:n-1]
+	if n := len(fw.trains); n > 0 {
+		t := fw.trains[n-1]
+		fw.trains[n-1] = nil
+		fw.trains = fw.trains[:n-1]
 		return t
 	}
 	return new(stepTrain)
 }
 
-// releaseTrain returns a finished train to the pool.
+// releaseTrain zeroes a finished train and returns it to the pool.
 func (fw *Firmware) releaseTrain(t *stepTrain) {
 	*t = stepTrain{}
-	fw.trains.pool = append(fw.trains.pool, t)
+	fw.trains = append(fw.trains, t)
 }

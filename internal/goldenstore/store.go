@@ -174,21 +174,24 @@ func (s *Store) Keys() ([]Key, error) {
 
 // Prune garbage-collects the store in place. It removes every entry that
 // is unservable (corrupt, stale format) or for which keep returns false
-// (nil keeps every servable entry), and every temp file a writer left
-// behind. Files whose names are neither entries nor temp files are never
-// touched. A reader racing Prune sees a verified entry or a miss; a Put
-// racing it may fail, which costs that writer's entry and nothing else.
+// (nil keeps every servable entry), every temp file a writer left
+// behind, and every other *.golden file: the suffix is the store's, so
+// a name it does not parse is an older layout's entry. Files the store
+// never names are never touched. A reader racing Prune sees a verified
+// entry or a miss; a Put racing it may fail, which costs that writer's
+// entry and nothing else.
 func (s *Store) Prune(keep func(Key, []byte) bool) error {
 	ents, err := os.ReadDir(s.dir)
 	if err != nil {
 		return fmt.Errorf("goldenstore: prune: %w", err)
 	}
 	for _, e := range ents {
-		k, entry := parseFilename(e.Name())
-		if e.IsDir() || !entry && !strings.HasPrefix(e.Name(), tempPrefix) {
+		name := e.Name()
+		k, entry := parseFilename(name)
+		if e.IsDir() || !strings.HasSuffix(name, ".golden") && !strings.HasPrefix(name, tempPrefix) {
 			continue // not the store's file
 		}
-		path := filepath.Join(s.dir, e.Name())
+		path := filepath.Join(s.dir, name)
 		if entry {
 			payload, err := readEntry(path, k)
 			if err == nil && (keep == nil || keep(k, payload)) {

@@ -233,9 +233,28 @@ func TestStoreRebuildAtomic(t *testing.T) {
 	if err := os.WriteFile(path, []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// A format-1 entry (named <program>-<seed>-<budget>-<mode>.golden)
+	// is the store's file under a name it no longer parses: the prune
+	// drops it without counting it. Names outside the store are kept.
+	legacy := filepath.Join(dir, strings.Repeat("ab", 32)+"-1-3600000000000-full.golden")
+	foreign := filepath.Join(dir, "README.txt")
+	for _, p := range []string{legacy, foreign} {
+		if err := os.WriteFile(p, []byte("junk"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := s.Len(); n != 6 {
+		t.Fatalf("Len = %d with a format-1 file present, want 6", n)
+	}
 	// Keep even keys only.
 	if err := s.Prune(func(k Key, _ []byte) bool { return k.Program[0]%2 == 0 }); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := os.Stat(legacy); !os.IsNotExist(err) {
+		t.Errorf("format-1 file survived the prune (stat err %v)", err)
+	}
+	if _, err := os.Stat(foreign); err != nil {
+		t.Errorf("prune touched a file outside the store: %v", err)
 	}
 	wantLive := map[byte]bool{2: true, 4: true}
 	for b := byte(1); b <= 6; b++ {

@@ -183,9 +183,6 @@ func NewTestbed(opts ...Option) (*Testbed, error) {
 	fcfg := firmware.DefaultConfig()
 	fcfg.Seed = o.seed
 	fcfg.TimeNoise = o.timeNoise
-	if o.core != nil {
-		fcfg.Trains = o.core.trains
-	}
 	if o.firmwareMod != nil {
 		o.firmwareMod(&fcfg)
 	}
@@ -260,7 +257,8 @@ type Result struct {
 	// tripped and the session halted the print early ("enabling a user to
 	// halt a print as soon as a Trojan is suspected", paper §V-C).
 	Aborted bool
-	// AbortedAt is the simulation time of the abort (zero otherwise).
+	// AbortedAt is the simulation time of the abort: the end of the
+	// export period in which the detector tripped (zero otherwise).
 	AbortedAt sim.Time
 	// TripReason describes the observation that tripped the aborting
 	// detector ("" when no abort occurred).

@@ -25,23 +25,12 @@ const (
 	// FlagOnly keeps printing; the verdict lands in Result.Detections at
 	// the end of the run.
 	FlagOnly TripPolicy = iota
-	// AbortOnTrip halts the print the moment the detector trips —
-	// "enabling a user to halt a print as soon as a Trojan is suspected"
-	// (paper §V-C), saving machine time and material cost (§V-A).
+	// AbortOnTrip halts the print at the end of the export period in
+	// which the detector trips — "enabling a user to halt a print as
+	// soon as a Trojan is suspected" (paper §V-C), saving machine time
+	// and material cost (§V-A).
 	AbortOnTrip
 )
-
-// RunProgress is a snapshot delivered to the WithProgress callback after
-// each simulation step.
-type RunProgress struct {
-	// Now is the current simulated time.
-	Now sim.Time
-	// Windows is the number of capture windows exported so far (zero
-	// without the MITM).
-	Windows int
-	// Tripped is true once any attached live detector has tripped.
-	Tripped bool
-}
 
 // TapBinding names the tap a live detector observes. The zero value,
 // BindPrimary, is the board's primary tap — the paper's rig — so
@@ -117,39 +106,29 @@ func (m CaptureMode) String() string {
 // RunOption configures one Testbed.Run.
 type RunOption func(*runConfig)
 
-// sideFeed buffers one tap's exported transactions as the board streams
-// them (Board.OnExport); detectors drain it between simulation steps so
-// trips and aborts stay deterministic step-boundary decisions. Consumed
-// entries are compacted away between steps (base counts them), keeping
-// the buffer O(detector lag) instead of O(windows).
-type sideFeed struct {
-	txs  []capture.Transaction
-	base int // stream index of txs[0]
-}
-
-// total is the count of transactions ever streamed into the feed.
-func (f *sideFeed) total() int { return f.base + len(f.txs) }
-
 type boundDetector struct {
 	d       detect.Detector
 	policy  TripPolicy
 	binding TapBinding
 	// pair is non-nil exactly when binding == BindDual (validated at run
-	// start).
-	pair detect.PairObserver
-	// src is the single-side feed; up/down are the dual feeds.
-	src      *sideFeed
-	up, down *sideFeed
-	fed      int // windows (or pairs) consumed so far
-	tripped  bool
+	// start); up and down queue each side's windows until the other
+	// side's window of the same index arrives.
+	pair     detect.PairObserver
+	up, down []capture.Transaction
 }
 
 type runConfig struct {
 	limit     sim.Time
 	detectors []*boundDetector
-	progress  func(RunProgress)
 	mode      CaptureMode
 	plan      *firmware.Compiled
+
+	// The detectors' verdicts land here from inside the export events:
+	// res takes a trip's abort, err the first stream error, and settling
+	// is set once the print is finished and too late to abort.
+	res      *Result
+	err      error
+	settling bool
 }
 
 // WithLimit bounds the run's *simulated* time (default DefaultRunBudget).
@@ -172,12 +151,12 @@ func withCompiled(c *firmware.Compiled) RunOption {
 }
 
 // WithDetector attaches a live streaming detector to the run, fed from
-// the board's primary tap: every capture transaction is fed to it about
-// when the hardware would emit it. Under AbortOnTrip the simulation
-// stops the moment the detector trips; under FlagOnly the print finishes
-// and the verdict lands in Result.Detections. Any number of detectors
-// may be attached; each one's finalized report is returned in attachment
-// order.
+// the board's primary tap: it observes every capture transaction at the
+// simulated instant the board exports it. Under AbortOnTrip the
+// simulation stops at the end of the export period in which the
+// detector trips; under FlagOnly the print finishes and the verdict
+// lands in Result.Detections. Any number of detectors may be attached;
+// each one's finalized report is returned in attachment order.
 func WithDetector(d detect.Detector, policy TripPolicy) RunOption {
 	return WithDetectorAt(BindPrimary, d, policy)
 }
@@ -194,13 +173,6 @@ func WithDetectorAt(binding TapBinding, d detect.Detector, policy TripPolicy) Ru
 	return func(rc *runConfig) {
 		rc.detectors = append(rc.detectors, &boundDetector{d: d, policy: policy, binding: binding})
 	}
-}
-
-// WithProgress registers a callback invoked after every simulation step —
-// a hook for progress bars and streaming dashboards. Attaching it makes
-// the run step in capture-window increments.
-func WithProgress(fn func(RunProgress)) RunOption {
-	return func(rc *runConfig) { rc.progress = fn }
 }
 
 // Run executes the program to completion (or kill, or detector abort),
@@ -225,6 +197,8 @@ func (tb *Testbed) Run(ctx context.Context, prog gcode.Program, opts ...RunOptio
 	if rc.mode == CaptureFull && tb.Board != nil {
 		recs = tb.recordTaps()
 	}
+	res := &Result{}
+	rc.res = res
 	if err := tb.bindDetectors(&rc); err != nil {
 		return nil, err
 	}
@@ -239,15 +213,15 @@ func (tb *Testbed) Run(ctx context.Context, prog gcode.Program, opts ...RunOptio
 		return nil, fmt.Errorf("offramps: %w", err)
 	}
 
-	// With live detectors or a progress callback the simulation steps in
-	// capture-window increments so each transaction is observed about
-	// when the hardware would emit it; otherwise whole seconds.
+	// With live detectors the simulation steps one export period at a
+	// time, so each step holds exactly one export per tapped side and an
+	// abort takes effect at the end of the period that tripped it;
+	// otherwise whole seconds.
 	step := sim.Time(sim.Second)
-	if tb.Board != nil && (len(rc.detectors) > 0 || rc.progress != nil) {
+	if len(rc.detectors) > 0 {
 		step = tb.Board.Config().ExportPeriod
 	}
 
-	res := &Result{}
 	deadline := tb.Engine.Now() + rc.limit
 	for !tb.Firmware.Done() && !res.Aborted {
 		if err := ctx.Err(); err != nil {
@@ -259,28 +233,25 @@ func (tb *Testbed) Run(ctx context.Context, prog gcode.Program, opts ...RunOptio
 		if err := tb.Engine.Run(tb.Engine.Now() + step); err != nil {
 			return nil, fmt.Errorf("offramps: simulation: %w", err)
 		}
-		if err := tb.feedDetectors(&rc, res, true); err != nil {
-			return nil, err
+		if rc.err != nil {
+			return nil, rc.err
 		}
-		if rc.progress != nil {
-			rc.progress(tb.progressSnapshot(&rc))
+		if res.Aborted {
+			res.AbortedAt = tb.Engine.Now()
 		}
 	}
 	finished := tb.Firmware.FinishedAt()
 	if !res.Aborted {
-		// Normal completion: settle to observe post-kill physics, then
-		// feed the trailing windows. It is too late to abort a finished
-		// print, so trips here never truncate the feed — every detector
-		// sees the full stream and the end-of-print checks run in each
-		// detector's Finalize.
+		// Normal completion: settle to observe post-kill physics. It is
+		// too late to abort a finished print, so trips here only flag —
+		// every detector sees the full stream and the end-of-print checks
+		// run in each detector's Finalize.
+		rc.settling = true
 		if err := tb.Engine.Run(tb.Engine.Now() + tb.opts.settle); err != nil {
 			return nil, fmt.Errorf("offramps: settling: %w", err)
 		}
-		if err := tb.feedDetectors(&rc, res, false); err != nil {
-			return nil, err
-		}
-		if rc.progress != nil {
-			rc.progress(tb.progressSnapshot(&rc))
+		if rc.err != nil {
+			return nil, rc.err
 		}
 	}
 	if tb.Board != nil {
@@ -321,7 +292,7 @@ func (tb *Testbed) Run(ctx context.Context, prog gcode.Program, opts ...RunOptio
 			// exported and the other never did are a divergence the
 			// detector cannot see on its own (a board suppressing its
 			// trailing exports must not attest clean).
-			detect.FlagImbalance(rep, bd.down.total()-bd.up.total())
+			detect.FlagImbalance(rep, len(bd.down)-len(bd.up))
 		}
 		res.Detections = append(res.Detections, rep)
 		if rep.TrojanLikely {
@@ -370,29 +341,16 @@ func (tb *Testbed) recordBuffer() []capture.Transaction {
 }
 
 // bindDetectors resolves every attached detector's tap binding against
-// the board's actual tap topology and subscribes the per-side streaming
-// feeds. Validation runs after all options are applied, so the outcome
-// is independent of option order: a detector bound to an untapped side,
-// a dual binding on a single-tap board, a pair-consuming detector bound
-// to one side, and a plain detector bound to the dual feed all fail
-// here, before any simulation happens.
+// the board's actual tap topology and subscribes each detector to the
+// board's stream: one subscriber per bound side, observing each window
+// inside the export event. Validation runs after all options are
+// applied, so the outcome is independent of option order: a detector
+// bound to an untapped side, a dual binding on a single-tap board, a
+// pair-consuming detector bound to one side, and a plain detector bound
+// to the dual feed all fail here, before any simulation happens.
 func (tb *Testbed) bindDetectors(rc *runConfig) error {
 	if len(rc.detectors) == 0 {
 		return nil
-	}
-	feeds := make(map[fpga.TapSide]*sideFeed, 2)
-	subscribe := func(side fpga.TapSide) (*sideFeed, error) {
-		if f, ok := feeds[side]; ok {
-			return f, nil
-		}
-		f := &sideFeed{}
-		if err := tb.Board.OnExport(side, func(tx capture.Transaction) {
-			f.txs = append(f.txs, tx)
-		}); err != nil {
-			return nil, err
-		}
-		feeds[side] = f
-		return f, nil
 	}
 	boardTap := tb.Board.Config().Tap
 	for _, bd := range rc.detectors {
@@ -405,11 +363,22 @@ func (tb *Testbed) bindDetectors(rc *runConfig) error {
 				return fmt.Errorf("offramps: config error: detector %s is bound to the dual tap but does not consume observation pairs", bd.d.Name())
 			}
 			bd.pair = pair
-			var err error
-			if bd.up, err = subscribe(fpga.TapArduino); err != nil {
+			// Each side queues its window; the detector observes a pair
+			// once both sides have exported it.
+			queue := func(q *[]capture.Transaction) func(capture.Transaction) {
+				return func(tx capture.Transaction) {
+					*q = append(*q, tx)
+					if len(bd.up) > 0 && len(bd.down) > 0 {
+						rc.observe(bd, pair.ObservePair(bd.up[0], bd.down[0]))
+						bd.up = bd.up[:copy(bd.up, bd.up[1:])]
+						bd.down = bd.down[:copy(bd.down, bd.down[1:])]
+					}
+				}
+			}
+			if err := tb.Board.OnExport(fpga.TapArduino, queue(&bd.up)); err != nil {
 				return fmt.Errorf("offramps: %w", err)
 			}
-			if bd.down, err = subscribe(fpga.TapRAMPS); err != nil {
+			if err := tb.Board.OnExport(fpga.TapRAMPS, queue(&bd.down)); err != nil {
 				return fmt.Errorf("offramps: %w", err)
 			}
 			continue
@@ -432,105 +401,28 @@ func (tb *Testbed) bindDetectors(rc *runConfig) error {
 			(side == fpga.TapRAMPS && !boardTap.TapsRAMPS()) {
 			return fmt.Errorf("offramps: config error: detector %s is bound to the %v tap but the board taps %v (see WithTapSide)", bd.d.Name(), side, boardTap)
 		}
-		f, err := subscribe(side)
-		if err != nil {
+		if err := tb.Board.OnExport(side, func(tx capture.Transaction) {
+			rc.observe(bd, bd.d.Observe(tx))
+		}); err != nil {
 			return fmt.Errorf("offramps: detector %s: %w", bd.d.Name(), err)
 		}
-		bd.src = f
 	}
 	return nil
 }
 
-// feedDetectors drains the per-side streaming feeds into every attached
-// detector, window by window in rounds: round r delivers window r (or
-// pair r, for a dual binding) to each detector in attachment order, so
-// detectors on different taps advance in lockstep. While the print is
-// still running (allowAbort) a trip from an AbortOnTrip detector records
-// the abort and stops the feed at the end of its round; after
-// completion, trips only flag and the whole stream is delivered.
-func (tb *Testbed) feedDetectors(rc *runConfig, res *Result, allowAbort bool) error {
-	if tb.Board == nil || len(rc.detectors) == 0 {
-		return nil
+// observe applies one verdict to the run. The first stream error fails
+// the run once the current simulation step returns, and every later
+// verdict is ignored. A trip of an AbortOnTrip detector aborts the
+// print unless it is already settling; the first trip to land, in
+// export order, names the reason, and the run loop stops at the end of
+// the step.
+func (rc *runConfig) observe(bd *boundDetector, v detect.Verdict) {
+	switch {
+	case rc.err != nil:
+	case v.Err != nil:
+		rc.err = fmt.Errorf("offramps: detector %s: %w", bd.d.Name(), v.Err)
+	case v.Tripped && bd.policy == AbortOnTrip && !rc.settling && !rc.res.Aborted:
+		rc.res.Aborted = true
+		rc.res.TripReason = v.Reason()
 	}
-	for {
-		progressed := false
-		for _, bd := range rc.detectors {
-			var v detect.Verdict
-			if bd.pair != nil {
-				if bd.fed >= bd.up.total() || bd.fed >= bd.down.total() {
-					continue
-				}
-				v = bd.pair.ObservePair(bd.up.txs[bd.fed-bd.up.base], bd.down.txs[bd.fed-bd.down.base])
-			} else {
-				if bd.fed >= bd.src.total() {
-					continue
-				}
-				v = bd.d.Observe(bd.src.txs[bd.fed-bd.src.base])
-			}
-			bd.fed++
-			progressed = true
-			if v.Err != nil {
-				return fmt.Errorf("offramps: detector %s: %w", bd.d.Name(), v.Err)
-			}
-			if v.Tripped && !bd.tripped {
-				bd.tripped = true
-				if allowAbort && bd.policy == AbortOnTrip && !res.Aborted {
-					res.Aborted = true
-					res.AbortedAt = tb.Engine.Now()
-					res.TripReason = v.Reason()
-				}
-			}
-		}
-		if !progressed || res.Aborted {
-			compactFeeds(rc)
-			return nil
-		}
-	}
-}
-
-// compactFeeds drops feed entries every detector has consumed, shifting
-// the survivors to the front so the buffers stay O(detector lag) across
-// the whole run instead of retaining every window ever streamed. Without
-// this, a fingerprint-mode run would still accumulate an O(windows)
-// shadow of the trace inside the feeds.
-func compactFeeds(rc *runConfig) {
-	minFed := func(f *sideFeed) int {
-		low := -1
-		for _, bd := range rc.detectors {
-			if bd.src == f || bd.up == f || bd.down == f {
-				if low < 0 || bd.fed < low {
-					low = bd.fed
-				}
-			}
-		}
-		return low
-	}
-	seen := make(map[*sideFeed]bool, 2)
-	for _, bd := range rc.detectors {
-		for _, f := range []*sideFeed{bd.src, bd.up, bd.down} {
-			if f == nil || seen[f] {
-				continue
-			}
-			seen[f] = true
-			low := minFed(f)
-			if keep := low - f.base; keep > 0 {
-				n := copy(f.txs, f.txs[keep:])
-				f.txs = f.txs[:n]
-				f.base = low
-			}
-		}
-	}
-}
-
-func (tb *Testbed) progressSnapshot(rc *runConfig) RunProgress {
-	p := RunProgress{Now: tb.Engine.Now()}
-	if tb.Board != nil {
-		p.Windows = tb.Board.Windows()
-	}
-	for _, bd := range rc.detectors {
-		if bd.tripped {
-			p.Tripped = true
-		}
-	}
-	return p
 }

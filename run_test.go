@@ -2,9 +2,11 @@ package offramps
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
+	"offramps/internal/capture"
 	"offramps/internal/detect"
 	"offramps/internal/flaw3d"
 	"offramps/internal/fpga"
@@ -344,29 +346,104 @@ func TestRunTapBindingValidation(t *testing.T) {
 	}
 }
 
-func TestRunProgressCallback(t *testing.T) {
+// scriptedDetector fails or trips at fixed window numbers and logs the
+// simulated instant it observed each window at.
+type scriptedDetector struct {
+	engine        *sim.Engine
+	errAt, tripAt int // window numbers; -1 never
+	seen          []sim.Time
+	tripped       bool
+}
+
+func (d *scriptedDetector) Name() string { return "scripted" }
+
+func (d *scriptedDetector) Observe(capture.Transaction) detect.Verdict {
+	k := len(d.seen)
+	d.seen = append(d.seen, d.engine.Now())
+	if k == d.errAt {
+		return detect.Verdict{Err: errScripted}
+	}
+	if k == d.tripAt {
+		d.tripped = true
+	}
+	return detect.Verdict{Tripped: d.tripped}
+}
+
+func (d *scriptedDetector) Finalize() *detect.Report {
+	return &detect.Report{Detector: d.Name(), Tripped: d.tripped, TrojanLikely: d.tripped}
+}
+
+var errScripted = errors.New("scripted stream error")
+
+// TestRunLiveDetectorVerdicts pins what a live detector's verdicts do to
+// the run: a stream error fails it, an AbortOnTrip trip stops it at the
+// end of the export period holding the tripping window, and a trip that
+// first happens while the finished print settles only flags.
+func TestRunLiveDetectorVerdicts(t *testing.T) {
 	prog := mustTestPart(t)
-	tb, err := NewTestbed(WithSeed(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var calls int
-	var lastWindows int
-	res, err := tb.Run(context.Background(), prog, WithProgress(func(p RunProgress) {
-		calls++
-		if p.Windows < lastWindows {
-			t.Errorf("windows went backwards: %d -> %d", lastWindows, p.Windows)
+	run := func(errAt, tripAt int) (*scriptedDetector, *Testbed, *Result, error) {
+		tb, err := NewTestbed(WithSeed(5))
+		if err != nil {
+			t.Fatal(err)
 		}
-		lastWindows = p.Windows
-	}))
+		d := &scriptedDetector{engine: tb.Engine, errAt: errAt, tripAt: tripAt}
+		res, err := tb.Run(context.Background(), prog, WithDetector(d, AbortOnTrip))
+		return d, tb, res, err
+	}
+	// The windows a whole run exports: a run that never trips, stepped
+	// like every run with a detector attached.
+	full, _, _, err := run(-1, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls == 0 {
-		t.Fatal("progress callback never invoked")
+	total := len(full.seen)
+
+	cases := []struct {
+		name          string
+		errAt, tripAt int
+		check         func(t *testing.T, d *scriptedDetector, tb *Testbed, res *Result, err error)
+	}{
+		{"stream error fails the run", 30, -1, func(t *testing.T, d *scriptedDetector, _ *Testbed, _ *Result, err error) {
+			if err == nil || !errors.Is(err, errScripted) || !strings.Contains(err.Error(), d.Name()) {
+				t.Fatalf("err = %v, want the stream error naming detector %q", err, d.Name())
+			}
+		}},
+		{"trip aborts at the end of its export period", -1, 30, func(t *testing.T, d *scriptedDetector, tb *Testbed, res *Result, err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Aborted || res.Completed || res.TripReason == "" {
+				t.Fatalf("aborted=%v completed=%v reason=%q, want an aborted print with a trip reason", res.Aborted, res.Completed, res.TripReason)
+			}
+			// The run started at instant 0 and steps one export period at a
+			// time; the abort lands on the boundary closing the period the
+			// tripping window was exported in.
+			period := tb.Board.Config().ExportPeriod
+			at := d.seen[30]
+			if res.AbortedAt%period != 0 || at <= res.AbortedAt-period || at > res.AbortedAt {
+				t.Errorf("aborted at %v, want the end of the %v period holding window 30 (observed at %v)", res.AbortedAt, period, at)
+			}
+			if len(d.seen) != 31 || res.Recording.Len() != 31 {
+				t.Errorf("observed %d windows, board exported %d by the abort; want 31 each", len(d.seen), res.Recording.Len())
+			}
+		}},
+		{"trip while settling only flags", -1, total - 1, func(t *testing.T, d *scriptedDetector, _ *Testbed, res *Result, err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Aborted || !res.Completed {
+				t.Fatalf("aborted=%v completed=%v, want a completed print that was not aborted", res.Aborted, res.Completed)
+			}
+			if !res.TrojanLikely || len(d.seen) != total {
+				t.Errorf("trojanLikely=%v after %d of %d windows, want flagged after the whole stream", res.TrojanLikely, len(d.seen), total)
+			}
+		}},
 	}
-	if lastWindows != res.Recording.Len() {
-		t.Errorf("final progress saw %d windows, capture has %d", lastWindows, res.Recording.Len())
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d, tb, res, err := run(tc.errAt, tc.tripAt)
+			tc.check(t, d, tb, res, err)
+		})
 	}
 }
 

@@ -167,7 +167,8 @@ type DetectorSpec struct {
 	// wave (see SuiteSpec).
 	Golden string `json:"golden,omitempty"`
 	// Policy is "flag" (default: print finishes, verdict in the result)
-	// or "abort" (halt the print the moment the detector trips).
+	// or "abort" (halt the print at the end of the export period in
+	// which the detector trips).
 	Policy string `json:"policy,omitempty"`
 	// Tap binds the detector to a tap side: "" (the board's primary
 	// tap), "arduino", "ramps", or "dual" (the paired feed attestation-
