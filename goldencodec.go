@@ -284,7 +284,8 @@ func decodeGoldenResult(payload []byte) (*Result, error) {
 			return nil, fmt.Errorf("offramps: golden codec: layer quantum %v", quantum)
 		}
 		part := printer.NewPart(quantum)
-		n := d.count(32)
+		n := d.count(32) // bounded by the bytes left, so Grow cannot over-allocate
+		part.Grow(n)
 		for i := 0; i < n && !d.bad; i++ {
 			part.Add(printer.Deposit{X: d.f64(), Y: d.f64(), Z: d.f64(), Filament: d.f64()})
 		}

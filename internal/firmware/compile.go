@@ -12,23 +12,36 @@ import (
 // moveEntry is the pre-resolved execution of one G0/G1 command: whether
 // the modal evaluation produced a move at all (resolved), whether that
 // move has physical extent (motion — a zero-distance move still enables
-// the motors, so the distinction matters for event-order identity), and
-// the planned pulse trains. Entries are immutable once compiled.
+// the motors, so the distinction matters for event-order identity), the
+// planned pulse trains, and each train's rise-offset table (rises, in
+// signal.Axes order; nil for a train whose shape has none). Entries and
+// their tables are immutable once compiled.
 type moveEntry struct {
 	resolved bool
 	motion   bool
 	pm       plannedMove
+	rises    [4][]uint32
+}
+
+// trainShape is what a step train's rise offsets depend on: its move's
+// profile and its pulse count. Trains of one shape rise at the same
+// offsets from their own origins.
+type trainShape struct {
+	prof profile
+	n    int
 }
 
 // Compiled is an immutable pre-planned execution of one program under
 // one firmware configuration: every G0/G1 resolved through the modal
-// state, homing and G92 frame effects folded in, and each move's
-// trapezoidal profile planned. It is the only way the firmware runs a
-// program (Load compiles one when given none). N same-program scenarios
-// share one Compiled — parse/plan cost is paid once per program instead
-// of once per run — and simulate from it with byte-identical results,
-// because planning is deterministic in (program, config) and
-// independent of the run's time-noise seed. Safe for concurrent readers.
+// state, homing and G92 frame effects folded in, each move's
+// trapezoidal profile planned, and the rise offsets of every train
+// shape the program repeats tabulated. It is the only way the firmware
+// runs a program (Load compiles one when given none). N same-program
+// scenarios share one Compiled — parse/plan cost is paid once per
+// program instead of once per run — and simulate from it with
+// byte-identical results, because planning is deterministic in
+// (program, config) and independent of the run's time-noise seed. Safe
+// for concurrent readers.
 type Compiled struct {
 	prog    gcode.Program
 	entries []moveEntry
@@ -49,7 +62,7 @@ const (
 // simulator cannot represent: a move with a non-finite target, a target
 // of 2^53 microsteps or more, or a duration that is not finite or does
 // not fit in sim.Time, and a G4 dwell whose duration is not finite or
-// does not fit either.
+// does not fit either. Last it tabulates rise offsets (riseTables).
 // The returned plan is only valid for firmwares built with an identical
 // motion configuration (StepsPerMM, feedrates, acceleration, pulse
 // timing); seed and time-noise settings do not affect planning and may
@@ -106,7 +119,64 @@ func Compile(prog gcode.Program, cfg Config) (*Compiled, error) {
 			}
 		}
 	}
+	c.riseTables()
 	return c, nil
+}
+
+// riseTables gives each train shape that two or more trains of the
+// program share one table of its rise offsets, in nanoseconds, and
+// hands it to every train of that shape. Two limits bound the memory a
+// plan holds for as long as runs share it: a shape used once gets no
+// table, so every entry serves at least two pulses of each run, and
+// neither does a shape whose offsets reach 2^32 ns (4.29 s), so every
+// entry fits a uint32; a print's moves take well under that. Trains
+// without a table compute each offset in closed form, with the
+// expression the table holds.
+func (c *Compiled) riseTables() {
+	uses := make(map[trainShape]int)
+	for i := range c.entries {
+		pm := &c.entries[i].pm
+		for _, ax := range pm.axes {
+			if ax.steps > 0 {
+				uses[trainShape{pm.prof, ax.steps}]++
+			}
+		}
+	}
+	tables := make(map[trainShape][]uint32)
+	for i := range c.entries {
+		e := &c.entries[i]
+		for j, ax := range e.pm.axes {
+			s := trainShape{e.pm.prof, ax.steps}
+			if ax.steps == 0 || uses[s] < 2 {
+				continue
+			}
+			off, ok := tables[s]
+			if !ok {
+				off = s.riseTable()
+				tables[s] = off
+			}
+			e.rises[j] = off
+		}
+	}
+}
+
+// riseTable returns the shape's rise offsets, or nil when one does not
+// fit a uint32.
+func (s trainShape) riseTable() []uint32 {
+	// The last pulse rises latest: checking it first keeps a shape that
+	// cannot fit from allocating its table.
+	if s.prof.riseOffset(s.n-1, s.n) > math.MaxUint32 {
+		return nil
+	}
+	off := make([]uint32, s.n)
+	for k := range off {
+		t := s.prof.riseOffset(k, s.n)
+		if t < 0 || t > math.MaxUint32 {
+			return nil
+		}
+		off[k] = uint32(t)
+	}
+	return off
 }
 
 // dwellSeconds is the pause a G4 asks for: P milliseconds, else S

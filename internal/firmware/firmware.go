@@ -332,7 +332,7 @@ func (fw *Firmware) setMotors(on bool) {
 
 // executeMove schedules a G0/G1 from its compiled plan entry.
 func (fw *Firmware) executeMove() {
-	entry := fw.compiled.entries[fw.pc-1]
+	entry := &fw.compiled.entries[fw.pc-1]
 	if !entry.resolved {
 		fw.next() // feedrate-only or zero-length move
 		return
@@ -376,6 +376,7 @@ func (fw *Firmware) executeMove() {
 			fw:    fw,
 			line:  fw.bus.Step(a),
 			prof:  pm.prof,
+			off:   entry.rises[i],
 			base:  base,
 			width: fw.cfg.StepPulseWidth,
 			n:     n,

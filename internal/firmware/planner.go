@@ -62,6 +62,19 @@ func (p profile) timeAt(s float64) float64 {
 	}
 }
 
+// riseOffset returns when pulse k of an n-pulse train rises, counted
+// from the move's origin: pulses spread evenly over the move's distance,
+// and the +0.5 centres each pulse within its distance slot so the first
+// is not at the move's start (which would collide with DIR setup). It is
+// the one expression of a rise offset: Compile's offset tables hold its
+// values and stepTrain.RiseAt falls back to it, so both land on the same
+// nanosecond. The explicit float64 conversion rounds the product, so no
+// CPU fuses it with timeAt's arithmetic into a multiply-add.
+func (p profile) riseOffset(k, n int) sim.Time {
+	frac := (float64(k) + 0.5) / float64(n)
+	return sim.FromSeconds(p.timeAt(float64(frac * p.dist)))
+}
+
 // axisPlan is the per-axis step schedule of one planned move.
 type axisPlan struct {
 	steps    int  // number of step pulses

@@ -11,8 +11,9 @@ const (
 	trainFall
 )
 
-// stepTrain is the step pulses of one axis of one planned move, in
-// closed form: pulse k rises at base plus the profile time of pulse k.
+// stepTrain is the step pulses of one axis of one planned move: pulse
+// k rises at base plus its offset from the move's origin, read from the
+// compiled table of the train's shape or computed in closed form.
 //
 // Handed to the bus's TrainSink as a signal.Train, with the other
 // trains of its move, the train puts no events on the queue at all:
@@ -26,21 +27,24 @@ type stepTrain struct {
 	fw    *Firmware
 	line  *signal.Line
 	prof  profile
+	off   []uint32 // rise offsets in ns, shared by the shape's trains; nil: closed form
 	base  sim.Time // absolute move origin (DIR setup already honoured)
 	width sim.Time
 	k, n  int
 }
 
-// RiseAt returns the absolute time of pulse k's rising edge: pulses
-// spread evenly over the move's distance, anchored at base. The +0.5
-// centres each pulse within its distance slot so the first is not at
-// the move's start (which would collide with DIR setup). It is the one
-// closed form of a rise time: the eager train schedules its rises with
-// it and the FPGA board replays lazy ones with it, so both land on the
-// same nanosecond.
+// RiseAt returns the absolute time of pulse k's rising edge: base plus
+// the pulse's rise offset (profile.riseOffset). A train whose shape
+// Compile tabulated reads the offset from its table; any other train
+// computes it in closed form, with the expression the table holds. It
+// is the one source of a rise time: the eager train schedules its rises
+// with it and the FPGA board replays lazy ones with it, so both land on
+// the same nanosecond.
 func (t *stepTrain) RiseAt(k int) sim.Time {
-	frac := (float64(k) + 0.5) / float64(t.n)
-	return t.base + sim.FromSeconds(t.prof.timeAt(frac*t.prof.dist))
+	if t.off != nil {
+		return t.base + sim.Time(t.off[k])
+	}
+	return t.base + t.prof.riseOffset(k, t.n)
 }
 
 // FireEdge implements sim.EdgeTarget. A rise drives the line High, books

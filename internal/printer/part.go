@@ -3,6 +3,7 @@ package printer
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -37,6 +38,10 @@ func NewPart(layerQuantum float64) *Part {
 
 // Add records a deposit.
 func (p *Part) Add(d Deposit) { p.deposits = append(p.deposits, d) }
+
+// Grow makes room for n more deposits, so the next n Adds do not
+// reallocate the ledger.
+func (p *Part) Grow(n int) { p.deposits = slices.Grow(p.deposits, n) }
 
 // LayerQuantum returns the Z bucketing quantum, so a serialized part can
 // be reconstructed with NewPart(LayerQuantum()) + Add and behave

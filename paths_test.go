@@ -284,18 +284,27 @@ func detectorsDiffer(t *testing.T, ref outcome) {
 	}
 }
 
-// pinChecksum holds the Table II grid's seed-1 report to
-// ci/grid_tableii.sha256, the checksum CI holds the real binaries to.
+// pinChecksum holds the Table II grid's seed-1 report to its
+// grid_tableii-seed1.json line in ci/specs.sha256, the checksum CI holds
+// the real binaries to.
 func pinChecksum(t *testing.T, ref outcome) {
 	t.Helper()
-	data, err := os.ReadFile(filepath.Join("ci", "grid_tableii.sha256"))
+	data, err := os.ReadFile(filepath.Join("ci", "specs.sha256"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, _ := strings.Cut(strings.TrimSpace(string(data)), " ")
+	want := ""
+	for _, line := range strings.Split(string(data), "\n") {
+		if sum, ok := strings.CutSuffix(line, "  grid_tableii-seed1.json"); ok {
+			want = sum
+		}
+	}
+	if want == "" {
+		t.Fatal("ci/specs.sha256 has no grid_tableii-seed1.json line")
+	}
 	sum := sha256.Sum256(ref.doc)
 	if got := hex.EncodeToString(sum[:]); got != want {
-		t.Errorf("the Table II seed-1 report hashes to %s; ci/grid_tableii.sha256 pins %s", got, want)
+		t.Errorf("the Table II seed-1 report hashes to %s; ci/specs.sha256 pins %s", got, want)
 	}
 }
 

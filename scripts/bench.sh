@@ -13,6 +13,10 @@
 # Each benchmark runs `-count 5`; benchjson collapses the repetitions to
 # per-metric medians with their min/max spread (the archived JSON notes
 # "runs": 5), so one noisy run on a shared box cannot skew the trajectory.
+# Each benchmark's own "runs" is its median iteration count, which for
+# the `Nx` benchtimes used here is N: that field records the benchtime,
+# and `benchjson -compare` prints "not comparable" for a benchmark two
+# files ran at different counts.
 #
 # Usage: scripts/bench.sh [label] [benchtime]
 set -euo pipefail
