@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"offramps/internal/detect"
+	"offramps/internal/firmware"
 	"offramps/internal/flaw3d"
 	"offramps/internal/fpga"
 	"offramps/internal/gcode"
@@ -189,22 +190,24 @@ func goldenPart(b *testing.B) gcode.Program {
 	return prog
 }
 
-// benchPrint runs one untimed print first, so the core's cold start
-// (engine storage, recording and deposit buffers) is not spread over
-// the timed iterations and B/op reads the same at any -benchtime.
+// benchPrint compiles the program's move plan once, as a campaign
+// does, and runs one untimed print first, so neither planning nor the
+// core's cold start (engine storage, recording and deposit buffers) is
+// spread over the timed iterations and B/op reads the same at any
+// -benchtime.
 func benchPrint(b *testing.B, prog gcode.Program, eager bool) {
+	plan := compilePlan(b, prog)
 	core := NewTestbedCore()
 	printOne := func(seed uint64) {
-		tb, err := NewTestbed(WithSeed(seed), WithCore(core))
+		opts := []Option{WithSeed(seed), WithCore(core)}
+		if eager {
+			opts = append(opts, withEagerSteps())
+		}
+		tb, err := NewTestbed(opts...)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if eager {
-			for _, a := range signal.Axes {
-				tb.Arduino.Step(a).Watch(func(sim.Time, signal.Level) {})
-			}
-		}
-		res, err := tb.Run(context.Background(), prog)
+		res, err := tb.Run(context.Background(), prog, withCompiled(plan))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -599,39 +602,50 @@ func BenchmarkReconstruct(b *testing.B) {
 	}
 }
 
-// BenchmarkTrojanOverhead measures how much simulation cost the trojan
-// datapath adds over bypass — the in-fabric analogue of the paper's
-// "trojans are multiplexed over the original control signals".
-func BenchmarkTrojanOverhead(b *testing.B) {
-	prog, err := TestPart()
+// compilePlan compiles prog's move plan as a campaign does.
+func compilePlan(b *testing.B, prog gcode.Program) *firmware.Compiled {
+	plan, err := firmware.Compile(prog, firmware.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("bypass", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tb, err := NewTestbed(WithSeed(1))
-			if err != nil {
-				b.Fatal(err)
+	return plan
+}
+
+// BenchmarkTrojanOverhead measures how much simulation cost the trojan
+// datapath adds over bypass — the in-fabric analogue of the paper's
+// "trojans are multiplexed over the original control signals". Each
+// trojan has its Table I parameters: T2 masks every extruding move's E
+// steps, T5 watches Z steps and injects a Z shift at layer 3, and T8
+// forces every EN line high for 2 s in every 10 s after homing.
+func BenchmarkTrojanOverhead(b *testing.B) {
+	prog := goldenPart(b)
+	plan := compilePlan(b, prog)
+	for _, bc := range []struct{ name, trojan string }{
+		{"bypass", ""},
+		{"t2-masking", "T2"},
+		{"t5-zshift", "T5"},
+		{"t8-dropout", "T8"},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				opts := []Option{WithSeed(1)}
+				if bc.trojan != "" {
+					tr, err := trojan.Build(bc.trojan, nil, 1)
+					if err != nil {
+						b.Fatal(err)
+					}
+					opts = append(opts, WithTrojan(tr))
+				}
+				tb, err := NewTestbed(opts...)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := tb.Run(context.Background(), prog, withCompiled(plan)); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(float64(tb.Engine.Executed()), "events/op")
 			}
-			if _, err := tb.Run(context.Background(), prog); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(tb.Engine.Executed()), "events/op")
-		}
-	})
-	b.Run("t2-masking", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tb, err := NewTestbed(WithSeed(1),
-				WithTrojan(trojan.NewT2ExtrusionReduction(trojan.T2Params{KeepRatio: 0.5})))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := tb.Run(context.Background(), prog); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(tb.Engine.Executed()), "events/op")
-		}
-	})
+		})
+	}
 }

@@ -98,6 +98,8 @@ type Campaign struct {
 	// are fused into one simulation observing all the detectors at once
 	// — the N-detectors-per-print sweep costs one print instead of N.
 	CaptureMode CaptureMode
+	// eager builds every testbed on the eager oracle (withEagerSteps).
+	eager bool
 }
 
 // simKey is everything one simulation depends on besides its trojan
@@ -349,6 +351,9 @@ func (c Campaign) rig(k simKey, prog gcode.Program, plan *planEntry, tr fpga.Tro
 	}
 	if tr != nil {
 		opts = append(opts, WithTrojan(tr))
+	}
+	if c.eager {
+		opts = append(opts, withEagerSteps())
 	}
 	tb, err := NewTestbed(opts...)
 	if err != nil {

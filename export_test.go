@@ -3,8 +3,8 @@ package offramps
 // Test-only hooks for the external offramps_test package, whose
 // execution-path matrix (paths_test.go) also drives internal/farm.
 var (
-	// WithEagerSteps runs fn with every testbed built on the eager oracle.
-	WithEagerSteps = withEagerSteps
+	// EagerCampaign returns c building every testbed on the eager oracle.
+	EagerCampaign = eagerCampaign
 	// SameSimulation compares what the report JSON leaves out.
 	SameSimulation = sameSimulation
 	// SuiteDoc serializes a report exactly as `suite -json` writes it.

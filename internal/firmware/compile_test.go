@@ -156,14 +156,19 @@ func TestRiseOffsetTable(t *testing.T) {
 // command, each with non-negative step counts and a duration the
 // simulation clock can hold, every dwell it accepts fits the clock too,
 // and its rise-offset tables keep the rules checkRiseTables checks. The
-// seeds are the test part, a Flaw3D tampered copy, two moves the
-// simulator cannot represent (a target past 2^53 microsteps, and a move
-// too long for the clock), a dwell too long for the clock, a repeated
-// move that shares a table and a repeated move too long for one.
+// seeds are the first layer of the test part and of its Flaw3D tampered
+// copy, two moves the simulator cannot represent (a target past 2^53
+// microsteps, and a move too long for the clock), a dwell too long for
+// the clock, a repeated move that shares a table and a repeated move too
+// long for one. A whole part is no seed: each run of one compiles and
+// checks ≈10 KB of G-code and its hundreds of thousands of rises, and
+// the fuzzer minimizes every new input it derives from one by running
+// it again thousands of times, so it would run only a few dozen inputs
+// a minute.
 func FuzzCompile(f *testing.F) {
 	part, tampered := testPart(f)
-	f.Add(part.String())
-	f.Add(tampered.String())
+	f.Add(firstLayer(part).String())
+	f.Add(firstLayer(tampered).String())
 	f.Add("G1 X99999999999999999999\nG1 X5\n")
 	f.Add("G1 X1000000000 F0.0000001\n")
 	f.Add("G4 P10000000000000\nG1 X5\n")
@@ -197,6 +202,23 @@ func FuzzCompile(f *testing.F) {
 		}
 		checkRiseTables(t, c, prog)
 	})
+}
+
+// firstLayer returns the commands of prog before its second layer: up
+// to the first move that changes Z after one has set it.
+func firstLayer(prog gcode.Program) gcode.Program {
+	z, set := 0.0, false
+	for i, c := range prog {
+		v, ok := c.Float('Z')
+		if !ok || !(c.Is("G0") || c.Is("G1")) {
+			continue
+		}
+		if set && v != z {
+			return prog[:i]
+		}
+		z, set = v, true
+	}
+	return prog
 }
 
 // BenchmarkCompile measures planning one program: the test part and its

@@ -148,11 +148,14 @@ type Board struct {
 
 	// Lazy step trains (see lazy.go): the live trains, retired records
 	// for reuse, Arduino-side endstop copies a replayed step has yet to
-	// land, and a re-entry guard for Sync.
+	// land, a re-entry guard for Sync, and whether the machine was
+	// killed (Halt), which stops the rises of trains handed back to the
+	// engine.
 	lazy        []*lazyTrain
 	spareTrains []*lazyTrain
 	held        []heldEdge
 	advancing   bool
+	halted      bool
 }
 
 // tap is one monitoring attachment point: the axis tracker counting a
@@ -344,11 +347,14 @@ func (b *Board) Trojans() []Trojan {
 //     (T6/T7/T8 overrides).
 //   - InjectPulse: synthesize pulses the source never sent (T1/T3/T4/T5).
 //
-// A STEP path that none of these has touched, on a board without
-// trojans, is clean: the board may carry its step trains lazily. Its
-// replay kernel then applies each source edge and its output copy
-// itself, through the consumers it resolved when it took the move, so
-// the forward never sees a replayed edge (see lazy.go).
+// Each primitive is an advance point of the board's lazy step trains
+// (Board.change): the deferred edges that precede it land first, so a
+// step edge that lands after the change sees it, as it would eagerly.
+// The board may carry a step train lazily while its STEP path is
+// neither forced nor filtered and has no injected pulse in flight
+// (replayable). Its replay kernel then applies each source edge and its
+// output copy itself, through the consumers it resolved when it took
+// the move, so the forward never sees a replayed edge (see lazy.go).
 type PinPath struct {
 	board *Board
 	src   *signal.Line
@@ -358,8 +364,8 @@ type PinPath struct {
 	filters []func(at sim.Time, level signal.Level) bool
 	forced  bool
 	level   signal.Level
-	// touched is set once any trojan primitive has been applied.
-	touched bool
+	// injecting counts injected pulses whose end has not fired yet.
+	injecting int
 }
 
 func newPinPath(b *Board, src, dst *signal.Line, delay sim.Time) *PinPath {
@@ -387,8 +393,12 @@ func (f *forward) Edge(at sim.Time, level signal.Level) {
 	p.dst.SetAfter(p.delay, level)
 }
 
-// clean reports whether no trojan primitive has touched the path.
-func (p *PinPath) clean() bool { return !p.touched }
+// replayable reports whether the path forwards every source edge
+// verbatim now: it is not forced or filtered, and no injected pulse is
+// in flight.
+func (p *PinPath) replayable() bool {
+	return !p.forced && len(p.filters) == 0 && p.injecting == 0
+}
 
 // Name reports the pin name the path carries.
 func (p *PinPath) Name() string { return p.src.Name() }
@@ -400,20 +410,22 @@ func (p *PinPath) Source() *signal.Line { return p.src }
 func (p *PinPath) Output() *signal.Line { return p.dst }
 
 // AddFilter installs an edge filter. Filters run in installation order;
-// the first to return false suppresses the edge.
+// the first to return false suppresses the edge. A lazy train on the
+// path goes back to the engine, so the filter sees its later edges.
 func (p *PinPath) AddFilter(f func(at sim.Time, level signal.Level) bool) {
 	if f == nil {
 		panic("fpga: AddFilter(nil)")
 	}
+	p.board.change(p, true)
 	p.filters = append(p.filters, f)
-	p.touched = true
 }
 
 // Force clamps the output to level until Release. Source edges are
-// swallowed while forced.
+// swallowed while forced, so a lazy train on the path goes back to the
+// engine.
 func (p *PinPath) Force(level signal.Level) {
+	p.board.change(p, true)
 	p.forced = true
-	p.touched = true
 	p.level = level
 	p.dst.SetAfter(p.delay, level)
 }
@@ -426,6 +438,7 @@ func (p *PinPath) Release() {
 	if !p.forced {
 		return
 	}
+	p.board.change(p, false)
 	p.forced = false
 	p.dst.SetAfter(p.delay, p.src.Level())
 }
@@ -440,7 +453,8 @@ func (p *PinPath) InjectPulse(width sim.Time) {
 	if width <= 0 {
 		panic(fmt.Sprintf("fpga: InjectPulse with non-positive width %v", width))
 	}
-	p.touched = true
+	p.board.change(p, false)
+	p.injecting++
 	p.dst.SetAfter(p.delay, signal.High)
 	p.board.engine.AfterEdge(p.delay+width, p, 0)
 }
@@ -448,10 +462,13 @@ func (p *PinPath) InjectPulse(width sim.Time) {
 // FireEdge implements sim.EdgeTarget: it ends an injected pulse by
 // restoring the output to the source's current level, so a concurrent
 // real pulse is not cut short more than one injection width. Forced paths
-// stay clamped.
+// stay clamped. The output changes at once, so the deferred edges that
+// precede the end land first.
 func (p *PinPath) FireEdge(uint64) {
+	p.injecting--
 	if p.forced {
 		return
 	}
+	p.board.Sync()
 	p.dst.Set(p.src.Level())
 }

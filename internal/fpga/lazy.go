@@ -17,7 +17,8 @@ import (
 // takes the firmware's train descriptors instead (Accept), resolves
 // each train's consumers once, and applies the edges itself at the next
 // advance point: an exporter tick, the firmware's next command, a kill,
-// or any reader of tracker, line, driver, endstop or plant state.
+// a trojan's change to a path, or any reader of tracker, line, driver,
+// endstop or plant state.
 //
 // The replay kernel applies an edge without Line.SetAt's fan-out: it
 // stamps the line, counts the edge on the tap detector and tracker that
@@ -145,10 +146,12 @@ func (lk *lineKernel) edge(a signal.Axis, at sim.Time, level signal.Level) {
 // only when every consumer of their edges is known and replay-safe,
 // and takes all of them or none: an E step deposits at the current XYZ,
 // so an axis left eager would move under another's deferred steps.
-// No trojan may be installed, and for every train:
+// For every train:
 //
-//   - the axis's STEP, DIR and EN paths were never filtered, forced or
-//     injected;
+//   - the axis's STEP path is replayable now: not forced or filtered,
+//     with no injected pulse in flight. Its DIR and EN paths may be in
+//     any state, because every change to a path is an advance point
+//     (change);
 //   - its STEP line and the RAMPS copy carry only quiet listeners: the
 //     path forward, the tap detectors, any quiet sink, and a driver
 //     whose plant's MIN line for the axis carries only quiet listeners
@@ -163,9 +166,6 @@ func (lk *lineKernel) edge(a signal.Axis, at sim.Time, level signal.Level) {
 //     axis's lines again — so by the next command's advance point
 //     nothing of the move is left.
 func (b *Board) Accept(move []signal.Train) bool {
-	if len(b.trojans) > 0 {
-		return false
-	}
 	for _, t := range move {
 		if !b.replaySafe(t) {
 			return false
@@ -199,7 +199,7 @@ func (b *Board) Accept(move []signal.Train) bool {
 func (b *Board) replaySafe(t signal.Train) bool {
 	a := t.Axis
 	p := b.paths[a.StepPin()]
-	if t.N <= 0 || !p.clean() || !b.paths[a.DirPin()].clean() || !b.paths[a.EnablePin()].clean() {
+	if t.N <= 0 || !p.replayable() {
 		return false
 	}
 	if !p.src.Quiet() || !p.dst.Quiet() {
@@ -359,32 +359,115 @@ func (b *Board) retire(tr *lazyTrain) {
 }
 
 // Halt implements signal.TrainSink. After the edges that precede the
-// kill, no pulse rises again; what is left of a risen pulse — its
-// fall, and RAMPS copies still in flight — and any endstop copy still
-// held become real engine events, scheduled before the kill's own EN
-// change so they keep its order. Those events land within one pulse
-// width of the kill, where nothing but the consumers of the same edges
-// observes them.
+// kill, no pulse rises again: what is left of a risen pulse becomes
+// real events (cut), scheduled before the kill's own EN change so they
+// keep its order, every live train is dropped, and a train handed back
+// to the engine (resume) emits only the falls it has booked. Those
+// events land within one pulse width of the kill, where nothing but the
+// consumers of the same edges observes them.
 func (b *Board) Halt() {
+	b.cut()
+	for _, tr := range b.lazy {
+		b.retire(tr)
+	}
+	b.lazy = b.lazy[:0]
+	b.halted = true
+}
+
+// change is the advance point of a trojan's change to path p, called
+// before the change schedules its own edge one propagation delay out.
+// After cut, every edge the engine would have run before that edge is
+// applied or queued ahead of it, and every edge still deferred lands
+// after it and sees it. A clamp or a filter on a STEP path (stepping)
+// is beyond the replay kernel: when a live train runs on p, every live
+// train goes back to the engine (resume), since a move is never split.
+func (b *Board) change(p *PinPath, stepping bool) {
+	if len(b.lazy) == 0 && len(b.held) == 0 {
+		return
+	}
+	b.cut()
+	if !stepping {
+		return
+	}
+	for _, tr := range b.lazy {
+		if tr.path == p {
+			b.resume()
+			return
+		}
+	}
+}
+
+// cut applies the deferred edges that precede the running event, then
+// schedules every held endstop copy and the unapplied edges of every
+// risen pulse as engine events, and moves those trains to their next
+// pulse: each live train is left at a pulse that has not risen yet.
+// Same-instant RAMPS copies keep their rises' order.
+func (b *Board) cut() {
 	b.Sync()
 	for _, h := range b.held {
 		b.engine.ScheduleEdge(h.at, h.line, uint64(h.level))
 	}
 	b.held = b.held[:0]
 	live := b.lazy
-	// Same-instant RAMPS copies keep their rises' order.
 	for i := 1; i < len(live); i++ {
 		for j := i; j > 0 && riseLess(live[j], live[j-1]); j-- {
 			live[j], live[j-1] = live[j-1], live[j]
 		}
 	}
+	n := 0
 	for _, tr := range live {
 		if tr.done > 0 {
 			b.materialize(tr)
+			tr.done = 0
+			if tr.k++; tr.k == tr.N {
+				b.retire(tr)
+				continue
+			}
+			tr.prev, tr.rise = tr.rise, tr.Rises.RiseAt(tr.k)
 		}
-		b.retire(tr)
+		live[n] = tr
+		n++
+	}
+	b.lazy = live[:n]
+}
+
+// resume hands every live train back to the engine after a cut: each
+// schedules its next rise, in rise order, and from then on emits its
+// pulses as the firmware's eager train does (FireEdge).
+func (b *Board) resume() {
+	for _, tr := range b.lazy {
+		b.engine.ScheduleEdge(tr.rise, tr, riseEdge)
 	}
 	b.lazy = b.lazy[:0]
+}
+
+// lazyTrain.FireEdge arguments.
+const (
+	riseEdge uint64 = iota
+	fallEdge
+)
+
+// FireEdge implements sim.EdgeTarget for a train handed back to the
+// engine: a rise drives the Arduino STEP line High through every
+// listener, books its fall and the next rise; the last fall retires the
+// train. After a kill no pulse rises.
+func (tr *lazyTrain) FireEdge(arg uint64) {
+	b := tr.path.board
+	if arg == fallEdge {
+		tr.path.src.Set(signal.Low)
+		if tr.k == tr.N {
+			b.retire(tr)
+		}
+		return
+	}
+	if b.halted {
+		return
+	}
+	tr.path.src.Set(signal.High)
+	b.engine.ScheduleEdge(b.engine.Now()+tr.Width, tr, fallEdge)
+	if tr.k++; tr.k < tr.N {
+		b.engine.ScheduleEdge(tr.Rises.RiseAt(tr.k), tr, riseEdge)
+	}
 }
 
 // materialize schedules the unapplied edges of tr's current pulse as

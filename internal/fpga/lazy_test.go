@@ -762,3 +762,151 @@ func kernelCuts(t *testing.T, d sim.Time) (stops []sim.Time, seq [2][]lazyState,
 	}
 	return stops, seq, logs
 }
+
+// The tests below change paths while trains run lazily, as trojans do.
+// Every change is an advance point: the edges that precede it land
+// first, and what is left of a risen pulse goes to the engine ahead of
+// the change's own edge.
+
+// atRise runs fn in an event at rises[k], the rise of pulse k of a
+// lazy train. Scheduled before the run, the event precedes the pulse,
+// whose rise is scheduled at pulse k-1's; with after set, it is
+// scheduled just after pulse k-1 rises, so it follows the pulse.
+func atRise(r *lazyRig, rises []sim.Time, k int, after bool, fn func()) {
+	if !after {
+		r.e.Schedule(rises[k], fn)
+		return
+	}
+	r.e.Schedule(rises[k-1]+1, func() { r.e.Schedule(rises[k], fn) })
+}
+
+func TestLazyENChangeAtRise(t *testing.T) {
+	us, ms := sim.Microsecond, sim.Millisecond
+	s0 := lzFirstStep
+	xs, es := pulses(s0+ms, 12), pulses(s0+ms+35*us, 6)
+	// A trojan forces X's EN path high (disabled) at one instant and
+	// releases it at another; one of the two is exactly X pulse k's
+	// rise, the other falls between pulses. The pulses whose RAMPS
+	// copies land while EN is high are lost.
+	for _, c := range []struct {
+		name           string
+		force, release func(r *lazyRig, after bool, fn func())
+		lost           [2]uint64 // before, after
+	}{
+		// Force at pulse 3: preceding it, it loses pulses 3–7; following
+		// it, 3's copy is in flight and lands first.
+		{"force at rise", func(r *lazyRig, after bool, fn func()) { atRise(r, xs, 3, after, fn) },
+			func(r *lazyRig, _ bool, fn func()) { r.e.Schedule(xs[7]+35*us, fn) }, [2]uint64{5, 4}},
+		// Release at pulse 7: preceding it, pulse 7 steps; following it,
+		// pulse 7 is lost too.
+		{"release at rise", func(r *lazyRig, _ bool, fn func()) { r.e.Schedule(xs[2]+35*us, fn) },
+			func(r *lazyRig, after bool, fn func()) { atRise(r, xs, 7, after, fn) }, [2]uint64{4, 5}},
+	} {
+		for i, after := range []bool{false, true} {
+			r := runBoth(t, TapDual, lzUntil, func(r *lazyRig) {
+				startExport(r)
+				en := r.board.Path(signal.AxisX.EnablePin())
+				c.force(r, after, func() { en.Force(signal.High) })
+				c.release(r, after, en.Release)
+				r.move(s0+500*us, s0+3*ms, signal.Tick{}, map[signal.Axis][]sim.Time{signal.AxisX: xs, signal.AxisE: es})
+			})
+			if r.accepted != 2 {
+				t.Fatalf("%s, after=%v: lazy rig accepted %d trains, want 2", c.name, after, r.accepted)
+			}
+			d := r.plant.Driver(signal.AxisX)
+			if lost := d.StepsSeen() - d.StepsTaken(); lost != c.lost[i] {
+				t.Errorf("%s, after=%v: X lost %d steps, want %d", c.name, after, lost, c.lost[i])
+			}
+		}
+	}
+}
+
+func TestLazyInjectBesideTrains(t *testing.T) {
+	us, ms := sim.Microsecond, sim.Millisecond
+	s0 := lzFirstStep
+	ys, es := pulses(s0+ms, 12), pulses(s0+ms+35*us, 6)
+	// Y and E run lazily while a trojan injects pulses on a STEP path:
+	// X's, whose steps move the point E deposits at, or Y's own. Pulses
+	// are injected exactly at E rises, before and after them, between
+	// pulses, and one long enough to span a Y pulse, which cuts it short.
+	for _, axis := range []signal.Axis{signal.AxisX, signal.AxisY} {
+		var deposits [2][]printer.Deposit
+		for i, after := range []bool{false, true} {
+			r := runBoth(t, TapDual, lzUntil, func(r *lazyRig) {
+				startExport(r)
+				p := r.board.Path(axis.StepPin())
+				inject := func(w sim.Time) func() { return func() { p.InjectPulse(w) } }
+				for k := 1; k < len(es); k++ {
+					atRise(r, es, k, after, inject(lzWidth))
+				}
+				r.e.Schedule(ys[2]+20*us, inject(lzWidth))
+				r.e.Schedule(ys[8]-10*us, inject(100*us))
+				r.move(s0+500*us, s0+3*ms, signal.Tick{}, map[signal.Axis][]sim.Time{signal.AxisY: ys, signal.AxisE: es})
+			})
+			if r.accepted != 2 {
+				t.Fatalf("%v injected, after=%v: lazy rig accepted %d trains, want 2", axis, after, r.accepted)
+			}
+			deposits[i] = r.plant.Part().Deposits()
+		}
+		if axis == signal.AxisX && reflect.DeepEqual(deposits[0], deposits[1]) {
+			t.Error("X injected before or after the E rises: the deposits agree, so no injection tied a deposit")
+		}
+	}
+}
+
+func TestLazyStepPathChangeMidTrain(t *testing.T) {
+	us, ms := sim.Microsecond, sim.Millisecond
+	s0 := lzFirstStep
+	xs, es := pulses(s0+ms, 20), pulses(s0+ms+35*us, 10)
+	halve := func(r *lazyRig) func() {
+		return func() {
+			n := 0
+			r.board.Path(signal.AxisX.StepPin()).AddFilter(func(_ sim.Time, level signal.Level) bool {
+				if level == signal.High {
+					n++
+				}
+				return n%2 == 0
+			})
+		}
+	}
+	force := func(r *lazyRig) func() {
+		return func() { r.board.Path(signal.AxisX.StepPin()).Force(signal.Low) }
+	}
+	release := func(r *lazyRig) func() { return r.board.Path(signal.AxisX.StepPin()).Release }
+	// A filter or a clamp lands on X's STEP path mid-train, at a rise or
+	// inside a pulse; X's train and E's beside it go back to the engine.
+	// Later moves run eagerly while the path is filtered or clamped, and
+	// lazily again once it is released.
+	for _, c := range []struct {
+		name     string
+		drive    func(r *lazyRig)
+		kill     bool
+		accepted int
+	}{
+		{"filter at rise", func(r *lazyRig) { atRise(r, xs, 6, true, halve(r)) }, false, 2},
+		{"filter inside pulse", func(r *lazyRig) { r.e.Schedule(xs[6]+lzWidth/2, halve(r)) }, false, 2},
+		{"force at rise", func(r *lazyRig) {
+			atRise(r, xs, 6, false, force(r))
+			r.e.Schedule(xs[12]+30*us, release(r))
+		}, false, 4},
+		{"force inside pulse", func(r *lazyRig) {
+			r.e.Schedule(xs[6]+lzWidth/2, force(r))
+			r.e.Schedule(s0+4*ms, release(r))
+		}, false, 4},
+		{"force, then kill", func(r *lazyRig) { r.e.Schedule(xs[6]+lzWidth/2, force(r)) }, true, 2},
+	} {
+		r := runBoth(t, TapDual, lzUntil, func(r *lazyRig) {
+			startExport(r)
+			kill := signal.Tick{}
+			if c.kill {
+				kill = r.killAt(s0+ms, ms, 1)
+			}
+			c.drive(r)
+			r.move(s0+500*us, s0+3*ms, kill, map[signal.Axis][]sim.Time{signal.AxisX: xs, signal.AxisE: es})
+			r.move(s0+5*ms+100*us, s0+7*ms, signal.Tick{}, map[signal.Axis][]sim.Time{signal.AxisX: pulses(s0+6*ms+10*us, 5), signal.AxisE: pulses(s0+6*ms+45*us, 2)})
+		})
+		if r.accepted != c.accepted {
+			t.Errorf("%s: lazy rig accepted %d trains, want %d", c.name, r.accepted, c.accepted)
+		}
+	}
+}

@@ -19,11 +19,10 @@ import (
 // carry step trains lazily, and on the eager oracle, where a no-op
 // Watch on every Arduino STEP line keeps each pulse on the event queue.
 
-// withEagerSteps runs fn with every testbed built on the eager oracle.
-func withEagerSteps(fn func()) {
-	eagerSteps = true
-	defer func() { eagerSteps = false }()
-	fn()
+// eagerCampaign returns c building every testbed on the eager oracle.
+func eagerCampaign(c Campaign) Campaign {
+	c.eager = true
+	return c
 }
 
 // sameSimulation compares what the report JSON leaves out: the raw
@@ -199,43 +198,40 @@ func TestLazyStepsReadsBetweenRuns(t *testing.T) {
 	}
 	readAll := func(eager bool) []reading {
 		var out []reading
-		run := func() {
-			tb, err := NewTestbed(WithSeed(5))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := tb.Firmware.Load(prog, nil); err != nil {
-				t.Fatal(err)
-			}
-			if err := tb.Firmware.Start(); err != nil {
-				t.Fatal(err)
-			}
-			for !tb.Firmware.Done() {
-				if err := tb.Engine.Run(tb.Engine.Now() + 3*sim.Millisecond + 7*sim.Microsecond); err != nil {
-					t.Fatal(err)
-				}
-				var r reading
-				for i, a := range signal.Axes {
-					r.Pos[i] = tb.Plant.Position(a)
-					r.Net[i] = tb.Plant.NetSteps(a)
-					r.LostLo[i], _ = tb.Plant.LostSteps(a)
-					r.Seen[i] = tb.Plant.Driver(a).StepsSeen()
-					r.Count[i] = tb.Board.Tracker().Count(a)
-					r.Edges[i] = tb.RAMPS.Step(a).Edges()
-					if tb.Arduino.Step(a).Level() == signal.High {
-						r.LevelsHigh++
-					}
-				}
-				r.Deposits = len(tb.Plant.Part().Deposits())
-				r.Windows = tb.Board.Windows()
-				r.InvalidAxis = tb.Plant.Position(signal.Axis(0))
-				out = append(out, r)
-			}
-		}
+		opts := []Option{WithSeed(5)}
 		if eager {
-			withEagerSteps(run)
-		} else {
-			run()
+			opts = append(opts, withEagerSteps())
+		}
+		tb, err := NewTestbed(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tb.Firmware.Load(prog, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := tb.Firmware.Start(); err != nil {
+			t.Fatal(err)
+		}
+		for !tb.Firmware.Done() {
+			if err := tb.Engine.Run(tb.Engine.Now() + 3*sim.Millisecond + 7*sim.Microsecond); err != nil {
+				t.Fatal(err)
+			}
+			var r reading
+			for i, a := range signal.Axes {
+				r.Pos[i] = tb.Plant.Position(a)
+				r.Net[i] = tb.Plant.NetSteps(a)
+				r.LostLo[i], _ = tb.Plant.LostSteps(a)
+				r.Seen[i] = tb.Plant.Driver(a).StepsSeen()
+				r.Count[i] = tb.Board.Tracker().Count(a)
+				r.Edges[i] = tb.RAMPS.Step(a).Edges()
+				if tb.Arduino.Step(a).Level() == signal.High {
+					r.LevelsHigh++
+				}
+			}
+			r.Deposits = len(tb.Plant.Part().Deposits())
+			r.Windows = tb.Board.Windows()
+			r.InvalidAxis = tb.Plant.Position(signal.Axis(0))
+			out = append(out, r)
 		}
 		return out
 	}

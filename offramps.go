@@ -44,6 +44,7 @@ type options struct {
 	firmwareMod func(*firmware.Config)
 	plantMod    func(*printer.Config)
 	core        *TestbedCore
+	eager       bool
 }
 
 func defaultOptions() options {
@@ -191,7 +192,7 @@ func NewTestbed(opts ...Option) (*Testbed, error) {
 		return nil, fmt.Errorf("offramps: building firmware: %w", err)
 	}
 	tb.Firmware = fw
-	if eagerSteps {
+	if o.eager {
 		for _, a := range signal.Axes {
 			arduino.Step(a).Watch(func(sim.Time, signal.Level) {})
 		}
@@ -199,11 +200,11 @@ func NewTestbed(opts ...Option) (*Testbed, error) {
 	return tb, nil
 }
 
-// eagerSteps, when set, builds every testbed with a no-op listener on
-// each Arduino-side STEP line, which keeps all step pulses on the event
-// queue. It exists for the lazy-versus-eager differential tests, which
-// use the eager rig as their oracle; nothing else sets it.
-var eagerSteps bool
+// withEagerSteps builds the testbed with a no-op listener on each
+// Arduino-side STEP line, which keeps every step pulse on the event
+// queue. It is the eager oracle of the lazy-versus-eager differential
+// tests and benchmarks.
+func withEagerSteps() Option { return func(o *options) { o.eager = true } }
 
 // Result summarizes one simulated print.
 type Result struct {

@@ -33,27 +33,14 @@ import (
 // fingerprints and parts (SameSimulation). A new execution path is one
 // more row; DESIGN.md §5 lists which fixtures carry which rows.
 //
-// Fixtures run in parallel. The eager oracle is a package-level switch,
-// so an eager row holds eagerMu exclusively and every other execution
-// shares it: no other testbed is built while the switch is on.
+// Fixtures run in parallel.
 func TestExecutionPathsAgree(t *testing.T) {
-	var eagerMu sync.RWMutex
 	for _, fx := range matrix(t) {
 		t.Run(fx.name, func(t *testing.T) {
 			t.Parallel()
 			for _, p := range fx.paths {
 				t.Run(p.name, func(t *testing.T) {
-					ref := func() outcome {
-						eagerMu.RLock()
-						defer eagerMu.RUnlock()
-						return fx.reference(t)
-					}()
-					lock := eagerMu.RLocker()
-					if p.eager {
-						lock = &eagerMu
-					}
-					lock.Lock()
-					defer lock.Unlock()
+					ref := fx.reference(t)
 					p.run(t, fx, func(label string, got outcome) {
 						t.Helper()
 						agree(t, label, ref, got, p.mode)
@@ -181,9 +168,7 @@ type path struct {
 	// mode is the capture mode the path runs in. Fingerprint-mode results
 	// carry no recordings, so only their fingerprints and parts compare.
 	mode offramps.CaptureMode
-	// eager is set on the row that flips the package-level eager switch.
-	eager bool
-	run   func(t *testing.T, fx *fixture, agree func(label string, got outcome))
+	run  func(t *testing.T, fx *fixture, agree func(label string, got outcome))
 }
 
 // agree holds one execution to the reference.
@@ -415,10 +400,8 @@ func fingerprintFused(t *testing.T, fx *fixture, agree func(string, outcome)) {
 // line). One golden cache serves the eager runs of every fixture.
 func eagerPath() path {
 	cache := offramps.NewGoldenCache()
-	return path{name: "eager", eager: true, run: func(t *testing.T, fx *fixture, agree func(string, outcome)) {
-		var got outcome
-		offramps.WithEagerSteps(func() { got = fx.local(t, offramps.Campaign{Cache: cache}) })
-		agree("eager", got)
+	return path{name: "eager", run: func(t *testing.T, fx *fixture, agree func(string, outcome)) {
+		agree("eager", fx.local(t, offramps.EagerCampaign(offramps.Campaign{Cache: cache})))
 	}}
 }
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # bench.sh runs the key perf benchmarks (GoldenPrint and its eager-rig
 # twin GoldenPrintEager, RelocationPrint, TrojanOverhead — a clean print
-# and a T2 print, whose trojan keeps every step edge on the event
-# queue — TableII — the in-repo twin of the sweep_cold workload —
+# and T2, T5 and T8 prints: T2's E filter keeps every extruding move on
+# the event queue, T5's Z watch every Z move, and T8's EN dropouts none —
+# TableII — the in-repo twin of the sweep_cold workload —
 # Campaign, CampaignWide, MonitorObserve,
 # StitchReport, the golden codec and golden store microbenchmarks, grid
 # expansion, JSONL row encoding, G-code parsing, firmware.Compile on the
